@@ -198,12 +198,16 @@ def run_experiment(
     """Run one experiment and write trace.csv + summary.json.
 
     Chooses run_parallel when cfg.parallel is set, run_simulation
-    otherwise. The exit status for a CLI wrapper comes from
-    SummaryReport.exit_code(): 0 ok, 3 diverged, 4 thresholds unreached.
+    otherwise. The experiment is built once: the pieces that give the
+    initial loss are handed to the engine, which builds none of them again.
+    The exit status for a CLI wrapper comes from SummaryReport.exit_code():
+    0 ok, 3 diverged, 4 thresholds unreached.
     """
-    objective, _, probe, theta0 = build_experiment(cfg)
+    pieces = build_experiment(cfg)
+    objective, _, probe, theta0 = pieces
     initial_loss = float(objective.loss(theta0, probe))
-    trace = run_parallel(cfg) if cfg.parallel else run_simulation(cfg)
+    engine = run_parallel if cfg.parallel else run_simulation
+    trace = engine(cfg, *pieces)
     report = summarize(trace, cfg, initial_loss)
     out = resolve_out_dir(out_dir, cfg)
     os.makedirs(out, exist_ok=True)

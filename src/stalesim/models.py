@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,13 @@ class Sample:
 
 @dataclass(frozen=True)
 class Batch:
+    """A run of samples fed to one gradient computation.
+
+    The feature matrix and target vector are built on first use and shared
+    read-only afterwards, so a batch pays for converting its samples once.
+    Equality and hashing still look at the samples only.
+    """
+
     samples: tuple
     total_cost: int = field(init=False)
 
@@ -71,11 +79,18 @@ class Batch:
     def __len__(self) -> int:
         return len(self.samples)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        x = np.array([s.features for s in self.samples], dtype=np.float64)
+        y = np.array([s.target for s in self.samples], dtype=np.float64)
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
+
     def feature_matrix(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples], dtype=np.float64)
+        return self._arrays[0]
 
     def target_vector(self) -> np.ndarray:
-        return np.array([s.target for s in self.samples], dtype=np.float64)
+        return self._arrays[1]
 
 
 class Objective:

@@ -362,7 +362,13 @@ def staleness_summary(
 
 class ParameterServer:
     """Holds parameters, applies one optimizer update per `g_count` pushed
-    gradients, and records one trace row per push."""
+    gradients, and records one trace row per push.
+
+    The probe loss is evaluated once per parameter version: theta changes
+    only on an update, so the rows of the pushes between two updates repeat
+    the loss computed for their version. With G > 1 (and for the barrier
+    strategies) that is one probe per G pushes instead of one per push.
+    """
 
     def __init__(
         self,
@@ -385,6 +391,8 @@ class ParameterServer:
         self.g_count = g_count
         self.combine = combine
         self.probe_loss = probe_loss
+        self.loss = 0.0
+        self.loss_version = -1  # the version `loss` was probed at
         self.strategy_label = strategy_label
         self.total_pushes = 0
         self.total_cost = 0
@@ -409,6 +417,13 @@ class ParameterServer:
         updated = False
         if self.accum_count == self.g_count:
             g = self.accum / self.g_count if self.combine == "mean" else self.accum.copy()
+            # G finite pushes can still overflow when summed; with G = 1 the
+            # push check above already covers the update's gradient
+            if self.g_count > 1 and not vec_is_finite(g):
+                raise DivergenceError(
+                    f"the sum of {self.g_count} pushed gradients went "
+                    f"non-finite at update {self.version + 1}"
+                )
             lr = self.schedule.lr_at(self.version + 1)
             self.theta = self.optimizer.step(self.theta, g, lr)
             self.version += 1
@@ -420,18 +435,20 @@ class ParameterServer:
                 raise DivergenceError(
                     f"parameters went non-finite at update {self.version}"
                 )
-        loss = float(self.probe_loss(self.theta))
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"probe loss went non-finite at update {self.version}"
-            )
+        if self.loss_version != self.version:
+            loss = float(self.probe_loss(self.theta))
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"probe loss went non-finite at update {self.version}"
+                )
+            self.loss, self.loss_version = loss, self.version
         self.rows.append(
             TraceRow(
                 update_idx=self.version,
                 sim_time_s=msg.push_time,
                 pushes=self.total_pushes,
                 staleness=staleness,
-                loss_probe=loss,
+                loss_probe=self.loss,
                 lr=self.last_lr,
                 strategy=self.strategy_label,
                 worker_id=msg.worker,
@@ -754,6 +771,9 @@ def run_parallel(
     interleavings are nondeterministic, so only statistical assertions
     hold; with N=1 the update trajectory matches the serial engine exactly
     (timestamps aside). Barrier strategies are not supported here.
+
+    Divergence ends in a diverged trace, as in run_simulation. Any other
+    exception in a worker thread stops every thread and is re-raised here.
     """
     if cfg.strategy.is_barrier:
         raise ValueError(
@@ -765,7 +785,7 @@ def run_parallel(
     )
     lock = threading.Lock()
     stop = threading.Event()
-    failure: list[DivergenceError] = []
+    failure: list[Exception] = []
     t0 = time.monotonic()
 
     def loop(w: Worker) -> None:
@@ -789,7 +809,7 @@ def run_parallel(
                     w.pull(server)
                     if server.version >= cfg.budget_updates:
                         stop.set()
-                except DivergenceError as e:
+                except Exception as e:  # the others would wait on its pushes
                     failure.append(e)
                     stop.set()
                     return
@@ -804,6 +824,9 @@ def run_parallel(
         th.start()
     for th in threads:
         th.join()
+    for e in failure:
+        if not isinstance(e, DivergenceError):
+            raise e
     return RunTrace(
         rows=server.rows,
         n_workers=cfg.workers,

@@ -1,0 +1,89 @@
+"""Golden outputs: pinned sha256 of trace.csv + summary.json for small runs.
+
+A speed change must leave every written byte as it was. These digests were
+taken from the engine before probe-loss and batch-array caching, so any
+change to the numbers, the row order or the file formats shows up here.
+A change that alters outputs on purpose updates the digests and says why
+in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from stalesim.config import parse_config
+from stalesim.harness import run_experiment
+
+_NOISY = """\
+workers = 4
+compute.kind = normal
+compute.mean = 1.0
+compute.std = 0.2
+batch.cost_max = 4
+optimizer.alpha = 0.01
+seed = 3
+"""
+
+_QUAD = """\
+objective.kind = quadratic
+objective.dim = 8
+objective.noise_sigma = 1.0
+batch.budget = 8
+budget.updates = 200
+"""
+
+_LINREG = """\
+objective.kind = linreg
+objective.dim = 10
+objective.samples = 256
+objective.target_noise = 0.1
+batch.budget = 8
+budget.updates = 60
+"""
+
+_MLP = """\
+objective.kind = mlp
+objective.in_dim = 4
+objective.hidden = 8
+objective.classes = 3
+probe.samples = 64
+batch.budget = 16
+budget.updates = 60
+"""
+
+GOLDEN = {
+    "quadratic-async": (
+        _QUAD + "strategy = async\n",
+        "ad74dfe18d22dee873486aad9bc0851afcbb487d65f9e761d2cd54a32e5bfa62",
+    ),
+    "mlp-global_accum-4": (
+        _MLP + "strategy = global_accum-4\n",
+        "8df55fb3d511ea8eaa5279c6d070e02f316a8bc3b132dc1f92af20153e831c7b",
+    ),
+    "linreg-sync_stale-4": (
+        _LINREG + "strategy = sync_stale-4\n",
+        "3675e350f3612dbf464495b7110ed25629c8c3266724af2fba7d31c49ae28ce6",
+    ),
+    "mlp-combined-2-2": (
+        _MLP + "strategy = combined-2-2\n",
+        "740a76f50d71c85da13efd83cc249ef3d7d7f8bc01f85fa10d97faa25e24552b",
+    ),
+    "linreg-sync": (
+        _LINREG + "strategy = sync\n",
+        "e90378c680917ab698593846f768399db482fc87ac85611f5d7b72daf88a6633",
+    ),
+}
+
+
+def output_digest(text: str, out_dir) -> str:
+    run_experiment(parse_config(text + _NOISY), str(out_dir))
+    h = hashlib.sha256()
+    for name in ("trace.csv", "summary.json"):
+        h.update((out_dir / name).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_golden_digest(name, tmp_path):
+    text, digest = GOLDEN[name]
+    assert output_digest(text, tmp_path) == digest

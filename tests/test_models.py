@@ -50,6 +50,20 @@ def test_batch_total_cost_and_nonempty():
         Batch(())
 
 
+def test_batch_arrays_are_built_once_and_read_only():
+    b = Batch(tuple(Sample((float(i), 1.0), float(i), 1) for i in range(3)))
+    x, y = b.feature_matrix(), b.target_vector()
+    assert b.feature_matrix() is x and b.target_vector() is y
+    np.testing.assert_array_equal(x, [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    np.testing.assert_array_equal(y, [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        x[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        y[0] = 5.0
+    twin = Batch(b.samples)
+    assert twin == b and hash(twin) == hash(b)  # the cache is not a field
+
+
 # ---------------------------------------------------------------------------
 # quadratic
 

@@ -1,11 +1,18 @@
 """Event loop, strategies, staleness accounting, traces, parallel engine."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stalesim import harness
 from stalesim.config import default_config, ObjectiveSpec
 from stalesim.core import ComputeTimeModel, LrSchedule, RngStream
-from stalesim.models import Batch, Sample, dynamic_batcher
+from stalesim.harness import EXIT_DIVERGED, run_experiment
+from stalesim.models import Batch, Objective, Quadratic, Sample, dynamic_batcher
 from stalesim.optim import AdamConfig, AdamState, adam_step, sgd_step
 from stalesim.simulator import (
     DivergenceError,
@@ -238,6 +245,177 @@ def test_divergence_detected_and_trace_preserved():
     assert trace.updates < 5000
     for r in trace.rows:
         assert np.isfinite(r.loss_probe)
+
+
+class _HugeGradient(Objective):
+    """Every gradient is finite, but two of them summed overflow."""
+
+    dim = 2
+
+    def loss(self, theta, batch):
+        return 0.0
+
+    def grad(self, theta, batch, rng=None):
+        return np.full(2, 1e308)
+
+
+class _FailingGradient(_HugeGradient):
+    """Raises a plain error, not a divergence, on the third gradient."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def grad(self, theta, batch, rng=None):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("worker crashed")
+        return np.zeros(2)
+
+
+def _finishes(run, timeout=10.0):
+    """Call run() in a daemon thread; fail the test if it hangs."""
+    out = {}
+
+    def target():
+        try:
+            out["trace"] = run()
+        except Exception as e:
+            out["error"] = e
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(timeout=timeout)
+    assert not th.is_alive(), f"run still going after {timeout} s"
+    return out
+
+
+def _overflow_cfg(workers, g, **kw):
+    return _cfg(
+        objective=ObjectiveSpec(kind="quadratic", dim=2, samples=32),
+        workers=workers,
+        strategy=Strategy.global_accum(g),
+        **kw,
+    )
+
+
+@pytest.mark.parametrize("combine", ["mean", "sum"])
+def test_accumulated_gradient_overflow_diverges(combine):
+    trace = run_simulation(
+        _overflow_cfg(4, 4, combine=combine), objective=_HugeGradient()
+    )
+    assert trace.diverged
+    assert "non-finite" in trace.divergence_reason
+    assert (trace.pushes, trace.updates) == (3, 0)  # rows before the failure
+
+
+def test_run_experiment_exits_3_on_accumulated_overflow(tmp_path, monkeypatch):
+    build = harness.build_experiment
+    monkeypatch.setattr(
+        harness, "build_experiment", lambda cfg: build(cfg, objective=_HugeGradient())
+    )
+    _, report = run_experiment(_overflow_cfg(4, 4), str(tmp_path))
+    assert report.exit_code() == EXIT_DIVERGED
+
+
+def test_parallel_accumulated_overflow_diverges_without_hanging():
+    cfg = _overflow_cfg(2, 2, parallel_time_scale=1e-4)
+    out = _finishes(lambda: run_parallel(cfg, objective=_HugeGradient()))
+    assert out["trace"].diverged
+    assert "non-finite" in out["trace"].divergence_reason
+
+
+def test_parallel_worker_crash_stops_run_and_reraises():
+    cfg = _overflow_cfg(2, 2, parallel_time_scale=1e-4)
+    out = _finishes(lambda: run_parallel(cfg, objective=_FailingGradient()))
+    assert isinstance(out.get("error"), RuntimeError)
+    assert "worker crashed" in str(out["error"])
+
+
+# ---------------------------------------------------------------------------
+# probe loss once per parameter version
+
+
+class _CountingObjective(Objective):
+    """A noisy quadratic that counts its probe-loss calls."""
+
+    def __init__(self, dim=4):
+        self.inner = Quadratic.random(dim, seed=0, cond=3.0, noise_sigma=1.0)
+        self.dim = dim
+        self.has_noise = True
+        self.losses = 0
+
+    def loss(self, theta, batch):
+        self.losses += 1
+        return self.inner.loss(theta, batch)
+
+    def grad(self, theta, batch, rng=None):
+        return self.inner.grad(theta, batch, rng)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.global_accum(4), Strategy.sync()])
+def test_probe_loss_runs_once_per_version(strategy):
+    objective = _CountingObjective()
+    trace = run_simulation(_cfg(strategy=strategy), objective=objective)
+    assert objective.losses == trace.updates + 1  # versions 0..updates
+
+
+_FAMILIES = {
+    "sync": lambda l, g, u: Strategy.sync(),
+    "sync_stale": lambda l, g, u: Strategy.sync_stale(u),
+    "async": lambda l, g, u: Strategy.asynchronous(),
+    "local_accum": lambda l, g, u: Strategy.local_accum(l),
+    "global_accum": lambda l, g, u: Strategy.global_accum(g),
+    "combined": lambda l, g, u: Strategy.combined(l, g),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    family=st.sampled_from(sorted(_FAMILIES)),
+    l=st.integers(1, 4),
+    g=st.integers(1, 4),
+    u=st.integers(1, 4),
+    cost_max=st.integers(1, 4),
+)
+def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
+    strategy = _FAMILIES[family](l, g, u)
+    cfg = _cfg(
+        workers=n,
+        strategy=strategy,
+        batch_budget=4,
+        batch_cost_max=cost_max,
+        compute=ComputeTimeModel.normal(1.0, 0.2),
+        budget_updates=10,
+    )
+    objective = _CountingObjective()
+    trace = run_simulation(cfg, objective=objective)
+    assert objective.losses == len({r.update_idx for r in trace.rows})
+    big_g = strategy.effective(n)[1]
+    assert 0 <= trace.pushes - trace.updates * big_g < big_g
+
+
+def test_parallel_probe_cache_holds_under_thread_stress():
+    objective = _CountingObjective()
+    cfg = _cfg(
+        workers=8,
+        strategy=Strategy.global_accum(4),
+        compute=ComputeTimeModel.constant(0.001),
+        budget_updates=30,
+        parallel_time_scale=0.01,
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trace = _finishes(lambda: run_parallel(cfg, objective=objective))["trace"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert trace.updates == 30
+    assert objective.losses == len({r.update_idx for r in trace.rows})
+    first = {}
+    for r in trace.rows:  # every row of a version carries that version's loss
+        assert first.setdefault(r.update_idx, r.loss_probe) == r.loss_probe
+    assert 0 <= trace.pushes - trace.updates * 4 < 4
 
 
 # ---------------------------------------------------------------------------
