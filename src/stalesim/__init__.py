@@ -30,7 +30,6 @@ from .models import (
     Mlp,
     Objective,
     Quadratic,
-    Sample,
     dynamic_batcher,
     finite_diff_grad,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "Quadratic",
     "RngStream",
     "RunTrace",
-    "Sample",
     "Strategy",
     "SummaryReport",
     "TraceRow",

@@ -6,9 +6,10 @@
     stalesim selftest {adam,staleness,gradients,all}
 
 Exit codes: 0 success, 2 bad configuration or unreadable input, 3 run
-diverged, 4 finished but missed a configured loss threshold. selftest
-exits 1 on failure. The default output directory is taken from --out-dir,
-then the config's out_dir, then $STALESIM_OUT, then the working directory.
+diverged, 4 finished but missed a configured loss threshold, 5 any other
+error (one line on stderr, no traceback). selftest exits 1 on failure.
+The default output directory is taken from --out-dir, then the config's
+out_dir, then $STALESIM_OUT, then the working directory.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from .config import ConfigError, parse_config
 from .harness import (
     EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
     resolve_out_dir,
     run_experiment,
     selftest_adam_table,
@@ -162,6 +164,9 @@ def main(argv: list | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

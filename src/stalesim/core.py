@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "Vec",
     "as_vec",
-    "vec_axpy",
     "vec_is_finite",
     "ensure_finite",
     "RngStream",
@@ -34,13 +33,6 @@ def as_vec(values) -> Vec:
     if v.ndim != 1:
         raise ValueError(f"parameter vector must be 1-D, got shape {v.shape}")
     return v
-
-
-def vec_axpy(a: float, x: Vec, y: Vec) -> Vec:
-    """Return a*x + y elementwise. x and y must have the same dimension."""
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
 
 
 def vec_is_finite(x: Vec) -> bool:

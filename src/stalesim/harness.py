@@ -28,7 +28,6 @@ from .models import (
     LinearRegression,
     Mlp,
     Quadratic,
-    Sample,
     finite_diff_grad,
     make_blob_samples,
     make_linreg_samples,
@@ -48,6 +47,7 @@ __all__ = [
     "EXIT_CONFIG_ERROR",
     "EXIT_DIVERGED",
     "EXIT_THRESHOLDS",
+    "EXIT_INTERNAL_ERROR",
     "ThresholdResult",
     "SummaryReport",
     "summarize",
@@ -62,6 +62,7 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_DIVERGED = 3
 EXIT_THRESHOLDS = 4
+EXIT_INTERNAL_ERROR = 5  # any other error, e.g. one a worker thread raised
 
 OUT_DIR_ENV = "STALESIM_OUT"
 
@@ -409,7 +410,7 @@ def selftest_gradients() -> tuple[bool, list[str]]:
     obj_q = Quadratic.random(6, seed=3, cond=10.0)
     rng = RngStream(11, 7)
     theta = rng.normal(size=6)
-    dummy = Batch((Sample((), 0.0, 1),))
+    dummy = Batch.cost_only([1])
     err = _rel_err(
         obj_q.grad(theta, dummy), finite_diff_grad(obj_q, theta, dummy, 1e-4)
     )
@@ -418,9 +419,8 @@ def selftest_gradients() -> tuple[bool, list[str]]:
     lines.append(f"quadratic: rel err {err:.3e} (tol 1e-06) {'ok' if case_ok else 'MISMATCH'}")
 
     theta_true = rng.normal(size=5)
-    samples = make_linreg_samples(RngStream(12, 0), 8, theta_true)
+    batch = make_linreg_samples(RngStream(12, 0), 8, theta_true)
     obj_l = LinearRegression(5)
-    batch = Batch(tuple(samples))
     theta = rng.normal(size=5)
     err = _rel_err(
         obj_l.grad(theta, batch), finite_diff_grad(obj_l, theta, batch, 1e-4)
@@ -431,8 +431,7 @@ def selftest_gradients() -> tuple[bool, list[str]]:
 
     obj_m = Mlp(4, 8, 3)
     centers = rng.normal(0.0, 2.0, size=(3, 4))
-    msamples = make_blob_samples(RngStream(13, 0), 5, centers)
-    mbatch = Batch(tuple(msamples))
+    mbatch = make_blob_samples(RngStream(13, 0), 5, centers)
     theta = obj_m.init_theta(RngStream(14, 3))
     err = _rel_err(
         obj_m.grad(theta, mbatch), finite_diff_grad(obj_m, theta, mbatch, 1e-4)

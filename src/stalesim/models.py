@@ -10,87 +10,93 @@ finite-difference oracle verifies every analytic gradient in milliseconds:
 * Mlp: one tanh hidden layer with softmax cross-entropy, parameters kept
   under a few hundred so finite differences stay cheap.
 
-Samples carry an integer cost (a token-count analog); the dynamic batcher
-fills batches greedily up to a cost budget in dataset order.
+A dataset is one array-backed Batch: a feature matrix, a target vector and
+integer costs (a token-count analog), one row per sample, all read-only.
+The dynamic batcher fills batches greedily up to a cost budget in dataset
+order and returns them as read-only row views of the dataset, so the data
+stays in the arrays it was drawn into, from the draw to the gradient.
 """
 
 from __future__ import annotations
-
-import struct
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import RngStream, Vec, as_vec
 
 __all__ = [
-    "Sample",
     "Batch",
     "Objective",
     "Quadratic",
     "LinearRegression",
     "Mlp",
-    "loss",
-    "grad",
     "finite_diff_grad",
     "dynamic_batcher",
     "make_cost_stream",
     "make_linreg_samples",
     "make_blob_samples",
-    "dump_samples",
-    "load_samples",
 ]
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One data point: feature vector, scalar target (real or class id),
-    and a positive integer cost standing in for its memory footprint."""
-
-    features: tuple
-    target: float
-    cost: int = 1
-
-    def __post_init__(self):
-        if self.cost < 1:
-            raise ValueError("sample cost must be >= 1")
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only view of values as a dtype array; an array the caller
+    passed in stays writeable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
-@dataclass(frozen=True)
 class Batch:
-    """A run of samples fed to one gradient computation.
+    """Rows fed to one gradient computation, or a whole dataset.
 
-    The feature matrix and target vector are built on first use and shared
-    read-only afterwards, so a batch pays for converting its samples once.
-    Equality and hashing still look at the samples only.
+    Holds three read-only arrays with one row per sample: features (n, d)
+    float64, targets (n,) float64 (a real value or a class id) and costs
+    (n,) int64, each cost >= 1 and standing in for the sample's memory
+    footprint. total_cost is their sum as a Python int. Nothing is copied:
+    the batches dynamic_batcher returns are row views of the dataset.
+    Objectives that see only the cost (the quadratic) use d = 0.
     """
 
-    samples: tuple
-    total_cost: int = field(init=False)
+    __slots__ = ("features", "targets", "costs", "total_cost")
 
-    def __post_init__(self):
-        if len(self.samples) == 0:
+    def __init__(self, features, targets, costs):
+        x = _read_only(features, np.float64)
+        y = _read_only(targets, np.float64)
+        c = _read_only(costs, np.int64)
+        if x.ndim != 2 or y.shape != (x.shape[0],) or c.shape != y.shape:
+            raise ValueError(
+                "batch needs features (n, d), targets (n,) and costs (n,), "
+                f"got {x.shape}, {y.shape} and {c.shape}"
+            )
+        if y.shape[0] == 0:
             raise ValueError("batch must be non-empty")
-        object.__setattr__(
-            self, "total_cost", sum(s.cost for s in self.samples)
-        )
+        if c.min() < 1:
+            raise ValueError("sample cost must be >= 1")
+        self.features, self.targets, self.costs = x, y, c
+        self.total_cost = int(c.sum())
+
+    @classmethod
+    def cost_only(cls, costs) -> "Batch":
+        """Rows with no features and zero targets, one per cost."""
+        n = len(costs)
+        return cls(np.empty((n, 0)), np.zeros(n), costs)
+
+    def _rows(self, start: int, stop: int, total_cost: int) -> "Batch":
+        # a view of rows [start, stop) whose costs the caller has summed
+        b = object.__new__(Batch)
+        b.features = self.features[start:stop]
+        b.targets = self.targets[start:stop]
+        b.costs = self.costs[start:stop]
+        b.total_cost = total_cost
+        return b
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.array([s.features for s in self.samples], dtype=np.float64)
-        y = np.array([s.target for s in self.samples], dtype=np.float64)
-        x.flags.writeable = y.flags.writeable = False
-        return x, y
+        return self.targets.shape[0]
 
     def feature_matrix(self) -> np.ndarray:
-        return self._arrays[0]
+        return self.features
 
     def target_vector(self) -> np.ndarray:
-        return self._arrays[1]
+        return self.targets
 
 
 class Objective:
@@ -214,16 +220,16 @@ def make_linreg_samples(
     theta_true,
     target_noise: float = 0.0,
     cost_max: int = 1,
-) -> list[Sample]:
-    """n regression samples with y = theta_true.x (+ optional target noise).
-    target_noise=0 makes theta_true an exact fit."""
+) -> Batch:
+    """n regression samples with y = theta_true.x (+ optional target noise),
+    as one Batch. target_noise=0 makes theta_true an exact fit."""
     theta_true = as_vec(theta_true)
     xs = rng.normal(size=(n, theta_true.shape[0]))
     ys = xs @ theta_true
     if target_noise > 0:
         ys = ys + rng.normal(0.0, target_noise, size=n)
     costs = make_cost_stream(rng, n, cost_max)
-    return [Sample(tuple(xs[i]), float(ys[i]), costs[i]) for i in range(n)]
+    return Batch(xs, ys, costs)
 
 
 class Mlp(Objective):
@@ -297,30 +303,20 @@ def make_blob_samples(
     centers,
     spread: float = 0.5,
     cost_max: int = 1,
-) -> list[Sample]:
-    """Gaussian-blob classification samples: one normal(center_c, spread)
-    cloud per class, class id as target. centers has shape
-    (classes, in_dim) and is drawn by the caller so that train and probe
-    sets can share it while using different streams."""
+) -> Batch:
+    """Gaussian-blob classification samples as one Batch: one
+    normal(center_c, spread) cloud per class in class order, class id as
+    target. centers has shape (classes, in_dim) and is drawn by the caller
+    so that train and probe sets can share it while using different
+    streams."""
     centers = np.asarray(centers, dtype=np.float64)
-    samples = []
+    xs, costs = [], []
     for c in range(centers.shape[0]):
         pts = rng.normal(0.0, spread, size=(n_per_class, centers.shape[1]))
-        pts = pts + centers[c]
-        costs = make_cost_stream(rng, n_per_class, cost_max)
-        for i in range(n_per_class):
-            samples.append(Sample(tuple(pts[i]), float(c), costs[i]))
-    return samples
-
-
-def loss(obj: Objective, theta: Vec, batch: Batch) -> float:
-    return obj.loss(theta, batch)
-
-
-def grad(
-    obj: Objective, theta: Vec, batch: Batch, rng: RngStream | None = None
-) -> Vec:
-    return obj.grad(theta, batch, rng)
+        xs.append(pts + centers[c])
+        costs += make_cost_stream(rng, n_per_class, cost_max)
+    ys = np.repeat(np.arange(centers.shape[0], dtype=np.float64), n_per_class)
+    return Batch(np.concatenate(xs), ys, costs)
 
 
 def finite_diff_grad(obj: Objective, theta: Vec, batch: Batch, h: float) -> Vec:
@@ -341,30 +337,27 @@ def finite_diff_grad(obj: Objective, theta: Vec, batch: Batch, h: float) -> Vec:
     return out
 
 
-def dynamic_batcher(dataset: list[Sample], budget: int) -> list[Batch]:
+def dynamic_batcher(dataset: Batch, budget: int) -> list[Batch]:
     """Greedy cost-budget batching in dataset order.
 
     A sample joins the open batch iff it fits the budget, otherwise a new
-    batch starts. The batches concatenate back to the dataset exactly.
+    batch starts. The batches are read-only row views of the dataset, not
+    copies, and concatenate back to it exactly.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     batches: list[Batch] = []
-    current: list[Sample] = []
+    start = 0
     current_cost = 0
-    for s in dataset:
-        if s.cost > budget:
-            raise ValueError(
-                f"sample cost {s.cost} exceeds batch budget {budget}"
-            )
-        if current and current_cost + s.cost > budget:
-            batches.append(Batch(tuple(current)))
-            current = []
+    for i, cost in enumerate(dataset.costs.tolist()):
+        if cost > budget:
+            raise ValueError(f"sample cost {cost} exceeds batch budget {budget}")
+        if current_cost + cost > budget:
+            batches.append(dataset._rows(start, i, current_cost))
+            start = i
             current_cost = 0
-        current.append(s)
-        current_cost += s.cost
-    if current:
-        batches.append(Batch(tuple(current)))
+        current_cost += cost
+    batches.append(dataset._rows(start, len(dataset), current_cost))
     return batches
 
 
@@ -377,55 +370,3 @@ def make_cost_stream(rng: RngStream, n: int, cost_max: int = 50) -> list[int]:
     if cost_max == 1:
         return [1] * n
     return [int(c) for c in rng.integers(1, cost_max, size=n)]
-
-
-def dump_samples(samples: list[Sample], path: str, fmt: str = "csv") -> None:
-    """Write samples for inspection. Column order: cost, target, features.
-
-    fmt="csv": one comma-separated line per sample. fmt="bin": little-endian
-    float64 rows of the same columns, prefixed by a header of two uint32
-    (sample count, feature count).
-    """
-    if fmt == "csv":
-        with open(path, "w") as f:
-            for s in samples:
-                cells = [str(s.cost), repr(float(s.target))]
-                cells += [repr(float(x)) for x in s.features]
-                f.write(",".join(cells) + "\n")
-    elif fmt == "bin":
-        n_feat = len(samples[0].features) if samples else 0
-        with open(path, "wb") as f:
-            f.write(struct.pack("<II", len(samples), n_feat))
-            for s in samples:
-                row = np.empty(2 + n_feat, dtype="<f8")
-                row[0] = s.cost
-                row[1] = s.target
-                row[2:] = s.features
-                f.write(row.tobytes())
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")
-
-
-def load_samples(path: str, fmt: str = "csv") -> list[Sample]:
-    """Inverse of dump_samples (targets stay floats; cast class ids yourself)."""
-    samples = []
-    if fmt == "csv":
-        with open(path) as f:
-            for line in f:
-                cells = line.strip().split(",")
-                samples.append(
-                    Sample(
-                        tuple(float(x) for x in cells[2:]),
-                        float(cells[1]),
-                        int(cells[0]),
-                    )
-                )
-    elif fmt == "bin":
-        with open(path, "rb") as f:
-            n, n_feat = struct.unpack("<II", f.read(8))
-            data = np.frombuffer(f.read(), dtype="<f8").reshape(n, 2 + n_feat)
-        for row in data:
-            samples.append(Sample(tuple(row[2:]), float(row[1]), int(row[0])))
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")
-    return samples

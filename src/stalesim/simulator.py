@@ -48,7 +48,6 @@ from .models import (
     Mlp,
     Objective,
     Quadratic,
-    Sample,
     dynamic_batcher,
     make_blob_samples,
     make_cost_stream,
@@ -528,10 +527,10 @@ class Worker:
 def build_experiment(
     cfg: "ExperimentConfig",
     objective: Objective | None = None,
-    dataset: list[Sample] | None = None,
+    dataset: Batch | None = None,
     probe: Batch | None = None,
     theta0: Vec | None = None,
-) -> tuple[Objective, list[Sample], Batch, Vec]:
+) -> tuple[Objective, Batch, Batch, Vec]:
     """Construct (objective, dataset, probe batch, initial parameters) from
     a config, honoring any pieces the caller supplies directly.
 
@@ -553,10 +552,10 @@ def build_experiment(
         if dataset is None:
             rng = RngStream(cfg.seed, STREAM_DATASET)
             costs = make_cost_stream(rng, spec.samples, cfg.batch_cost_max)
-            dataset = [Sample((), 0.0, c) for c in costs]
+            dataset = Batch.cost_only(costs)
         if probe is None:
             # the quadratic's probe loss depends only on theta
-            probe = Batch((Sample((), 0.0, 1),))
+            probe = Batch.cost_only([1])
         if theta0 is None:
             theta0 = np.zeros(objective.dim)
     elif spec.kind == "linreg":
@@ -573,13 +572,12 @@ def build_experiment(
                 cost_max=cfg.batch_cost_max,
             )
         if probe is None:
-            probe_samples = make_linreg_samples(
+            probe = make_linreg_samples(
                 RngStream(cfg.probe_seed, STREAM_PROBE),
                 cfg.probe_samples,
                 theta_true,
                 target_noise=0.0,
             )
-            probe = Batch(tuple(probe_samples))
         if theta0 is None:
             theta0 = np.zeros(objective.dim)
     elif spec.kind == "mlp":
@@ -598,13 +596,12 @@ def build_experiment(
             )
         if probe is None:
             per_class = max(1, cfg.probe_samples // spec.classes)
-            probe_samples = make_blob_samples(
+            probe = make_blob_samples(
                 RngStream(cfg.probe_seed, STREAM_PROBE),
                 per_class,
                 centers,
                 spread=spec.spread,
             )
-            probe = Batch(tuple(probe_samples))
         if theta0 is None:
             theta0 = objective.init_theta(RngStream(cfg.seed, STREAM_INIT))
     else:
@@ -678,7 +675,7 @@ def _setup(cfg, objective, dataset, probe, theta0):
 def run_simulation(
     cfg: "ExperimentConfig",
     objective: Objective | None = None,
-    dataset: list[Sample] | None = None,
+    dataset: Batch | None = None,
     probe: Batch | None = None,
     theta0: Vec | None = None,
 ) -> RunTrace:
@@ -758,7 +755,7 @@ def run_simulation(
 def run_parallel(
     cfg: "ExperimentConfig",
     objective: Objective | None = None,
-    dataset: list[Sample] | None = None,
+    dataset: Batch | None = None,
     probe: Batch | None = None,
     theta0: Vec | None = None,
 ) -> RunTrace:

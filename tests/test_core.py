@@ -14,43 +14,12 @@ from stalesim.core import (
     as_vec,
     ensure_finite,
     sample_compute_time,
-    vec_axpy,
     vec_is_finite,
 )
 
 
 # ---------------------------------------------------------------------------
 # vectors
-
-
-def test_vec_axpy_identity_when_a_is_zero():
-    y = as_vec([3.0, -1.0, 7.5])
-    out = vec_axpy(0.0, as_vec([100.0, 100.0, 100.0]), y)
-    np.testing.assert_array_equal(out, y)
-
-
-def test_vec_axpy_basic_cases():
-    np.testing.assert_array_equal(
-        vec_axpy(1.0, as_vec([1.0, 2.0]), as_vec([3.0, 4.0])), [4.0, 6.0]
-    )
-    np.testing.assert_array_equal(
-        vec_axpy(-2.0, as_vec([1.0, 1.0]), as_vec([2.0, 2.0])), [0.0, 0.0]
-    )
-
-
-def test_vec_axpy_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        vec_axpy(1.0, as_vec([1.0, 2.0]), as_vec([1.0, 2.0, 3.0]))
-
-
-@given(
-    a=st.floats(-100, 100),
-    xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-)
-def test_vec_axpy_preserves_dimension(a, xs):
-    x = as_vec(xs)
-    y = as_vec([1.0] * len(xs))
-    assert vec_axpy(a, x, y).shape == x.shape
 
 
 def test_finiteness_detection():

@@ -1,8 +1,10 @@
 """Golden outputs: pinned sha256 of trace.csv + summary.json for small runs.
 
-A speed change must leave every written byte as it was. These digests were
-taken from the engine before probe-loss and batch-array caching, so any
-change to the numbers, the row order or the file formats shows up here.
+A speed change must leave every written byte as it was. The first five
+digests were taken from the engine before probe-loss and batch-array
+caching, the 4096-sample linreg case from the engine that still built its
+datasets from per-row sample objects, so any change to the numbers, the
+row order or the file formats shows up here.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 """
@@ -41,6 +43,17 @@ batch.budget = 8
 budget.updates = 60
 """
 
+# the shape of the benchmark's sweep points: a 4096-sample dataset cut
+# into many short batches
+_LINREG_LARGE = """\
+objective.kind = linreg
+objective.dim = 20
+objective.samples = 4096
+objective.target_noise = 0.1
+batch.budget = 8
+budget.updates = 100
+"""
+
 _MLP = """\
 objective.kind = mlp
 objective.in_dim = 4
@@ -71,6 +84,10 @@ GOLDEN = {
     "linreg-sync": (
         _LINREG + "strategy = sync\n",
         "e90378c680917ab698593846f768399db482fc87ac85611f5d7b72daf88a6633",
+    ),
+    "linreg4096-global_accum-4": (
+        _LINREG_LARGE + "strategy = global_accum-4\n",
+        "c4911665498ed5ead8e6fd8a6a5585da598478f8a5ea3f50d7523c2ec6459fad",
     ),
 }
 

@@ -4,14 +4,17 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
+from stalesim import harness
 from stalesim.cli import main
 from stalesim.config import ObjectiveSpec, default_config, serialize_config
 from stalesim.core import ComputeTimeModel
 from stalesim.harness import (
     EXIT_CONFIG_ERROR,
     EXIT_DIVERGED,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_THRESHOLDS,
     OUT_DIR_ENV,
@@ -234,6 +237,36 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 def test_cli_rejects_missing_file(capsys):
     assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG_ERROR
     assert "cannot read" in capsys.readouterr().err
+
+
+class _CrashingGradient:
+    """An objective whose every gradient raises a plain error."""
+
+    dim = 2
+    has_noise = False
+
+    def loss(self, theta, batch):
+        return float(np.sum(theta * theta))
+
+    def grad(self, theta, batch, rng=None):
+        raise RuntimeError("worker crashed")
+
+
+def test_cli_parallel_worker_error_exits_5_without_traceback(
+    tmp_path, capsys, monkeypatch
+):
+    build = harness.build_experiment
+    crashing = _CrashingGradient()
+    monkeypatch.setattr(
+        harness, "build_experiment", lambda cfg: build(cfg, objective=crashing)
+    )
+    cfg_path = _write_cfg(
+        tmp_path, workers=2, parallel_time_scale=1e-4, out_dir=str(tmp_path / "out")
+    )
+    assert main(["run", cfg_path, "--parallel"]) == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: RuntimeError: worker crashed\n"
 
 
 def test_cli_sweep_and_selftest(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Objectives, gradient oracles, cost-budget batching, sample serialization."""
+"""Array-backed batches, objectives, gradient oracles, cost-budget batching."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,8 @@ from stalesim.models import (
     LinearRegression,
     Mlp,
     Quadratic,
-    Sample,
-    dump_samples,
     dynamic_batcher,
     finite_diff_grad,
-    grad,
-    load_samples,
-    loss,
     make_blob_samples,
     make_cost_stream,
     make_linreg_samples,
@@ -25,7 +20,7 @@ from stalesim.models import (
 
 
 def _unit_batch(n=1):
-    return Batch(tuple(Sample((), 0.0, 1) for _ in range(n)))
+    return Batch.cost_only([1] * n)
 
 
 def _rel_err(a, b):
@@ -34,34 +29,48 @@ def _rel_err(a, b):
 
 
 # ---------------------------------------------------------------------------
-# sample / batch invariants
+# batch invariants
 
 
 def test_sample_cost_must_be_positive():
-    Sample((1.0,), 0.0, 1)
+    Batch([[1.0]], [0.0], [1])
     with pytest.raises(ValueError):
-        Sample((1.0,), 0.0, 0)
+        Batch([[1.0]], [0.0], [0])
+    with pytest.raises(ValueError):
+        Batch([[1.0], [2.0]], [0.0, 0.0], [3, -1])
 
 
 def test_batch_total_cost_and_nonempty():
-    b = Batch((Sample((), 0.0, 3), Sample((), 0.0, 5)))
-    assert b.total_cost == 8
+    b = Batch.cost_only([3, 5])
+    assert b.total_cost == 8 and isinstance(b.total_cost, int)
     with pytest.raises(ValueError):
-        Batch(())
+        Batch(np.empty((0, 2)), [], [])
+    with pytest.raises(ValueError):
+        Batch.cost_only([])
+
+
+def test_batch_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        Batch([1.0, 2.0], [0.0, 0.0], [1, 1])  # features not (n, d)
+    with pytest.raises(ValueError):
+        Batch([[1.0], [2.0]], [0.0], [1, 1])
+    with pytest.raises(ValueError):
+        Batch([[1.0], [2.0]], [0.0, 0.0], [1])
 
 
 def test_batch_arrays_are_built_once_and_read_only():
-    b = Batch(tuple(Sample((float(i), 1.0), float(i), 1) for i in range(3)))
+    features = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    b = Batch(features, [0.0, 1.0, 2.0], [1, 1, 1])
     x, y = b.feature_matrix(), b.target_vector()
     assert b.feature_matrix() is x and b.target_vector() is y
+    assert x.dtype == y.dtype == np.float64 and b.costs.dtype == np.int64
     np.testing.assert_array_equal(x, [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
     np.testing.assert_array_equal(y, [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        x[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        y[0] = 5.0
-    twin = Batch(b.samples)
-    assert twin == b and hash(twin) == hash(b)  # the cache is not a field
+    for arr in (x, y, b.costs):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    features[0, 0] = 7.0  # the caller's own array stays writeable
+    assert x[0, 0] == 7.0  # and is not copied
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +79,17 @@ def test_batch_arrays_are_built_once_and_read_only():
 
 def test_quadratic_zero_loss_at_minimizer():
     q = Quadratic.random(dim=6, seed=0)
-    assert loss(q, q.theta_star.copy(), _unit_batch()) == pytest.approx(0.0, abs=1e-18)
+    assert q.loss(q.theta_star.copy(), _unit_batch()) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_quadratic_identity_matrix_loss():
     q = Quadratic(np.eye(2), np.zeros(2))
-    assert loss(q, as_vec([3.0, 4.0]), _unit_batch()) == pytest.approx(12.5)
+    assert q.loss(as_vec([3.0, 4.0]), _unit_batch()) == pytest.approx(12.5)
 
 
 def test_quadratic_identity_exact_gradient():
     q = Quadratic(np.eye(2), np.zeros(2))
-    g = grad(q, as_vec([2.0, -2.0]), _unit_batch())
+    g = q.grad(as_vec([2.0, -2.0]), _unit_batch())
     np.testing.assert_allclose(g, [2.0, -2.0], rtol=1e-15)
 
 
@@ -111,7 +120,7 @@ def test_quadratic_noise_scales_with_batch_cost():
     theta = np.zeros(3)
     for cost in (1, 16):
         batch = _unit_batch(cost)
-        draws = np.array([grad(q, theta, batch, rng) for _ in range(10_000)])
+        draws = np.array([q.grad(theta, batch, rng) for _ in range(10_000)])
         want = sigma / np.sqrt(cost)
         assert abs(draws.std() - want) / want < 0.05
 
@@ -119,7 +128,7 @@ def test_quadratic_noise_scales_with_batch_cost():
 def test_noisy_gradient_requires_rng():
     q = Quadratic(np.eye(2), np.zeros(2), noise_sigma=1.0)
     with pytest.raises(ValueError):
-        grad(q, np.zeros(2), _unit_batch())
+        q.grad(np.zeros(2), _unit_batch())
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +137,10 @@ def test_noisy_gradient_requires_rng():
 
 def test_linreg_exact_fit_has_zero_loss():
     theta_true = as_vec([1.0, -2.0, 0.5])
-    samples = make_linreg_samples(RngStream(0, stream=0), 12, theta_true)
-    batch = Batch(tuple(samples))
+    batch = make_linreg_samples(RngStream(0, stream=0), 12, theta_true)
     obj = LinearRegression(3)
-    assert loss(obj, theta_true, batch) == pytest.approx(0.0, abs=1e-20)
-    np.testing.assert_allclose(grad(obj, theta_true, batch), np.zeros(3), atol=1e-12)
+    assert obj.loss(theta_true, batch) == pytest.approx(0.0, abs=1e-20)
+    np.testing.assert_allclose(obj.grad(theta_true, batch), np.zeros(3), atol=1e-12)
 
 
 def test_mlp_finite_forward_and_param_count():
@@ -141,18 +149,18 @@ def test_mlp_finite_forward_and_param_count():
     rng = RngStream(0, stream=3)
     theta = mlp.init_theta(rng)
     centers = RngStream(0, stream=2).normal(size=(3, 4))
-    batch = Batch(tuple(make_blob_samples(RngStream(0, stream=0), 5, centers)))
-    val = loss(mlp, theta, batch)
+    batch = make_blob_samples(RngStream(0, stream=0), 5, centers)
+    val = mlp.loss(theta, batch)
     assert np.isfinite(val) and val > 0
-    assert np.all(np.isfinite(grad(mlp, theta, batch)))
+    assert np.all(np.isfinite(mlp.grad(theta, batch)))
 
 
 def test_mlp_extreme_inputs_stay_finite():
     mlp = Mlp(in_dim=2, hidden=4, classes=2)
     theta = mlp.init_theta(RngStream(1, stream=3), scale=5.0)
-    batch = Batch((Sample((1e3, -1e3), 0.0, 1), Sample((-1e3, 1e3), 1.0, 1)))
-    assert np.isfinite(loss(mlp, theta, batch))
-    assert np.all(np.isfinite(grad(mlp, theta, batch)))
+    batch = Batch([[1e3, -1e3], [-1e3, 1e3]], [0.0, 1.0], [1, 1])
+    assert np.isfinite(mlp.loss(theta, batch))
+    assert np.all(np.isfinite(mlp.grad(theta, batch)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +171,15 @@ def test_finite_diff_matches_quadratic_gradient():
     q = Quadratic.random(dim=6, seed=3)
     theta = RngStream(8, stream=0).normal(size=6)
     b = _unit_batch()
-    assert _rel_err(grad(q, theta, b), finite_diff_grad(q, theta, b, 1e-5)) < 1e-6
+    assert _rel_err(q.grad(theta, b), finite_diff_grad(q, theta, b, 1e-5)) < 1e-6
 
 
 def test_finite_diff_matches_linreg_gradient():
-    samples = make_linreg_samples(RngStream(2, stream=0), 8, as_vec([0.3, -1.1, 2.0]))
-    batch = Batch(tuple(samples))
+    batch = make_linreg_samples(RngStream(2, stream=0), 8, as_vec([0.3, -1.1, 2.0]))
     obj = LinearRegression(3)
     theta = RngStream(5, stream=0).normal(size=3)
     assert (
-        _rel_err(grad(obj, theta, batch), finite_diff_grad(obj, theta, batch, 1e-6))
+        _rel_err(obj.grad(theta, batch), finite_diff_grad(obj, theta, batch, 1e-6))
         < 1e-6
     )
 
@@ -181,9 +188,9 @@ def test_finite_diff_matches_mlp_gradient():
     mlp = Mlp(in_dim=4, hidden=8, classes=3)
     theta = mlp.init_theta(RngStream(0, stream=3))
     centers = RngStream(0, stream=2).normal(size=(3, 4))
-    batch = Batch(tuple(make_blob_samples(RngStream(0, stream=0), 4, centers)))
+    batch = make_blob_samples(RngStream(0, stream=0), 4, centers)
     assert (
-        _rel_err(grad(mlp, theta, batch), finite_diff_grad(mlp, theta, batch, 1e-5))
+        _rel_err(mlp.grad(theta, batch), finite_diff_grad(mlp, theta, batch, 1e-5))
         < 1e-4
     )
 
@@ -191,7 +198,7 @@ def test_finite_diff_matches_mlp_gradient():
 def test_finite_diff_zero_function_gives_zero_vector():
     # all-zero targets and features: the loss is identically zero
     obj = LinearRegression(2)
-    batch = Batch((Sample((0.0, 0.0), 0.0, 1),))
+    batch = Batch([[0.0, 0.0]], [0.0], [1])
     np.testing.assert_array_equal(
         finite_diff_grad(obj, as_vec([0.7, -0.3]), batch, 1e-5), np.zeros(2)
     )
@@ -211,28 +218,32 @@ def test_finite_diff_rejects_bad_step_and_noisy_objectives():
 
 
 def test_batcher_greedy_fill_example():
-    samples = [Sample((), 0.0, 3) for _ in range(3)]
-    batches = dynamic_batcher(samples, budget=6)
-    assert [len(b.samples) for b in batches] == [2, 1]
+    batches = dynamic_batcher(Batch.cost_only([3] * 3), budget=6)
+    assert [len(b) for b in batches] == [2, 1]
     assert [b.total_cost for b in batches] == [6, 3]
 
 
 def test_batcher_unit_costs_fill_exactly():
-    samples = [Sample((), 0.0, 1) for _ in range(23)]
-    batches = dynamic_batcher(samples, budget=5)
-    assert [len(b.samples) for b in batches] == [5, 5, 5, 5, 3]
+    batches = dynamic_batcher(Batch.cost_only([1] * 23), budget=5)
+    assert [len(b) for b in batches] == [5, 5, 5, 5, 3]
 
 
 def test_batcher_budget_scaling_quarters_batch_count():
-    samples = [Sample((), 0.0, 2) for _ in range(200)]
-    small = dynamic_batcher(samples, budget=10)
-    large = dynamic_batcher(samples, budget=40)
+    dataset = Batch.cost_only([2] * 200)
+    small = dynamic_batcher(dataset, budget=10)
+    large = dynamic_batcher(dataset, budget=40)
     assert len(small) == 4 * len(large)
 
 
 def test_batcher_rejects_oversized_sample():
     with pytest.raises(ValueError):
-        dynamic_batcher([Sample((), 0.0, 11)], budget=10)
+        dynamic_batcher(Batch.cost_only([11]), budget=10)
+
+
+def _costed_dataset(costs):
+    n = len(costs)
+    features = np.arange(2.0 * n).reshape(n, 2)
+    return Batch(features, -np.arange(float(n)), costs)
 
 
 @settings(max_examples=60)
@@ -241,18 +252,41 @@ def test_batcher_rejects_oversized_sample():
     budget=st.integers(9, 30),
 )
 def test_batcher_partition_properties(costs, budget):
-    samples = [Sample((), 0.0, c) for c in costs]
-    batches = dynamic_batcher(samples, budget)
-    # order-preserving partition
-    flat = [s for b in batches for s in b.samples]
-    assert flat == samples
+    dataset = _costed_dataset(costs)
+    batches = dynamic_batcher(dataset, budget)
+    # order-preserving partition: the rows concatenate back to the dataset
+    np.testing.assert_array_equal(
+        np.concatenate([b.feature_matrix() for b in batches]), dataset.features
+    )
+    np.testing.assert_array_equal(
+        np.concatenate([b.target_vector() for b in batches]), dataset.targets
+    )
+    assert np.concatenate([b.costs for b in batches]).tolist() == costs
+    start = 0
     for i, b in enumerate(batches):
-        assert b.samples  # never empty
+        assert len(b) > 0  # never empty
+        assert b.total_cost == sum(costs[start : start + len(b)])
         assert b.total_cost <= budget
-        # greedy maximality: the next sample would not have fit
-        nxt = sum(len(x.samples) for x in batches[: i + 1])
-        if nxt < len(samples):
-            assert b.total_cost + samples[nxt].cost > budget
+        if i > 0:
+            # greedy maximality: this batch's first row would have
+            # overflowed the batch before it
+            assert batches[i - 1].total_cost + costs[start] > budget
+        start += len(b)
+
+
+def test_batches_are_read_only_views_of_the_dataset():
+    dataset = _costed_dataset([1, 2, 3, 1, 2, 3, 1])
+    batches = dynamic_batcher(dataset, budget=4)
+    assert len(batches) > 1
+    for b in batches:
+        for arr, whole in (
+            (b.feature_matrix(), dataset.features),
+            (b.target_vector(), dataset.targets),
+            (b.costs, dataset.costs),
+        ):
+            assert np.shares_memory(arr, whole)
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def test_cost_stream_bounds():
@@ -265,26 +299,3 @@ def test_cost_stream_bounds():
     np.testing.assert_array_equal(
         rng2.normal(size=3), RngStream(0, stream=0).normal(size=3)
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-@pytest.mark.parametrize("fmt", ["csv", "bin"])
-def test_dump_load_round_trip(fmt, tmp_path):
-    rng = RngStream(6, stream=0)
-    samples = make_linreg_samples(rng, 17, as_vec([1.0, -0.5]), cost_max=9)
-    path = str(tmp_path / f"samples.{fmt}")
-    dump_samples(samples, path, fmt=fmt)
-    back = load_samples(path, fmt=fmt)
-    assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.cost == b.cost
-        assert a.target == b.target
-        np.testing.assert_array_equal(a.features, b.features)
-
-
-def test_load_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        load_samples(str(tmp_path / "x"), fmt="json")

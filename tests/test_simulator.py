@@ -1,6 +1,8 @@
 """Event loop, strategies, staleness accounting, traces, parallel engine."""
 
+import os
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -12,7 +14,7 @@ from stalesim import harness
 from stalesim.config import default_config, ObjectiveSpec
 from stalesim.core import ComputeTimeModel, LrSchedule, RngStream
 from stalesim.harness import EXIT_DIVERGED, run_experiment
-from stalesim.models import Batch, Objective, Quadratic, Sample, dynamic_batcher
+from stalesim.models import Objective, Quadratic, dynamic_batcher
 from stalesim.optim import AdamConfig, AdamState, adam_step, sgd_step
 from stalesim.simulator import (
     DivergenceError,
@@ -379,6 +381,9 @@ _FAMILIES = {
     cost_max=st.integers(1, 4),
 )
 def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
+    """Over random N, L, G, U and costs: one probe per version, pushes =
+    updates x G plus a remainder below G, staleness >= 0, and the trace
+    survives a CSV round trip."""
     strategy = _FAMILIES[family](l, g, u)
     cfg = _cfg(
         workers=n,
@@ -393,6 +398,15 @@ def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
     assert objective.losses == len({r.update_idx for r in trace.rows})
     big_g = strategy.effective(n)[1]
     assert 0 <= trace.pushes - trace.updates * big_g < big_g
+    assert all(r.staleness >= 0 for r in trace.rows)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "trace.csv")
+        trace.to_csv(path)
+        back = RunTrace.from_csv(path)
+    assert back.rows == trace.rows
+    assert (back.n_workers, back.strategy_label) == (n, trace.strategy_label)
+    assert (back.diverged, back.divergence_reason) == (
+        trace.diverged, trace.divergence_reason)
 
 
 def test_parallel_probe_cache_holds_under_thread_stress():
