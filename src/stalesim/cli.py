@@ -75,6 +75,11 @@ def _read(path: str) -> str:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
 
 
+def _num(value, spec: str) -> str:
+    """value formatted by spec, or n/a for a figure the run never produced."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def _cmd_run(args) -> int:
     overrides = {}
     if args.seed is not None:
@@ -90,8 +95,10 @@ def _cmd_run(args) -> int:
         f"sim_time={report.sim_time_s:.6g}s "
         f"throughput={report.throughput_cost_per_s:.6g} cost/s"
     )
-    stale = "n/a" if report.mean_staleness is None else f"{report.mean_staleness:.6g}"
-    print(f"mean_staleness={stale} final_loss={report.final_loss:.6g}")
+    print(
+        f"mean_staleness={_num(report.mean_staleness, '.6g')} "
+        f"final_loss={_num(report.final_loss, '.6g')}"
+    )
     for t in report.thresholds:
         when = "unreached" if not t.reached else f"at {t.sim_time_s:.6g}s"
         print(f"threshold {t.kind} {t.value:g} (loss {t.loss_level:.6g}): {when}")
@@ -117,19 +124,15 @@ def _parse_grid(items: list[str]) -> dict:
 def _cmd_sweep(args) -> int:
     text = _read(args.config)
     grid = _parse_grid(args.grid)
-    if args.seed is not None:
-        text += f"\nseed = {args.seed}\n"
-    base_cfg = parse_config(text)  # validate the base before fanning out
+    overrides = {} if args.seed is None else {"seed": str(args.seed)}
+    base_cfg = parse_config(text, overrides)  # validate the base before fanning out
     out = resolve_out_dir(args.out_dir, base_cfg)
-    results = sweep(text, grid, out, jobs=max(1, args.jobs))
+    results = sweep(text, grid, out, jobs=max(1, args.jobs), overrides=overrides)
     for label, report in results:
-        stale = (
-            "n/a" if report.mean_staleness is None else f"{report.mean_staleness:.4g}"
-        )
         status = "diverged" if report.diverged else "ok"
         print(
-            f"{label}: final_loss={report.final_loss:.6g} "
-            f"mean_staleness={stale} [{status}]"
+            f"{label}: final_loss={_num(report.final_loss, '.6g')} "
+            f"mean_staleness={_num(report.mean_staleness, '.4g')} [{status}]"
         )
     print(f"{len(results)} runs written under {out}")
     return 0

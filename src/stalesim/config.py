@@ -15,15 +15,20 @@ Example:
 
 Keys use dotted section prefixes but the document is flat: no nesting, one
 key per line, `#` lines are comments. Unknown keys are rejected with their
-line number, as are syntax and type errors; semantic violations (G < 1,
-negative sigma, ...) are reported with the constraint named. parse and
-serialize round-trip to an equal config.
+line number, as are syntax and type errors and non-finite numbers (nan,
+inf); semantic violations (G < 1, negative sigma, ...) are reported with
+the constraint named. parse and serialize round-trip to an equal config.
+
+The table `_KEYS` is the one list of keys, with each key's field and type:
+parse_config, its assembly step and serialize_config all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 from .core import ComputeTimeModel
 from .optim import AdamConfig
@@ -161,77 +166,83 @@ def default_config(**updates) -> ExperimentConfig:
     return replace(ExperimentConfig(), **updates)
 
 
-# key -> (type tag, default-emitter). Type tags: int, float, bool, str,
-# float_list. Defaults are taken from the dataclasses so the two never
-# drift apart.
-_SCHEMA = {
-    "objective.kind": "str",
-    "objective.dim": "int",
-    "objective.cond": "float",
-    "objective.noise_sigma": "float",
-    "objective.theta_star_scale": "float",
-    "objective.samples": "int",
-    "objective.target_noise": "float",
-    "objective.in_dim": "int",
-    "objective.hidden": "int",
-    "objective.classes": "int",
-    "objective.spread": "float",
-    "workers": "int",
-    "strategy": "str",
-    "strategy.kind": "str",
-    "strategy.local": "int",
-    "strategy.global": "int",
-    "strategy.pull_every": "int",
-    "optimizer.kind": "str",
-    "optimizer.alpha": "float",
-    "optimizer.beta1": "float",
-    "optimizer.beta2": "float",
-    "optimizer.epsilon": "float",
-    "schedule.warmup": "int",
-    "schedule.decay": "str",
-    "schedule.batch_scale": "float",
-    "compute.kind": "str",
-    "compute.mean": "float",
-    "compute.std": "float",
-    "comm.latency": "float",
-    "combine": "str",
-    "batch.budget": "int",
-    "batch.cost_max": "int",
-    "budget.updates": "int",
-    "budget.sim_time": "float",
-    "seed": "int",
-    "probe.seed": "int",
-    "probe.samples": "int",
-    "parallel": "bool",
-    "parallel.time_scale": "float",
-    "stats.warmup_pushes": "int",
-    "thresholds": "float_list",
-    "thresholds.absolute": "float_list",
-    "thresholds.target": "float",
-    "out_dir": "str",
-}
+class _Key(NamedTuple):
+    key: str  # as written in the document
+    path: str  # ExperimentConfig field, "owner.field" inside a sub-object
+    tag: str  # int, float, bool, str or float_list
+    optional: bool = False  # omitted by serialize_config while unset
 
+
+# The one list of config keys, in serialization order.
+_KEYS = (
+    _Key("objective.kind", "objective.kind", "str"),
+    _Key("objective.dim", "objective.dim", "int"),
+    _Key("objective.cond", "objective.cond", "float"),
+    _Key("objective.noise_sigma", "objective.noise_sigma", "float"),
+    _Key("objective.theta_star_scale", "objective.theta_star_scale", "float"),
+    _Key("objective.samples", "objective.samples", "int"),
+    _Key("objective.target_noise", "objective.target_noise", "float"),
+    _Key("objective.in_dim", "objective.in_dim", "int"),
+    _Key("objective.hidden", "objective.hidden", "int"),
+    _Key("objective.classes", "objective.classes", "int"),
+    _Key("objective.spread", "objective.spread", "float"),
+    _Key("workers", "workers", "int"),
+    _Key("strategy.kind", "strategy.kind", "str"),
+    _Key("strategy.local", "strategy.local", "int"),
+    _Key("strategy.global", "strategy.global_count", "int"),
+    _Key("strategy.pull_every", "strategy.pull_every", "int"),
+    _Key("optimizer.kind", "optimizer_kind", "str"),
+    _Key("optimizer.alpha", "adam.alpha", "float"),
+    _Key("optimizer.beta1", "adam.beta1", "float"),
+    _Key("optimizer.beta2", "adam.beta2", "float"),
+    _Key("optimizer.epsilon", "adam.epsilon", "float"),
+    _Key("schedule.warmup", "schedule_warmup", "int"),
+    _Key("schedule.decay", "schedule_decay", "str"),
+    _Key("schedule.batch_scale", "schedule_batch_scale", "float"),
+    _Key("compute.kind", "compute.kind", "str"),
+    _Key("compute.mean", "compute.mean", "float"),
+    _Key("compute.std", "compute.std", "float"),
+    _Key("comm.latency", "comm_latency", "float"),
+    _Key("combine", "combine", "str"),
+    _Key("batch.budget", "batch_budget", "int"),
+    _Key("batch.cost_max", "batch_cost_max", "int"),
+    _Key("budget.updates", "budget_updates", "int"),
+    _Key("budget.sim_time", "budget_sim_time", "float"),
+    _Key("seed", "seed", "int"),
+    _Key("probe.seed", "probe_seed", "int"),
+    _Key("probe.samples", "probe_samples", "int"),
+    _Key("parallel", "parallel", "bool"),
+    _Key("parallel.time_scale", "parallel_time_scale", "float"),
+    _Key("thresholds", "thresholds", "float_list"),
+    _Key("thresholds.target", "thresholds_target", "float"),
+    _Key("stats.warmup_pushes", "stats_warmup_pushes", "int", optional=True),
+    _Key("thresholds.absolute", "thresholds_absolute", "float_list", optional=True),
+    _Key("out_dir", "out_dir", "str", optional=True),
+)
+_TAGS = {k.key: k.tag for k in _KEYS}
+_TAGS["strategy"] = "str"  # label form, e.g. "combined-2-2"; the one key outside _KEYS
+_DEFAULTS = ExperimentConfig()
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _convert(key: str, raw: str, line: int):
-    tag = _SCHEMA[key]
+    tag = _TAGS[key]
     try:
         if tag == "int":
             return int(raw)
-        if tag == "float":
-            return float(raw)
         if tag == "bool":
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError
             return _BOOL_WORDS[raw.lower()]
-        if tag == "float_list":
-            if not raw:
-                return ()
-            return tuple(float(x.strip()) for x in raw.split(","))
-        return raw
-    except ValueError:
+        if tag == "str":
+            return raw
+        if tag == "float":
+            nums = (float(raw),)
+        else:
+            nums = tuple(float(x) for x in raw.split(",")) if raw else ()
+    except (ValueError, KeyError):
         raise ConfigError(f"{key} expects a {tag} value, got {raw!r}", line) from None
+    if not all(map(math.isfinite, nums)):
+        raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+    return nums[0] if tag == "float" else nums
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -251,7 +262,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _SCHEMA:
+        if key not in _TAGS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in seen:
             raise ConfigError(
@@ -260,7 +271,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         seen[key] = lineno
         values[key] = _convert(key, raw, lineno)
     for key, raw in (overrides or {}).items():
-        if key not in _SCHEMA:
+        if key not in _TAGS:
             raise ConfigError(f"unknown override key {key!r}")
         # an override in one strategy style supersedes the other style
         if key == "strategy":
@@ -274,82 +285,22 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def _assemble(v: dict) -> ExperimentConfig:
-    d = ExperimentConfig()  # defaults donor
-    try:
-        objective = ObjectiveSpec(
-            kind=v.get("objective.kind", d.objective.kind),
-            dim=v.get("objective.dim", d.objective.dim),
-            cond=v.get("objective.cond", d.objective.cond),
-            noise_sigma=v.get("objective.noise_sigma", d.objective.noise_sigma),
-            theta_star_scale=v.get(
-                "objective.theta_star_scale", d.objective.theta_star_scale
-            ),
-            samples=v.get("objective.samples", d.objective.samples),
-            target_noise=v.get("objective.target_noise", d.objective.target_noise),
-            in_dim=v.get("objective.in_dim", d.objective.in_dim),
-            hidden=v.get("objective.hidden", d.objective.hidden),
-            classes=v.get("objective.classes", d.objective.classes),
-            spread=v.get("objective.spread", d.objective.spread),
-        )
-        component_keys = [
-            k
-            for k in ("strategy.kind", "strategy.local", "strategy.global", "strategy.pull_every")
-            if k in v
-        ]
-        if "strategy" in v:
-            # label form, e.g. "combined-2-2"; convenient for sweeps
-            if component_keys:
-                raise ValueError(
-                    f"strategy (label form) conflicts with {component_keys[0]}; use one style"
+    top: dict[str, object] = {}
+    subs: dict[str, dict] = {}
+    for k in _KEYS:
+        if k.key in v:
+            owner, _, name = k.path.rpartition(".")
+            if owner == "strategy" and "strategy" in v:
+                raise ConfigError(
+                    f"strategy (label form) conflicts with {k.key}; use one style"
                 )
-            strategy = Strategy.parse(v["strategy"])
-        else:
-            strategy = Strategy(
-                kind=v.get("strategy.kind", "async"),
-                local=v.get("strategy.local", 1),
-                global_count=v.get("strategy.global", 1),
-                pull_every=v.get("strategy.pull_every", 1),
-            )
-        adam = AdamConfig(
-            alpha=v.get("optimizer.alpha", d.adam.alpha),
-            beta1=v.get("optimizer.beta1", d.adam.beta1),
-            beta2=v.get("optimizer.beta2", d.adam.beta2),
-            epsilon=v.get("optimizer.epsilon", d.adam.epsilon),
-        )
-        compute = ComputeTimeModel(
-            kind=v.get("compute.kind", d.compute.kind),
-            mean=v.get("compute.mean", d.compute.mean),
-            std=v.get("compute.std", d.compute.std),
-        )
-        return ExperimentConfig(
-            objective=objective,
-            workers=v.get("workers", d.workers),
-            strategy=strategy,
-            optimizer_kind=v.get("optimizer.kind", d.optimizer_kind),
-            adam=adam,
-            schedule_warmup=v.get("schedule.warmup", d.schedule_warmup),
-            schedule_decay=v.get("schedule.decay", d.schedule_decay),
-            schedule_batch_scale=v.get("schedule.batch_scale", d.schedule_batch_scale),
-            compute=compute,
-            comm_latency=v.get("comm.latency", d.comm_latency),
-            combine=v.get("combine", d.combine),
-            batch_budget=v.get("batch.budget", d.batch_budget),
-            batch_cost_max=v.get("batch.cost_max", d.batch_cost_max),
-            budget_updates=v.get("budget.updates", d.budget_updates),
-            budget_sim_time=v.get("budget.sim_time", d.budget_sim_time),
-            seed=v.get("seed", d.seed),
-            probe_seed=v.get("probe.seed", d.probe_seed),
-            probe_samples=v.get("probe.samples", d.probe_samples),
-            parallel=v.get("parallel", d.parallel),
-            parallel_time_scale=v.get("parallel.time_scale", d.parallel_time_scale),
-            stats_warmup_pushes=v.get("stats.warmup_pushes", d.stats_warmup_pushes),
-            thresholds=v.get("thresholds", d.thresholds),
-            thresholds_absolute=v.get("thresholds.absolute", d.thresholds_absolute),
-            thresholds_target=v.get("thresholds.target", d.thresholds_target),
-            out_dir=v.get("out_dir", d.out_dir),
-        )
-    except ConfigError:
-        raise
+            (subs.setdefault(owner, {}) if owner else top)[name] = v[k.key]
+    try:
+        for owner, changes in subs.items():
+            top[owner] = replace(getattr(_DEFAULTS, owner), **changes)
+        if "strategy" in v:
+            top["strategy"] = Strategy.parse(v["strategy"])
+        return replace(_DEFAULTS, **top)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -366,55 +317,11 @@ def _format(value) -> str:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit a document that parse_config maps back to an equal config.
-    Optional fields at their unset defaults (stats.warmup_pushes, empty
-    threshold list, empty out_dir) are omitted."""
-    o, s = cfg.objective, cfg.strategy
-    pairs = [
-        ("objective.kind", o.kind),
-        ("objective.dim", o.dim),
-        ("objective.cond", o.cond),
-        ("objective.noise_sigma", o.noise_sigma),
-        ("objective.theta_star_scale", o.theta_star_scale),
-        ("objective.samples", o.samples),
-        ("objective.target_noise", o.target_noise),
-        ("objective.in_dim", o.in_dim),
-        ("objective.hidden", o.hidden),
-        ("objective.classes", o.classes),
-        ("objective.spread", o.spread),
-        ("workers", cfg.workers),
-        ("strategy.kind", s.kind),
-        ("strategy.local", s.local),
-        ("strategy.global", s.global_count),
-        ("strategy.pull_every", s.pull_every),
-        ("optimizer.kind", cfg.optimizer_kind),
-        ("optimizer.alpha", cfg.adam.alpha),
-        ("optimizer.beta1", cfg.adam.beta1),
-        ("optimizer.beta2", cfg.adam.beta2),
-        ("optimizer.epsilon", cfg.adam.epsilon),
-        ("schedule.warmup", cfg.schedule_warmup),
-        ("schedule.decay", cfg.schedule_decay),
-        ("schedule.batch_scale", cfg.schedule_batch_scale),
-        ("compute.kind", cfg.compute.kind),
-        ("compute.mean", cfg.compute.mean),
-        ("compute.std", cfg.compute.std),
-        ("comm.latency", cfg.comm_latency),
-        ("combine", cfg.combine),
-        ("batch.budget", cfg.batch_budget),
-        ("batch.cost_max", cfg.batch_cost_max),
-        ("budget.updates", cfg.budget_updates),
-        ("budget.sim_time", cfg.budget_sim_time),
-        ("seed", cfg.seed),
-        ("probe.seed", cfg.probe_seed),
-        ("probe.samples", cfg.probe_samples),
-        ("parallel", cfg.parallel),
-        ("parallel.time_scale", cfg.parallel_time_scale),
-        ("thresholds", cfg.thresholds),
-        ("thresholds.target", cfg.thresholds_target),
-    ]
-    if cfg.stats_warmup_pushes is not None:
-        pairs.append(("stats.warmup_pushes", cfg.stats_warmup_pushes))
-    if cfg.thresholds_absolute:
-        pairs.append(("thresholds.absolute", cfg.thresholds_absolute))
-    if cfg.out_dir:
-        pairs.append(("out_dir", cfg.out_dir))
-    return "".join(f"{k} = {_format(val)}\n" for k, val in pairs)
+    Optional keys at their unset defaults (stats.warmup_pushes, empty
+    thresholds.absolute, empty out_dir) are omitted."""
+    out = []
+    for k in _KEYS:
+        value = attrgetter(k.path)(cfg)
+        if not (k.optional and value == attrgetter(k.path)(_DEFAULTS)):
+            out.append(f"{k.key} = {_format(value)}\n")
+    return "".join(out)

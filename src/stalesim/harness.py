@@ -227,11 +227,14 @@ def sweep(
     grid: dict,
     out_dir: str,
     jobs: int = 1,
+    overrides: dict | None = None,
 ) -> list[tuple[str, SummaryReport]]:
     """Run the cartesian product of config overrides.
 
     grid maps config keys to lists of raw string values
     (e.g. {"optimizer.alpha": ["0.001", "0.003"], "seed": ["0", "1"]}).
+    overrides, raw values as for parse_config, apply to every point; the
+    grid's values win over them (the CLI's sweep --seed).
     Each point runs in its own subdirectory of out_dir named by its
     overrides. jobs > 1 runs points concurrently; points are independent,
     so this is safe, though simulated runs are CPU-bound and mostly
@@ -241,9 +244,9 @@ def sweep(
     combos = list(itertools.product(*(grid[k] for k in keys)))
 
     def one(combo) -> tuple[str, SummaryReport]:
-        overrides = dict(zip(keys, combo))
-        label = "__".join(f"{k}={v}" for k, v in overrides.items()) or "base"
-        cfg = parse_config(base_text, overrides)
+        point = dict(zip(keys, combo))
+        label = "__".join(f"{k}={v}" for k, v in point.items()) or "base"
+        cfg = parse_config(base_text, {**(overrides or {}), **point})
         sub = os.path.join(out_dir, _sanitize(label))
         _, report = run_experiment(cfg, sub)
         return label, report

@@ -2,6 +2,7 @@
 
 import pytest
 
+from stalesim import config
 from stalesim.config import (
     ConfigError,
     default_config,
@@ -150,3 +151,147 @@ def test_serialize_emits_parseable_flat_document():
         assert line.startswith("#") or " = " in line
     # idempotent: serializing the reparse gives the same bytes
     assert serialize_config(parse_config(text)) == text
+
+
+# Every key at a non-default value, the optional ones included. Strategy
+# kinds fix the parameters they do not take at 1, so strategy.pull_every is
+# set at its default here and at 3 by the label-form document below.
+EVERY_KEY = """
+objective.kind = mlp
+objective.dim = 7
+objective.cond = 3.5
+objective.noise_sigma = 0.25
+objective.theta_star_scale = 2.0
+objective.samples = 40
+objective.target_noise = 0.1
+objective.in_dim = 5
+objective.hidden = 6
+objective.classes = 4
+objective.spread = 0.75
+workers = 3
+strategy.kind = combined
+strategy.local = 2
+strategy.global = 3
+strategy.pull_every = 1
+optimizer.kind = sgd
+optimizer.alpha = 0.02
+optimizer.beta1 = 0.8
+optimizer.beta2 = 0.99
+optimizer.epsilon = 1e-6
+schedule.warmup = 100
+schedule.decay = none
+schedule.batch_scale = 0.5
+compute.kind = normal
+compute.mean = 2.0
+compute.std = 0.4
+comm.latency = 0.25
+combine = sum
+batch.budget = 12
+batch.cost_max = 3
+budget.updates = 77
+budget.sim_time = 50
+seed = 9
+probe.seed = 123
+probe.samples = 32
+parallel = yes
+parallel.time_scale = 0.5
+stats.warmup_pushes = 5
+thresholds =
+thresholds.absolute = 1.5, 0.25
+thresholds.target = 0.1
+out_dir = results/every-key
+"""
+
+# serialize_config(parse_config(EVERY_KEY)), byte for byte; note the
+# trailing space of the empty threshold list and the optional keys last
+EVERY_KEY_SERIALIZED = (
+    "objective.kind = mlp\n"
+    "objective.dim = 7\n"
+    "objective.cond = 3.5\n"
+    "objective.noise_sigma = 0.25\n"
+    "objective.theta_star_scale = 2.0\n"
+    "objective.samples = 40\n"
+    "objective.target_noise = 0.1\n"
+    "objective.in_dim = 5\n"
+    "objective.hidden = 6\n"
+    "objective.classes = 4\n"
+    "objective.spread = 0.75\n"
+    "workers = 3\n"
+    "strategy.kind = combined\n"
+    "strategy.local = 2\n"
+    "strategy.global = 3\n"
+    "strategy.pull_every = 1\n"
+    "optimizer.kind = sgd\n"
+    "optimizer.alpha = 0.02\n"
+    "optimizer.beta1 = 0.8\n"
+    "optimizer.beta2 = 0.99\n"
+    "optimizer.epsilon = 1e-06\n"
+    "schedule.warmup = 100\n"
+    "schedule.decay = none\n"
+    "schedule.batch_scale = 0.5\n"
+    "compute.kind = normal\n"
+    "compute.mean = 2.0\n"
+    "compute.std = 0.4\n"
+    "comm.latency = 0.25\n"
+    "combine = sum\n"
+    "batch.budget = 12\n"
+    "batch.cost_max = 3\n"
+    "budget.updates = 77\n"
+    "budget.sim_time = 50.0\n"
+    "seed = 9\n"
+    "probe.seed = 123\n"
+    "probe.samples = 32\n"
+    "parallel = true\n"
+    "parallel.time_scale = 0.5\n"
+    "thresholds = \n"
+    "thresholds.target = 0.1\n"
+    "stats.warmup_pushes = 5\n"
+    "thresholds.absolute = 1.5,0.25\n"
+    "out_dir = results/every-key\n"
+)
+
+_COMBINED_LINES = "strategy.kind = combined\nstrategy.local = 2\nstrategy.global = 3\n"
+
+
+def test_every_key_serialization_is_pinned_and_round_trips():
+    cfg = parse_config(EVERY_KEY)
+    text = serialize_config(cfg)
+    assert text == EVERY_KEY_SERIALIZED
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+def test_label_form_serialization_is_pinned_and_round_trips():
+    doc = EVERY_KEY.replace(_COMBINED_LINES, "").replace(
+        "strategy.pull_every = 1\n", "strategy = sync_stale-3\n"
+    )
+    cfg = parse_config(doc)
+    assert cfg.strategy == Strategy.sync_stale(3)
+    expected = EVERY_KEY_SERIALIZED.replace(
+        _COMBINED_LINES,
+        "strategy.kind = sync_stale\nstrategy.local = 1\nstrategy.global = 1\n",
+    ).replace("strategy.pull_every = 1\n", "strategy.pull_every = 3\n")
+    assert serialize_config(cfg) == expected
+    assert parse_config(expected) == cfg
+
+
+def test_every_table_key_is_in_the_every_key_document():
+    document_keys = [
+        line.partition("=")[0].strip() for line in EVERY_KEY.strip().splitlines()
+    ]
+    assert sorted(document_keys) == sorted(k.key for k in config._KEYS)
+
+
+_FLOAT_KEYS = [k.key for k in config._KEYS if k.tag in ("float", "float_list")]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_numbers_rejected_with_key_and_line(key, bad):
+    raw = bad if config._TAGS[key] == "float" else f"0.5, {bad}"
+    with pytest.raises(ConfigError, match="finite") as e:
+        parse_config(f"workers = 2\n{key} = {raw}\n")
+    assert e.value.line == 2
+    assert key in str(e.value)
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config("workers = 2\n", overrides={key: raw})

@@ -269,6 +269,44 @@ def test_cli_parallel_worker_error_exits_5_without_traceback(
     assert err == "error: RuntimeError: worker crashed\n"
 
 
+def test_cli_run_diverged_before_first_row_exits_3(tmp_path, capsys):
+    # a finite but huge step makes theta non-finite at the first update, so
+    # the trace has no rows and the report no final loss
+    cfg_path = _write_cfg(tmp_path, adam=AdamConfig(alpha=1e308))
+    code = main(["run", cfg_path, "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_DIVERGED
+    assert "final_loss=n/a" in captured.out
+    assert captured.err == ""
+
+
+def test_cli_sweep_prints_point_diverged_before_first_row(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, adam=AdamConfig(alpha=1e308))
+    code = main(
+        ["sweep", cfg_path, "--grid", "seed=0", "--out-dir", str(tmp_path / "sw")]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "seed=0: final_loss=n/a mean_staleness=n/a [diverged]" in captured.out
+    assert "error:" not in captured.err
+
+
+def test_cli_sweep_seed_overrides_the_configs_seed(tmp_path):
+    cfg_path = _write_cfg(tmp_path, budget_updates=20, seed=3)
+    args = ["sweep", cfg_path, "--grid", "workers=2,3", "--seed", "11"]
+    assert main(args + ["--out-dir", str(tmp_path / "sw")]) == 0
+    points = sorted((tmp_path / "sw").iterdir())
+    assert [p.name for p in points] == ["workers=2", "workers=3"]
+    for point in points:
+        echo = json.loads((point / "summary.json").read_text())["config"]
+        assert "\nseed = 11\n" in echo
+    # a seed on the grid still wins over --seed
+    args = ["sweep", cfg_path, "--grid", "seed=5", "--seed", "11"]
+    assert main(args + ["--out-dir", str(tmp_path / "grid")]) == 0
+    echo = json.loads((tmp_path / "grid" / "seed=5" / "summary.json").read_text())
+    assert "\nseed = 5\n" in echo["config"]
+
+
 def test_cli_sweep_and_selftest(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, budget_updates=20)
     code = main(
