@@ -278,8 +278,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             for k in list(values):
                 if k.startswith("strategy."):
                     del values[k]
-        elif key.startswith("strategy."):
-            values.pop("strategy", None)
+        elif key.startswith("strategy.") and "strategy" in values:
+            # a component override refines the label: expand it first
+            try:
+                s = Strategy.parse(values.pop("strategy"))
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
+            for k in _KEYS:
+                owner, _, name = k.path.partition(".")
+                if owner == "strategy":
+                    values[k.key] = getattr(s, name)
         values[key] = _convert(key, str(raw), 0)
     return _assemble(values)
 

@@ -16,7 +16,6 @@ __all__ = [
     "Vec",
     "as_vec",
     "vec_is_finite",
-    "ensure_finite",
     "RngStream",
     "LrSchedule",
     "ComputeTimeModel",
@@ -37,12 +36,6 @@ def as_vec(values) -> Vec:
 
 def vec_is_finite(x: Vec) -> bool:
     return bool(np.all(np.isfinite(x)))
-
-
-def ensure_finite(name: str, x: Vec) -> None:
-    """Raise ValueError if any entry of x is NaN or infinite."""
-    if not vec_is_finite(x):
-        raise ValueError(f"{name} contains non-finite entries")
 
 
 class RngStream:

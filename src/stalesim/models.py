@@ -92,12 +92,6 @@ class Batch:
     def __len__(self) -> int:
         return self.targets.shape[0]
 
-    def feature_matrix(self) -> np.ndarray:
-        return self.features
-
-    def target_vector(self) -> np.ndarray:
-        return self.targets
-
 
 class Objective:
     """Interface shared by all toy objectives.
@@ -201,15 +195,15 @@ class LinearRegression(Objective):
 
     def loss(self, theta: Vec, batch: Batch) -> float:
         self._check_dim(theta)
-        x = batch.feature_matrix()
-        y = batch.target_vector()
+        x = batch.features
+        y = batch.targets
         r = x @ theta - y
         return float(0.5 * np.mean(r * r))
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
-        x = batch.feature_matrix()
-        y = batch.target_vector()
+        x = batch.features
+        y = batch.targets
         r = x @ theta - y
         return (x.T @ r) / len(batch)
 
@@ -270,15 +264,15 @@ class Mlp(Objective):
 
     def loss(self, theta: Vec, batch: Batch) -> float:
         self._check_dim(theta)
-        x = batch.feature_matrix()
-        y = batch.target_vector().astype(np.int64)
+        x = batch.features
+        y = batch.targets.astype(np.int64)
         _, log_p = self._forward(theta, x)
         return float(-np.mean(log_p[np.arange(len(batch)), y]))
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
-        x = batch.feature_matrix()
-        y = batch.target_vector().astype(np.int64)
+        x = batch.features
+        y = batch.targets.astype(np.int64)
         n = len(batch)
         w1, b1, w2, b2 = self._unpack(theta)
         a, log_p = self._forward(theta, x)

@@ -1,8 +1,9 @@
 """Optimizers and gradient-stream analysis.
 
-Adam and plain SGD are implemented as pure functions over explicit state so
-the parameter server can own the state object and apply steps from any
-execution context. The analysis half (`adam_direction`, `predicted_efficiency`)
+Adam and plain SGD are implemented as pure functions over explicit state:
+the parameter server owns the Adam state, calls the step functions itself
+and checks the results for finiteness, so these functions leave values
+unchecked. The analysis half (`adam_direction`, `predicted_efficiency`)
 quantifies how gradient noise throttles Adam: in the long run the mean update
 magnitude per coordinate approaches 1/sqrt(CoV^2 + 1) where CoV is the
 coefficient of variation of the gradient stream, so averaging independent
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Vec, as_vec, ensure_finite
+from .core import Vec, as_vec
 
 __all__ = [
     "AdamConfig",
@@ -25,8 +26,6 @@ __all__ = [
     "sgd_step",
     "adam_direction",
     "predicted_efficiency",
-    "AdamOptimizer",
-    "SgdOptimizer",
     "run_adam_on_stream",
 ]
 
@@ -109,7 +108,6 @@ def adam_step(
         raise ValueError(
             f"dimension mismatch: theta {theta.shape}, g {g.shape}, m {state.m.shape}"
         )
-    ensure_finite("gradient", g)
     t_new = state.t + 1
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
@@ -126,7 +124,6 @@ def sgd_step(theta: Vec, g: Vec, lr: float) -> Vec:
         raise ValueError(f"dimension mismatch: {theta.shape} vs {g.shape}")
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    ensure_finite("gradient", g)
     return theta - lr * g
 
 
@@ -151,49 +148,6 @@ def predicted_efficiency(stats: GradStreamStats) -> float:
         raise ValueError("efficiency is undefined for a zero-mean stream")
     var = stats.variance / stats.count
     return 1.0 / np.sqrt(var / stats.mean**2 + 1.0)
-
-
-class AdamOptimizer:
-    """Stateful convenience wrapper tying AdamConfig and AdamState together.
-
-    The parameter server uses this so strategy code never touches moment
-    vectors directly.
-    """
-
-    kind = "adam"
-
-    def __init__(self, cfg: AdamConfig, dim: int):
-        self.cfg = cfg
-        self.state = AdamState.zeros(dim)
-
-    @property
-    def updates_applied(self) -> int:
-        return self.state.t
-
-    def step(self, theta: Vec, g: Vec, lr: float | None = None) -> Vec:
-        self.state, theta_new = adam_step(self.state, self.cfg, theta, g, lr)
-        return theta_new
-
-
-class SgdOptimizer:
-    """Plain-SGD counterpart to AdamOptimizer; lr must come from the caller
-    (there is no stored default rate)."""
-
-    kind = "sgd"
-
-    def __init__(self, lr: float):
-        if lr <= 0:
-            raise ValueError("lr must be > 0")
-        self.lr = lr
-        self._t = 0
-
-    @property
-    def updates_applied(self) -> int:
-        return self._t
-
-    def step(self, theta: Vec, g: Vec, lr: float | None = None) -> Vec:
-        self._t += 1
-        return sgd_step(theta, g, self.lr if lr is None else lr)
 
 
 def run_adam_on_stream(

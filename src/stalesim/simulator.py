@@ -17,10 +17,10 @@ with N equal-speed workers settles at N-1, and server-side accumulation
 divides staleness by sharing one update among G pulls.
 
 run_simulation is a deterministic discrete-event loop over worker
-completion times (ties broken by lower worker id). run_parallel drives the
-identical worker/server objects with real threads and real sleeps, so its
-timings and interleavings are genuinely nondeterministic while every
-bookkeeping rule stays the same.
+completion times (ties broken by lower worker id). run_parallel takes the
+same push step on the same worker/server objects with real threads and
+real sleeps, so its timings and interleavings are genuinely
+nondeterministic while every bookkeeping rule stays the same.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .models import (
     make_cost_stream,
     make_linreg_samples,
 )
-from .optim import AdamOptimizer, SgdOptimizer
+from .optim import AdamConfig, AdamState, adam_step, sgd_step
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -238,9 +238,9 @@ TRACE_COLUMNS = (
 
 
 class DivergenceError(RuntimeError):
-    """Raised inside a run when a gradient, the parameters, or the probe
-    loss stop being finite. run_simulation converts it into a diverged
-    trace that keeps every row recorded before the blow-up."""
+    """Raised by ParameterServer when the parameters, Adam's second moment
+    or the probe loss stop being finite. Both engines convert it into a
+    diverged trace that keeps every row recorded before the blow-up."""
 
 
 @dataclass
@@ -360,8 +360,15 @@ def staleness_summary(
 
 
 class ParameterServer:
-    """Holds parameters, applies one optimizer update per `g_count` pushed
-    gradients, and records one trace row per push.
+    """Holds parameters and Adam's state (SGD keeps none), applies one
+    optimizer update per `g_count` pushed gradients, and records one trace
+    row per push.
+
+    It is the one place that checks run values for finiteness: the new
+    parameters and Adam's second moment v once per update, the probe loss
+    once per version. A non-finite gradient makes the SGD parameters or
+    Adam's v non-finite at the update that applies it; so does a finite one
+    above ~1e154, whose g*g overflows v and would freeze its coordinate.
 
     The probe loss is evaluated once per parameter version: theta changes
     only on an update, so the rows of the pushes between two updates repeat
@@ -372,7 +379,7 @@ class ParameterServer:
     def __init__(
         self,
         theta0: Vec,
-        optimizer,
+        adam: AdamConfig | None,
         schedule: LrSchedule,
         g_count: int,
         combine: str,
@@ -385,7 +392,8 @@ class ParameterServer:
         self.version = 0
         self.accum = np.zeros_like(self.theta)
         self.accum_count = 0
-        self.optimizer = optimizer
+        self.adam = adam  # None runs plain SGD, which keeps no state
+        self.adam_state = None if adam is None else AdamState.zeros(len(theta0))
         self.schedule = schedule
         self.g_count = g_count
         self.combine = combine
@@ -401,11 +409,6 @@ class ParameterServer:
     def on_push(self, msg: GradientMsg) -> bool:
         """Process one pushed gradient; returns True when it completed an
         optimizer update. Raises DivergenceError on any non-finite value."""
-        if not vec_is_finite(msg.grad):
-            raise DivergenceError(
-                f"worker {msg.worker} pushed a non-finite gradient "
-                f"at t={msg.push_time:.6g}s (after {self.version} updates)"
-            )
         staleness = self.version - msg.pull_version
         if staleness < 0:
             raise RuntimeError("pull_version ahead of server version")
@@ -415,16 +418,14 @@ class ParameterServer:
         self.accum_count += 1
         updated = False
         if self.accum_count == self.g_count:
-            g = self.accum / self.g_count if self.combine == "mean" else self.accum.copy()
-            # G finite pushes can still overflow when summed; with G = 1 the
-            # push check above already covers the update's gradient
-            if self.g_count > 1 and not vec_is_finite(g):
-                raise DivergenceError(
-                    f"the sum of {self.g_count} pushed gradients went "
-                    f"non-finite at update {self.version + 1}"
-                )
+            g = self.accum / self.g_count if self.combine == "mean" else self.accum
             lr = self.schedule.lr_at(self.version + 1)
-            self.theta = self.optimizer.step(self.theta, g, lr)
+            if self.adam is None:
+                self.theta = sgd_step(self.theta, g, lr)
+            else:
+                self.adam_state, self.theta = adam_step(
+                    self.adam_state, self.adam, self.theta, g, lr
+                )
             self.version += 1
             self.accum[:] = 0.0
             self.accum_count = 0
@@ -433,6 +434,10 @@ class ParameterServer:
             if not vec_is_finite(self.theta):
                 raise DivergenceError(
                     f"parameters went non-finite at update {self.version}"
+                )
+            if self.adam is not None and not vec_is_finite(self.adam_state.v):
+                raise DivergenceError(
+                    f"Adam's second moment went non-finite at update {self.version}"
                 )
         if self.loss_version != self.version:
             loss = float(self.probe_loss(self.theta))
@@ -609,14 +614,6 @@ def build_experiment(
     return objective, dataset, probe, theta0
 
 
-def _make_optimizer(cfg: "ExperimentConfig", dim: int):
-    if cfg.optimizer_kind == "adam":
-        return AdamOptimizer(cfg.adam, dim)
-    if cfg.optimizer_kind == "sgd":
-        return SgdOptimizer(cfg.adam.alpha)
-    raise ValueError(f"unknown optimizer kind {cfg.optimizer_kind!r}")
-
-
 def _make_schedule(cfg: "ExperimentConfig", local: int, global_count: int) -> LrSchedule:
     sched = LrSchedule(
         base_lr=cfg.adam.alpha,
@@ -643,33 +640,90 @@ class _BatchCursor:
         return b
 
 
-def _setup(cfg, objective, dataset, probe, theta0):
-    objective, dataset, probe, theta0 = build_experiment(
-        cfg, objective, dataset, probe, theta0
-    )
-    local, global_count, pull_every = cfg.strategy.effective(cfg.workers)
-    schedule = _make_schedule(cfg, local, global_count)
-    server = ParameterServer(
-        theta0,
-        _make_optimizer(cfg, theta0.shape[0]),
-        schedule,
-        global_count,
-        cfg.combine,
-        lambda th: objective.loss(th, probe),
-        cfg.strategy.label,
-    )
-    workers = [
-        Worker(
-            i,
-            RngStream(cfg.seed, STREAM_WORKER_BASE + i),
+class _Run:
+    """One run's server, workers and batch feed, with the push step, the
+    divergence handling and the trace assembly that both engines share."""
+
+    def __init__(self, cfg: "ExperimentConfig", pieces: tuple):
+        objective, dataset, probe, theta0 = build_experiment(cfg, *pieces)
+        local, global_count, self.pull_every = cfg.strategy.effective(cfg.workers)
+        self.cfg = cfg
+        self.objective = objective
+        self.server = ParameterServer(
             theta0,
-            local,
+            cfg.adam if cfg.optimizer_kind == "adam" else None,
+            _make_schedule(cfg, local, global_count),
+            global_count,
             cfg.combine,
+            lambda th: objective.loss(th, probe),
+            cfg.strategy.label,
         )
-        for i in range(cfg.workers)
-    ]
-    cursor = _BatchCursor(dynamic_batcher(dataset, cfg.batch_budget))
-    return objective, server, workers, cursor, pull_every
+        self.workers = [
+            Worker(
+                i,
+                RngStream(cfg.seed, STREAM_WORKER_BASE + i),
+                theta0,
+                local,
+                cfg.combine,
+            )
+            for i in range(cfg.workers)
+        ]
+        self.cursor = _BatchCursor(dynamic_batcher(dataset, cfg.batch_budget))
+
+    def start(self, w: Worker) -> float:
+        """Hand w the next batch; returns its compute duration."""
+        return w.start_compute(self.cursor.next(), self.cfg.compute)
+
+    def push(self, w: Worker, t: float) -> tuple[float, list[Worker]] | None:
+        """Finish w's batch at time t and push when its local buffer is
+        full. Returns (start, workers): the workers that start their next
+        batch, at simulated time `start`; None once the update budget is met.
+
+        In the async family the pusher re-pulls and goes on. A barrier
+        strategy holds finished workers until the round's update lands,
+        then restarts all N together, re-pulling only when the update count
+        is a multiple of the pull period.
+        """
+        cfg, server = self.cfg, self.server
+        msg = w.finish_compute(self.objective, t + cfg.comm_latency)
+        if msg is None:
+            return t, [w]
+        updated = server.on_push(msg)
+        if not cfg.strategy.is_barrier:
+            w.pull(server)
+            nxt = [w]
+        elif not updated:
+            return t, []  # wait at the barrier for the round to finish
+        else:
+            if server.version % self.pull_every == 0:
+                for ww in self.workers:
+                    ww.pull(server)
+            nxt = self.workers  # next round, batch grab in id order
+        if server.version >= cfg.budget_updates:
+            return None
+        return t + cfg.comm_latency, nxt
+
+    def execute(self, drive) -> RunTrace:
+        """Call drive() and assemble the trace. A DivergenceError ends the
+        run with a diverged trace that keeps every row recorded before it."""
+        reason = None
+        try:
+            # divergence detection rides on IEEE inf/nan propagation; the
+            # overflow on the way down is expected, not worth a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                drive()
+        except DivergenceError as e:
+            reason = str(e)
+        server = self.server
+        return RunTrace(
+            rows=server.rows,
+            n_workers=self.cfg.workers,
+            strategy_label=self.cfg.strategy.label,
+            diverged=reason is not None,
+            divergence_reason=reason,
+            final_theta=server.theta.copy(),
+            total_cost=server.total_cost,
+        )
 
 
 def run_simulation(
@@ -682,74 +736,32 @@ def run_simulation(
     """Deterministic discrete-event run of the configured experiment.
 
     Workers start staggered at i/N seconds. The loop pops the earliest
-    completion event (ties to the lower worker id), computes that worker's
-    gradient, pushes when its local buffer is full, and processes the push
-    synchronously: staleness is recorded, the server may update, and in
-    the async family the worker re-pulls and immediately starts its next
-    batch. Barrier strategies instead hold finished workers until the
-    round's last push lands, then restart all N together (re-pulling only
-    when the update count is a multiple of the pull period).
+    completion event (ties to the lower worker id) and takes the shared
+    push step on that worker (see _Run.push), then schedules the workers
+    that step names.
 
     The run stops once cfg.budget_updates optimizer updates have been
     applied, or at the first event past cfg.budget_sim_time when that is
     set, or on divergence (the trace keeps all rows up to the failure).
     """
-    objective_b, server, workers, cursor, pull_every = _setup(
-        cfg, objective, dataset, probe, theta0
-    )
+    run = _Run(cfg, (objective, dataset, probe, theta0))
     n = cfg.workers
-    latency = cfg.comm_latency
-    heap: list[tuple[float, int]] = []
-    for w in workers:
-        d = w.start_compute(cursor.next(), cfg.compute)
-        heapq.heappush(heap, (w.id / n + d, w.id))
-    diverged = False
-    reason = None
-    try:
-        # divergence detection rides on IEEE inf/nan propagation; the
-        # overflow on the way down is expected, not worth a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            while heap:
-                t, wid = heapq.heappop(heap)
-                if cfg.budget_sim_time > 0 and t > cfg.budget_sim_time:
-                    break
-                w = workers[wid]
-                msg = w.finish_compute(objective_b, t + latency)
-                if msg is None:
-                    d = w.start_compute(cursor.next(), cfg.compute)
-                    heapq.heappush(heap, (t + d, wid))
-                    continue
-                updated = server.on_push(msg)
-                if cfg.strategy.is_barrier:
-                    if not updated:
-                        continue  # wait at the barrier for the round to finish
-                    if server.version % pull_every == 0:
-                        for ww in workers:
-                            ww.pull(server)
-                    if server.version >= cfg.budget_updates:
-                        break
-                    start = t + latency
-                    for ww in workers:  # next round, batch grab in id order
-                        d = ww.start_compute(cursor.next(), cfg.compute)
-                        heapq.heappush(heap, (start + d, ww.id))
-                else:
-                    w.pull(server)
-                    if server.version >= cfg.budget_updates:
-                        break
-                    d = w.start_compute(cursor.next(), cfg.compute)
-                    heapq.heappush(heap, (t + latency + d, wid))
-    except DivergenceError as e:
-        diverged = True
-        reason = str(e)
-    return RunTrace(
-        rows=server.rows,
-        n_workers=n,
-        strategy_label=cfg.strategy.label,
-        diverged=diverged,
-        divergence_reason=reason,
-        final_theta=server.theta.copy(),
-        total_cost=server.total_cost,
-    )
+    heap = [(w.id / n + run.start(w), w.id) for w in run.workers]
+    heapq.heapify(heap)
+
+    def drive() -> None:
+        while heap:
+            t, wid = heapq.heappop(heap)
+            if cfg.budget_sim_time > 0 and t > cfg.budget_sim_time:
+                return
+            step = run.push(run.workers[wid], t)
+            if step is None:
+                return
+            start, nxt = step
+            for w in nxt:
+                heapq.heappush(heap, (start + run.start(w), w.id))
+
+    return run.execute(drive)
 
 
 def run_parallel(
@@ -762,12 +774,12 @@ def run_parallel(
     """Run the same state machine with N real threads and real sleeps.
 
     Each worker thread sleeps for its sampled compute duration (scaled by
-    cfg.parallel_time_scale real seconds per simulated second), then
-    computes its gradient and pushes under a single server lock that also
-    covers the re-pull and trace append. Timings and
-    interleavings are nondeterministic, so only statistical assertions
-    hold; with N=1 the update trajectory matches the serial engine exactly
-    (timestamps aside). Barrier strategies are not supported here.
+    cfg.parallel_time_scale real seconds per simulated second), then takes
+    the push step run_simulation takes (_Run.push) under a single server
+    lock. Timings and interleavings are nondeterministic, so only
+    statistical assertions hold; with N=1 the update trajectory matches
+    the serial engine exactly (timestamps aside). Barrier strategies are
+    not supported here.
 
     Divergence ends in a diverged trace, as in run_simulation. Any other
     exception in a worker thread stops every thread and is re-raised here.
@@ -777,9 +789,7 @@ def run_parallel(
             "parallel mode supports the async strategy family only "
             "(sync and sync_stale need a barrier scheduler)"
         )
-    objective_b, server, workers, cursor, _ = _setup(
-        cfg, objective, dataset, probe, theta0
-    )
+    run = _Run(cfg, (objective, dataset, probe, theta0))
     lock = threading.Lock()
     stop = threading.Event()
     failure: list[Exception] = []
@@ -788,24 +798,17 @@ def run_parallel(
     def loop(w: Worker) -> None:
         while not stop.is_set():
             with lock:
-                batch = cursor.next()
-            d = w.start_compute(batch, cfg.compute)
+                d = run.start(w)
             time.sleep(d * cfg.parallel_time_scale)
             now = (time.monotonic() - t0) / cfg.parallel_time_scale
             with lock:
                 if stop.is_set():
                     return
                 try:
-                    # same errstate policy as the serial loop: inf/nan are
-                    # the divergence signal, not a numerics warning
+                    # errstate is per thread: the same policy as execute()
                     with np.errstate(over="ignore", invalid="ignore"):
-                        msg = w.finish_compute(objective_b, now + cfg.comm_latency)
-                        if msg is None:
-                            continue
-                        server.on_push(msg)
-                    w.pull(server)
-                    if server.version >= cfg.budget_updates:
-                        stop.set()
+                        if run.push(w, now) is None:
+                            stop.set()
                 except Exception as e:  # the others would wait on its pushes
                     failure.append(e)
                     stop.set()
@@ -813,23 +816,16 @@ def run_parallel(
             if cfg.budget_sim_time > 0 and now > cfg.budget_sim_time:
                 stop.set()
 
-    threads = [
-        threading.Thread(target=loop, args=(w,), name=f"worker-{w.id}")
-        for w in workers
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    for e in failure:
-        if not isinstance(e, DivergenceError):
-            raise e
-    return RunTrace(
-        rows=server.rows,
-        n_workers=cfg.workers,
-        strategy_label=cfg.strategy.label,
-        diverged=bool(failure),
-        divergence_reason=str(failure[0]) if failure else None,
-        final_theta=server.theta.copy(),
-        total_cost=server.total_cost,
-    )
+    def drive() -> None:
+        threads = [
+            threading.Thread(target=loop, args=(w,), name=f"worker-{w.id}")
+            for w in run.workers
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        if failure:  # at most one: it set stop under the lock
+            raise failure[0]
+
+    return run.execute(drive)

@@ -124,6 +124,15 @@ def test_overrides_replace_document_values():
     assert cfg.seed == 7 and cfg.workers == 2
 
 
+def test_component_override_refines_a_label_form_strategy():
+    cfg = parse_config("strategy = global_accum-4\n", {"strategy.global": "2"})
+    assert cfg.strategy == Strategy.global_accum(2)
+    cfg = parse_config("strategy = combined-2-3\n", {"strategy.local": "5"})
+    assert cfg.strategy == Strategy.combined(5, 3)
+    with pytest.raises(ConfigError, match="strategy"):
+        parse_config("strategy = global_accum-x\n", {"strategy.global": "2"})
+
+
 def test_strategy_override_supersedes_component_form():
     text = "strategy.kind = global_accum\nstrategy.global = 4\n"
     cfg = parse_config(text, overrides={"strategy": "async"})

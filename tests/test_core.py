@@ -1,18 +1,20 @@
 """Core plumbing: vectors, named RNG streams, LR schedules, compute times."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stalesim
 from stalesim.core import (
     ComputeTimeModel,
     LrSchedule,
     RngStream,
     as_vec,
-    ensure_finite,
     sample_compute_time,
     vec_is_finite,
 )
@@ -26,9 +28,17 @@ def test_finiteness_detection():
     assert vec_is_finite(as_vec([0.0, 1e300]))
     assert not vec_is_finite(as_vec([0.0, math.nan]))
     assert not vec_is_finite(as_vec([math.inf]))
-    ensure_finite("ok", as_vec([1.0]))
-    with pytest.raises(ValueError, match="nope"):
-        ensure_finite("nope", as_vec([math.nan]))
+
+
+def test_every_exported_name_resolves():
+    modules = [stalesim] + [
+        importlib.import_module(f"stalesim.{m.name}")
+        for m in pkgutil.iter_modules(stalesim.__path__)
+    ]
+    assert stalesim.__all__
+    for mod in modules:
+        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert not missing, f"{mod.__name__}.__all__ names missing: {missing}"
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,54 @@ def test_cli_parallel_worker_error_exits_5_without_traceback(
     assert err == "error: RuntimeError: worker crashed\n"
 
 
+class _HugeFirstCoordinate:
+    """Finite gradients whose first coordinate squares past the float range."""
+
+    dim = 2
+    has_noise = False
+
+    def loss(self, theta, batch):
+        return float((theta[1] - 1.0) ** 2)
+
+    def grad(self, theta, batch, rng=None):
+        return np.array([1e200, 2.0 * (theta[1] - 1.0)])
+
+
+def _v_overflow_cfg(**kw):
+    return _fast_cfg(
+        objective=ObjectiveSpec(kind="quadratic", dim=2, samples=32),
+        workers=2,
+        budget_updates=50,
+        **kw,
+    )
+
+
+def test_adam_second_moment_overflow_diverges():
+    # g*g = inf makes v = inf, which would freeze the first coordinate's
+    # step at m_hat/inf = 0 while theta stays finite
+    trace = run_simulation(_v_overflow_cfg(), objective=_HugeFirstCoordinate())
+    assert trace.diverged
+    assert trace.divergence_reason == (
+        "Adam's second moment went non-finite at update 1"
+    )
+    assert trace.pushes == 0
+
+
+def test_cli_run_adam_second_moment_overflow_exits_3(tmp_path, capsys, monkeypatch):
+    build = harness.build_experiment
+    objective = _HugeFirstCoordinate()
+    monkeypatch.setattr(
+        harness, "build_experiment", lambda cfg: build(cfg, objective=objective)
+    )
+    path = tmp_path / "exp.cfg"
+    path.write_text(serialize_config(_v_overflow_cfg()))
+    code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_DIVERGED
+    assert "DIVERGED: Adam's second moment went non-finite" in captured.out
+    assert captured.err == ""
+
+
 def test_cli_run_diverged_before_first_row_exits_3(tmp_path, capsys):
     # a finite but huge step makes theta non-finite at the first update, so
     # the trace has no rows and the report no final loss
@@ -305,6 +353,21 @@ def test_cli_sweep_seed_overrides_the_configs_seed(tmp_path):
     assert main(args + ["--out-dir", str(tmp_path / "grid")]) == 0
     echo = json.loads((tmp_path / "grid" / "seed=5" / "summary.json").read_text())
     assert "\nseed = 5\n" in echo["config"]
+
+
+def test_cli_sweep_component_override_refines_a_label(tmp_path):
+    text = "".join(
+        line
+        for line in serialize_config(_fast_cfg(budget_updates=20)).splitlines(True)
+        if not line.startswith("strategy.")
+    )
+    path = tmp_path / "label.cfg"
+    path.write_text(text + "strategy = global_accum-4\n")
+    args = ["sweep", str(path), "--grid", "strategy.global=2,3"]
+    assert main(args + ["--out-dir", str(tmp_path / "sw")]) == 0
+    for g in (2, 3):
+        summary = tmp_path / "sw" / f"strategy.global={g}" / "summary.json"
+        assert json.loads(summary.read_text())["strategy"] == f"global_accum-{g}"
 
 
 def test_cli_sweep_and_selftest(tmp_path, capsys):

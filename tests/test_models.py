@@ -61,8 +61,7 @@ def test_batch_rejects_mismatched_shapes():
 def test_batch_arrays_are_built_once_and_read_only():
     features = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
     b = Batch(features, [0.0, 1.0, 2.0], [1, 1, 1])
-    x, y = b.feature_matrix(), b.target_vector()
-    assert b.feature_matrix() is x and b.target_vector() is y
+    x, y = b.features, b.targets
     assert x.dtype == y.dtype == np.float64 and b.costs.dtype == np.int64
     np.testing.assert_array_equal(x, [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
     np.testing.assert_array_equal(y, [0.0, 1.0, 2.0])
@@ -256,10 +255,10 @@ def test_batcher_partition_properties(costs, budget):
     batches = dynamic_batcher(dataset, budget)
     # order-preserving partition: the rows concatenate back to the dataset
     np.testing.assert_array_equal(
-        np.concatenate([b.feature_matrix() for b in batches]), dataset.features
+        np.concatenate([b.features for b in batches]), dataset.features
     )
     np.testing.assert_array_equal(
-        np.concatenate([b.target_vector() for b in batches]), dataset.targets
+        np.concatenate([b.targets for b in batches]), dataset.targets
     )
     assert np.concatenate([b.costs for b in batches]).tolist() == costs
     start = 0
@@ -280,8 +279,8 @@ def test_batches_are_read_only_views_of_the_dataset():
     assert len(batches) > 1
     for b in batches:
         for arr, whole in (
-            (b.feature_matrix(), dataset.features),
-            (b.target_vector(), dataset.targets),
+            (b.features, dataset.features),
+            (b.targets, dataset.targets),
             (b.costs, dataset.costs),
         ):
             assert np.shares_memory(arr, whole)

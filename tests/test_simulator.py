@@ -333,6 +333,39 @@ def test_parallel_worker_crash_stops_run_and_reraises():
     assert "worker crashed" in str(out["error"])
 
 
+class _NanGradient(_HugeGradient):
+    """Zero gradients for four calls, then nan from the fifth on."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def grad(self, theta, batch, rng=None):
+        self.calls += 1
+        return np.full(2, np.nan if self.calls >= 5 else 0.0)
+
+
+# the nan enters with push 5; the trace ends at the update that applies it,
+# so with G=4 the pushes 5-7 still leave rows
+_NAN_ROWS = {1: 4, 4: 7}
+
+
+@pytest.mark.parametrize("g", sorted(_NAN_ROWS))
+def test_nan_gradient_diverges_at_the_update_that_applies_it(g):
+    trace = run_simulation(_overflow_cfg(4, g), objective=_NanGradient())
+    assert trace.diverged
+    assert "non-finite" in trace.divergence_reason
+    assert (trace.pushes, trace.updates) == (_NAN_ROWS[g], 4 // g)
+
+
+@pytest.mark.parametrize("g", sorted(_NAN_ROWS))
+def test_parallel_nan_gradient_diverges(g):
+    cfg = _overflow_cfg(2, g, parallel_time_scale=1e-4)
+    out = _finishes(lambda: run_parallel(cfg, objective=_NanGradient()))
+    assert out["trace"].diverged
+    assert "non-finite" in out["trace"].divergence_reason
+    assert out["trace"].pushes == _NAN_ROWS[g]
+
+
 # ---------------------------------------------------------------------------
 # probe loss once per parameter version
 
