@@ -3,7 +3,7 @@
 Study gradient staleness, Adam's behavior under noisy and stale gradients,
 and local/global gradient accumulation on toy objectives, with a
 reproducible discrete-event scheduler and an optional genuinely threaded
-executor over the same state machine.
+executor that times the same event loop with real sleeps.
 """
 
 from .config import (

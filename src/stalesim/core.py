@@ -8,6 +8,7 @@ finiteness as a detectable error state) instead of wrapping arrays in a class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,7 +110,7 @@ class LrSchedule:
         if w == 0:
             return self.base_lr
         if self.decay == "inverse-sqrt":
-            factor = min(t / w, np.sqrt(w / t))
+            factor = min(t / w, math.sqrt(w / t))
         else:
             factor = min(t / w, 1.0)
         return self.base_lr * factor

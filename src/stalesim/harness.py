@@ -62,7 +62,7 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_DIVERGED = 3
 EXIT_THRESHOLDS = 4
-EXIT_INTERNAL_ERROR = 5  # any other error, e.g. one a worker thread raised
+EXIT_INTERNAL_ERROR = 5  # any other error, e.g. one an objective raised
 
 OUT_DIR_ENV = "STALESIM_OUT"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Vec, as_vec
+from .core import Vec
 
 __all__ = [
     "AdamConfig",
@@ -26,7 +26,6 @@ __all__ = [
     "sgd_step",
     "adam_direction",
     "predicted_efficiency",
-    "run_adam_on_stream",
 ]
 
 
@@ -149,19 +148,3 @@ def predicted_efficiency(stats: GradStreamStats) -> float:
     var = stats.variance / stats.count
     return 1.0 / np.sqrt(var / stats.mean**2 + 1.0)
 
-
-def run_adam_on_stream(
-    grads: np.ndarray, cfg: AdamConfig, theta0: Vec | None = None
-) -> tuple[Vec, list[AdamState]]:
-    """Drive Adam over a whole gradient stream; returns final theta and the
-    state after each step. grads has shape (steps, dim). Mainly for analysis
-    and the worked-example self-test."""
-    grads = np.atleast_2d(np.asarray(grads, dtype=np.float64))
-    dim = grads.shape[1]
-    theta = np.zeros(dim) if theta0 is None else as_vec(theta0)
-    state = AdamState.zeros(dim)
-    states = []
-    for g in grads:
-        state, theta = adam_step(state, cfg, theta, g)
-        states.append(state)
-    return theta, states

@@ -16,16 +16,20 @@ worker's parameter pull and the push, so synchronous runs record 0, async
 with N equal-speed workers settles at N-1, and server-side accumulation
 divides staleness by sharing one update among G pulls.
 
-run_simulation is a deterministic discrete-event loop over worker
-completion times (ties broken by lower worker id). run_parallel takes the
-same push step on the same worker/server objects with real threads and
-real sleeps, so its timings and interleavings are genuinely
-nondeterministic while every bookkeeping rule stays the same.
+Both engines run one event loop, _Run.execute, on the calling thread; they
+differ only in where worker completions come from. run_simulation takes
+them from a heap of simulated finish times (ties broken by lower worker
+id), so it is deterministic. run_parallel takes them from N threads that
+only sleep for the sampled durations and report when they woke, so its
+timings and interleavings are genuinely nondeterministic while every
+bookkeeping rule, and all of the numerics, stay the same.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import queue
 import threading
 import time
 from collections import Counter
@@ -625,21 +629,6 @@ def _make_schedule(cfg: "ExperimentConfig", local: int, global_count: int) -> Lr
     return sched.scaled_for_batch(local * global_count)
 
 
-class _BatchCursor:
-    """Round-robin over pre-built batches in dataset order."""
-
-    def __init__(self, batches: list[Batch]):
-        if not batches:
-            raise ValueError("no batches to feed workers")
-        self.batches = batches
-        self.i = 0
-
-    def next(self) -> Batch:
-        b = self.batches[self.i % len(self.batches)]
-        self.i += 1
-        return b
-
-
 class _Run:
     """One run's server, workers and batch feed, with the push step, the
     divergence handling and the trace assembly that both engines share."""
@@ -668,11 +657,12 @@ class _Run:
             )
             for i in range(cfg.workers)
         ]
-        self.cursor = _BatchCursor(dynamic_batcher(dataset, cfg.batch_budget))
+        # round-robin over the batches in dataset order
+        self.batches = itertools.cycle(dynamic_batcher(dataset, cfg.batch_budget))
 
     def start(self, w: Worker) -> float:
         """Hand w the next batch; returns its compute duration."""
-        return w.start_compute(self.cursor.next(), self.cfg.compute)
+        return w.start_compute(next(self.batches), self.cfg.compute)
 
     def push(self, w: Worker, t: float) -> tuple[float, list[Worker]] | None:
         """Finish w's batch at time t and push when its local buffer is
@@ -703,22 +693,45 @@ class _Run:
             return None
         return t + cfg.comm_latency, nxt
 
-    def execute(self, drive) -> RunTrace:
-        """Call drive() and assemble the trace. A DivergenceError ends the
-        run with a diverged trace that keeps every row recorded before it."""
+    def execute(self, begin, finished) -> RunTrace:
+        """The one event loop, shared by both engines; they differ only in
+        where completions come from.
+
+        Every worker starts in id order, staggered at i/N seconds:
+        begin(w, start, d) hands w a batch that takes d simulated seconds
+        from `start`. finished() returns the next completion as
+        (t, worker id). The loop takes the push step (see push) on that
+        worker and begins the workers it names. It stops once the update
+        budget is met, at the first completion past cfg.budget_sim_time
+        when that is set, or on divergence: a DivergenceError ends the run
+        with a diverged trace that keeps every row recorded before it. Any
+        other exception propagates.
+        """
+        cfg, workers = self.cfg, self.workers
         reason = None
         try:
             # divergence detection rides on IEEE inf/nan propagation; the
             # overflow on the way down is expected, not worth a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                drive()
+                for w in workers:
+                    begin(w, w.id / len(workers), self.start(w))
+                while True:
+                    t, wid = finished()
+                    if cfg.budget_sim_time > 0 and t > cfg.budget_sim_time:
+                        break
+                    step = self.push(workers[wid], t)
+                    if step is None:
+                        break
+                    start, nxt = step
+                    for w in nxt:
+                        begin(w, start, self.start(w))
         except DivergenceError as e:
             reason = str(e)
         server = self.server
         return RunTrace(
             rows=server.rows,
-            n_workers=self.cfg.workers,
-            strategy_label=self.cfg.strategy.label,
+            n_workers=cfg.workers,
+            strategy_label=cfg.strategy.label,
             diverged=reason is not None,
             divergence_reason=reason,
             final_theta=server.theta.copy(),
@@ -735,33 +748,18 @@ def run_simulation(
 ) -> RunTrace:
     """Deterministic discrete-event run of the configured experiment.
 
-    Workers start staggered at i/N seconds. The loop pops the earliest
-    completion event (ties to the lower worker id) and takes the shared
-    push step on that worker (see _Run.push), then schedules the workers
-    that step names.
-
-    The run stops once cfg.budget_updates optimizer updates have been
-    applied, or at the first event past cfg.budget_sim_time when that is
-    set, or on divergence (the trace keeps all rows up to the failure).
+    Completions come from a heap of (finish time, worker id), so the loop
+    in _Run.execute takes them in simulated-time order, ties to the lower
+    worker id. The run stops at the update budget, at the first event past
+    cfg.budget_sim_time when that is set, or on divergence (the trace
+    keeps all rows up to the failure).
     """
     run = _Run(cfg, (objective, dataset, probe, theta0))
-    n = cfg.workers
-    heap = [(w.id / n + run.start(w), w.id) for w in run.workers]
-    heapq.heapify(heap)
-
-    def drive() -> None:
-        while heap:
-            t, wid = heapq.heappop(heap)
-            if cfg.budget_sim_time > 0 and t > cfg.budget_sim_time:
-                return
-            step = run.push(run.workers[wid], t)
-            if step is None:
-                return
-            start, nxt = step
-            for w in nxt:
-                heapq.heappush(heap, (start + run.start(w), w.id))
-
-    return run.execute(drive)
+    heap: list[tuple[float, int]] = []
+    return run.execute(
+        lambda w, start, d: heapq.heappush(heap, (start + d, w.id)),
+        lambda: heapq.heappop(heap),
+    )
 
 
 def run_parallel(
@@ -771,61 +769,42 @@ def run_parallel(
     probe: Batch | None = None,
     theta0: Vec | None = None,
 ) -> RunTrace:
-    """Run the same state machine with N real threads and real sleeps.
+    """Run the same event loop with completions timed by N real threads.
 
-    Each worker thread sleeps for its sampled compute duration (scaled by
-    cfg.parallel_time_scale real seconds per simulated second), then takes
-    the push step run_simulation takes (_Run.push) under a single server
-    lock. Timings and interleavings are nondeterministic, so only
-    statistical assertions hold; with N=1 the update trajectory matches
-    the serial engine exactly (timestamps aside). Barrier strategies are
-    not supported here.
+    Each worker thread only sleeps: it takes a duration from its queue,
+    sleeps for it (scaled by cfg.parallel_time_scale real seconds per
+    simulated second) and reports the wall time it woke at, in simulated
+    seconds, on one shared queue. Every push step, and so all gradient and
+    optimizer math, runs on the calling thread in _Run.execute, in the
+    order the threads report. A barrier worker is given no next duration
+    until its round's update lands, so every strategy runs here.
 
-    Divergence ends in a diverged trace, as in run_simulation. Any other
-    exception in a worker thread stops every thread and is re-raised here.
+    Timings and interleavings are nondeterministic, so only statistical
+    assertions hold; with N=1 the update trajectory matches the serial
+    engine exactly (timestamps aside). Divergence ends in a diverged
+    trace, as in run_simulation; any other exception propagates. The
+    threads are stopped and joined on every exit.
     """
-    if cfg.strategy.is_barrier:
-        raise ValueError(
-            "parallel mode supports the async strategy family only "
-            "(sync and sync_stale need a barrier scheduler)"
-        )
     run = _Run(cfg, (objective, dataset, probe, theta0))
-    lock = threading.Lock()
-    stop = threading.Event()
-    failure: list[Exception] = []
+    scale = cfg.parallel_time_scale
+    go = [queue.SimpleQueue() for _ in run.workers]
+    done = queue.SimpleQueue()
     t0 = time.monotonic()
 
-    def loop(w: Worker) -> None:
-        while not stop.is_set():
-            with lock:
-                d = run.start(w)
-            time.sleep(d * cfg.parallel_time_scale)
-            now = (time.monotonic() - t0) / cfg.parallel_time_scale
-            with lock:
-                if stop.is_set():
-                    return
-                try:
-                    # errstate is per thread: the same policy as execute()
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        if run.push(w, now) is None:
-                            stop.set()
-                except Exception as e:  # the others would wait on its pushes
-                    failure.append(e)
-                    stop.set()
-                    return
-            if cfg.budget_sim_time > 0 and now > cfg.budget_sim_time:
-                stop.set()
+    def sleeper(wid: int) -> None:
+        while (d := go[wid].get()) is not None:
+            time.sleep(d * scale)
+            done.put(((time.monotonic() - t0) / scale, wid))
 
-    def drive() -> None:
-        threads = [
-            threading.Thread(target=loop, args=(w,), name=f"worker-{w.id}")
-            for w in run.workers
-        ]
-        for th in threads:
+    threads = []
+    try:
+        for w in run.workers:
+            th = threading.Thread(target=sleeper, args=(w.id,), name=f"worker-{w.id}")
             th.start()
+            threads.append(th)
+        return run.execute(lambda w, start, d: go[w.id].put(d), done.get)
+    finally:
+        for q in go:
+            q.put(None)
         for th in threads:
             th.join()
-        if failure:  # at most one: it set stop under the lock
-            raise failure[0]
-
-    return run.execute(drive)

@@ -28,7 +28,7 @@ from stalesim.harness import (
     sweep,
 )
 from stalesim.optim import AdamConfig
-from stalesim.simulator import Strategy, run_simulation
+from stalesim.simulator import RunTrace, Strategy, run_simulation
 
 
 def _fast_cfg(**kw):
@@ -214,6 +214,27 @@ def test_cli_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert code == EXIT_OK
     assert (tmp_path / "out" / "trace.csv").exists()
     assert "updates" in out
+
+
+def test_cli_run_decayed_lr_column_reads_back(tmp_path, capsys):
+    # past the warmup the inverse-sqrt rate must be written as a plain
+    # decimal, not as a numpy scalar repr that from_csv cannot parse
+    kw = dict(
+        objective=ObjectiveSpec(kind="quadratic", dim=4),
+        workers=2,
+        schedule_warmup=4,
+        schedule_decay="inverse-sqrt",
+        budget_updates=8,
+        thresholds=(),
+    )
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, **kw), "--out-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert "np." not in (out / "trace.csv").read_text()
+    back = RunTrace.from_csv(str(out / "trace.csv"))
+    trace = run_simulation(_fast_cfg(**kw))
+    assert back.rows == trace.rows and back.updates == 8
+    assert all(type(r.lr) is float for r in trace.rows)
 
 
 def test_cli_run_seed_override_changes_trace(tmp_path):

@@ -15,9 +15,20 @@ from stalesim.optim import (
     adam_direction,
     adam_step,
     predicted_efficiency,
-    run_adam_on_stream,
     sgd_step,
 )
+
+
+def _run_adam_on_stream(grads, cfg):
+    """Adam from zero state and parameters over a (steps, dim) stream;
+    returns the final theta and the state after each step."""
+    theta = np.zeros(grads.shape[1])
+    state = AdamState.zeros(grads.shape[1])
+    states = []
+    for g in grads:
+        state, theta = adam_step(state, cfg, theta, g)
+        states.append(state)
+    return theta, states
 
 
 def _paper_cfg(**kw) -> AdamConfig:
@@ -66,7 +77,7 @@ def test_alternating_half_three_halves_stream():
     # the normalized step shrinks and theta only reaches about -0.005.
     cfg = _paper_cfg()
     grads = np.array([[0.5], [1.5], [0.5], [1.5], [0.5], [1.5]])
-    theta, states = run_adam_on_stream(grads, cfg)
+    theta, states = _run_adam_on_stream(grads, cfg)
     s2 = states[1]
     m_hat2 = s2.m[0] / (1 - 0.9**2)
     v_hat2 = s2.v[0] / (1 - 0.98**2)
@@ -154,8 +165,8 @@ def test_adam_scale_invariance_property(c, seed):
     # the parameter trajectory unchanged.
     cfg = _paper_cfg(epsilon=0.0)
     grads = RngStream(seed, stream=0).normal(1.0, 0.5, size=(40, 3))
-    theta_base, _ = run_adam_on_stream(grads, cfg)
-    theta_scaled, _ = run_adam_on_stream(c * grads, cfg)
+    theta_base, _ = _run_adam_on_stream(grads, cfg)
+    theta_scaled, _ = _run_adam_on_stream(c * grads, cfg)
     np.testing.assert_allclose(theta_scaled, theta_base, rtol=1e-9, atol=1e-12)
 
 
@@ -164,8 +175,8 @@ def test_epsilon_breaks_scale_invariance_slightly():
     # not an artifact of the implementation ignoring scale.
     cfg = _paper_cfg(epsilon=1e-2)
     grads = RngStream(7, stream=0).normal(1.0, 0.5, size=(40, 3))
-    a, _ = run_adam_on_stream(grads, cfg)
-    b, _ = run_adam_on_stream(1e-3 * grads, cfg)
+    a, _ = _run_adam_on_stream(grads, cfg)
+    b, _ = _run_adam_on_stream(1e-3 * grads, cfg)
     assert np.max(np.abs(a - b)) > 1e-6
 
 
@@ -241,9 +252,9 @@ def test_adam_direction_requires_a_completed_step():
 def test_run_adam_on_stream_vector_matches_scalar_columns():
     cfg = _paper_cfg()
     grads = RngStream(9, stream=0).normal(size=(30, 3))
-    theta_vec, _ = run_adam_on_stream(grads, cfg)
+    theta_vec, _ = _run_adam_on_stream(grads, cfg)
     for j in range(3):
         # elementwise updates: each coordinate evolves independently, so a
         # single-column run must reproduce that column bit for bit
-        theta_j, _ = run_adam_on_stream(grads[:, j : j + 1], cfg)
+        theta_j, _ = _run_adam_on_stream(grads[:, j : j + 1], cfg)
         assert theta_j[0] == theta_vec[j]

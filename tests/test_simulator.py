@@ -4,6 +4,7 @@ import os
 import sys
 import tempfile
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -442,6 +443,94 @@ def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
         trace.diverged, trace.divergence_reason)
 
 
+def _exact_mean_staleness(trace, warmup_pushes=None):
+    _, hist = staleness_summary(trace, warmup_pushes)
+    return Fraction(sum(k * v for k, v in hist.items()), sum(hist.values()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    l=st.integers(1, 4),
+    g=st.integers(1, 4),
+    blocks=st.integers(1, 4),
+)
+def test_async_family_steady_state_staleness_is_n_minus_one_over_g(n, l, g, blocks):
+    """combined(L, G) with equal-speed workers: once every worker has
+    pushed, each update is shared by G pushes, so the mean staleness over
+    whole G-push blocks is exactly (N-1)/G, whatever L is."""
+    warmup = g * -(-n // g)  # G * ceil(N/G)
+    trace = run_simulation(
+        _cfg(
+            workers=n,
+            strategy=Strategy.combined(l, g),
+            budget_updates=warmup // g + blocks,
+        )
+    )
+    assert _exact_mean_staleness(trace, warmup) == Fraction(n - 1, g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    u=st.integers(1, 4),
+    cycles=st.integers(1, 4),
+    cost_max=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_barrier_family_staleness_is_half_u_minus_one(n, u, cycles, cost_max, seed):
+    """sync_stale-U (sync for U=1) with noisy compute: after the first
+    round, each pull period gives staleness 0, 1, ..., U-1 to all N
+    pushes, so the mean over whole periods is exactly (U-1)/2."""
+    trace = run_simulation(
+        _cfg(
+            workers=n,
+            strategy=Strategy.sync_stale(u) if u > 1 else Strategy.sync(),
+            batch_budget=4,
+            batch_cost_max=cost_max,
+            compute=ComputeTimeModel.normal(1.0, 0.2),
+            budget_updates=cycles * u + 1,
+            seed=seed,
+        )
+    )
+    assert _exact_mean_staleness(trace) == Fraction(u - 1, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    family=st.sampled_from(sorted(_FAMILIES)),
+    l=st.integers(1, 4),
+    g=st.integers(1, 4),
+    u=st.integers(1, 4),
+    cost_max=st.integers(1, 4),
+)
+def test_mean_and_sum_combine_agree_under_scale_invariant_adam(
+    n, family, l, g, u, cost_max
+):
+    """With epsilon = 0 Adam ignores the gradient scale, so summing instead
+    of averaging the L*G accumulated gradients changes neither the event
+    order nor, up to rounding, the parameters."""
+    runs = [
+        run_simulation(
+            _cfg(
+                workers=n,
+                strategy=_FAMILIES[family](l, g, u),
+                adam=AdamConfig(epsilon=0.0),
+                combine=combine,
+                batch_budget=4,
+                batch_cost_max=cost_max,
+                compute=ComputeTimeModel.normal(1.0, 0.2),
+                budget_updates=10,
+            )
+        )
+        for combine in ("mean", "sum")
+    ]
+    mean_run, sum_run = runs
+    assert [r.staleness for r in mean_run.rows] == [r.staleness for r in sum_run.rows]
+    np.testing.assert_allclose(sum_run.final_theta, mean_run.final_theta, rtol=1e-12)
+
+
 def test_parallel_probe_cache_holds_under_thread_stress():
     objective = _CountingObjective()
     cfg = _cfg(
@@ -510,10 +599,22 @@ def test_trace_csv_rejects_other_schema(tmp_path):
 # parallel engine
 
 
-def test_parallel_rejects_barrier_strategies():
-    for s in (Strategy.sync(), Strategy.sync_stale(3)):
-        with pytest.raises(ValueError):
-            run_parallel(_cfg(strategy=s, parallel_time_scale=1e-4))
+@pytest.mark.parametrize(
+    "strategy,allowed",
+    [(Strategy.sync(), {0}), (Strategy.sync_stale(3), {0, 1, 2})],
+    ids=["sync", "sync_stale-3"],
+)
+def test_parallel_runs_barrier_strategies(strategy, allowed):
+    cfg = _cfg(
+        strategy=strategy,
+        compute=ComputeTimeModel.constant(0.001),
+        budget_updates=12,
+        parallel_time_scale=1.0,
+    )
+    trace = _finishes(lambda: run_parallel(cfg))["trace"]
+    assert trace.updates == 12
+    assert trace.pushes == cfg.workers * trace.updates
+    assert {r.staleness for r in trace.rows} <= allowed
 
 
 def test_parallel_single_worker_matches_serial_trajectory():
