@@ -44,7 +44,6 @@ from .optim import (
 )
 from .simulator import (
     DivergenceError,
-    GradientMsg,
     RunTrace,
     Strategy,
     TraceRow,
@@ -64,7 +63,6 @@ __all__ = [
     "DivergenceError",
     "ExperimentConfig",
     "GradStreamStats",
-    "GradientMsg",
     "LinearRegression",
     "LrSchedule",
     "Mlp",

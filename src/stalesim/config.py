@@ -142,6 +142,12 @@ class ExperimentConfig:
             raise ValueError("batch.budget must be >= 1")
         if self.batch_cost_max < 1:
             raise ValueError("batch.cost_max must be >= 1")
+        if self.batch_cost_max > self.batch_budget:
+            # a sample costlier than the budget fits in no batch
+            raise ValueError(
+                f"batch.cost_max ({self.batch_cost_max}) must not exceed "
+                f"batch.budget ({self.batch_budget})"
+            )
         if self.budget_updates < 1:
             raise ValueError("budget.updates must be >= 1")
         if self.budget_sim_time < 0:

@@ -16,13 +16,19 @@ worker's parameter pull and the push, so synchronous runs record 0, async
 with N equal-speed workers settles at N-1, and server-side accumulation
 divides staleness by sharing one update among G pulls.
 
+One object, _Run, holds a run's whole state: the server's parameters,
+accumulator, optimizer state and trace rows, and each worker's stream,
+pulled snapshot, local buffer and batch in flight, in lists by worker id.
+Its push method is the whole push step, from the worker's gradient to the
+trace row, with no message in between.
+
 Both engines run one event loop, _Run.execute, on the calling thread; they
 differ only in where worker completions come from. run_simulation takes
 them from a heap of simulated finish times (ties broken by lower worker
 id), so it is deterministic. run_parallel takes them from N threads that
-only sleep for the sampled durations and report when they woke, so its
-timings and interleavings are genuinely nondeterministic while every
-bookkeeping rule, and all of the numerics, stay the same.
+only sleep until the same simulated deadlines and report when they woke,
+so its timings and interleavings are genuinely nondeterministic while
+every bookkeeping rule, and all of the numerics, stay the same.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (
-    ComputeTimeModel,
     LrSchedule,
     RngStream,
     Vec,
@@ -57,19 +62,16 @@ from .models import (
     make_cost_stream,
     make_linreg_samples,
 )
-from .optim import AdamConfig, AdamState, adam_step, sgd_step
+from .optim import AdamState, adam_step, sgd_step
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 __all__ = [
     "Strategy",
-    "GradientMsg",
     "TraceRow",
     "RunTrace",
     "DivergenceError",
-    "ParameterServer",
-    "Worker",
     "run_simulation",
     "run_parallel",
     "staleness_summary",
@@ -205,18 +207,6 @@ class Strategy:
 
 
 @dataclass(frozen=True)
-class GradientMsg:
-    """One pushed gradient: the (combined) local buffer plus the book
-    keeping the server needs for staleness accounting."""
-
-    grad: Vec
-    worker: int
-    pull_version: int
-    push_time: float
-    cost: int
-
-
-@dataclass(frozen=True)
 class TraceRow:
     update_idx: int
     sim_time_s: float
@@ -242,9 +232,9 @@ TRACE_COLUMNS = (
 
 
 class DivergenceError(RuntimeError):
-    """Raised by ParameterServer when the parameters, Adam's second moment
-    or the probe loss stop being finite. Both engines convert it into a
-    diverged trace that keeps every row recorded before the blow-up."""
+    """Raised by the push step, _Run.push, when the parameters, Adam's
+    second moment or the probe loss stop being finite. Both engines convert
+    it into a diverged trace that keeps every row recorded before it."""
 
 
 @dataclass
@@ -363,176 +353,6 @@ def staleness_summary(
     return sum(vals) / len(vals), dict(Counter(vals))
 
 
-class ParameterServer:
-    """Holds parameters and Adam's state (SGD keeps none), applies one
-    optimizer update per `g_count` pushed gradients, and records one trace
-    row per push.
-
-    It is the one place that checks run values for finiteness: the new
-    parameters and Adam's second moment v once per update, the probe loss
-    once per version. A non-finite gradient makes the SGD parameters or
-    Adam's v non-finite at the update that applies it; so does a finite one
-    above ~1e154, whose g*g overflows v and would freeze its coordinate.
-
-    The probe loss is evaluated once per parameter version: theta changes
-    only on an update, so the rows of the pushes between two updates repeat
-    the loss computed for their version. With G > 1 (and for the barrier
-    strategies) that is one probe per G pushes instead of one per push.
-    """
-
-    def __init__(
-        self,
-        theta0: Vec,
-        adam: AdamConfig | None,
-        schedule: LrSchedule,
-        g_count: int,
-        combine: str,
-        probe_loss,
-        strategy_label: str,
-    ):
-        if combine not in ("mean", "sum"):
-            raise ValueError(f"combine must be 'mean' or 'sum', got {combine!r}")
-        self.theta = theta0.copy()
-        self.version = 0
-        self.accum = np.zeros_like(self.theta)
-        self.accum_count = 0
-        self.adam = adam  # None runs plain SGD, which keeps no state
-        self.adam_state = None if adam is None else AdamState.zeros(len(theta0))
-        self.schedule = schedule
-        self.g_count = g_count
-        self.combine = combine
-        self.probe_loss = probe_loss
-        self.loss = 0.0
-        self.loss_version = -1  # the version `loss` was probed at
-        self.strategy_label = strategy_label
-        self.total_pushes = 0
-        self.total_cost = 0
-        self.last_lr = 0.0
-        self.rows: list[TraceRow] = []
-
-    def on_push(self, msg: GradientMsg) -> bool:
-        """Process one pushed gradient; returns True when it completed an
-        optimizer update. Raises DivergenceError on any non-finite value."""
-        staleness = self.version - msg.pull_version
-        if staleness < 0:
-            raise RuntimeError("pull_version ahead of server version")
-        self.total_pushes += 1
-        self.total_cost += msg.cost
-        self.accum += msg.grad
-        self.accum_count += 1
-        updated = False
-        if self.accum_count == self.g_count:
-            g = self.accum / self.g_count if self.combine == "mean" else self.accum
-            lr = self.schedule.lr_at(self.version + 1)
-            if self.adam is None:
-                self.theta = sgd_step(self.theta, g, lr)
-            else:
-                self.adam_state, self.theta = adam_step(
-                    self.adam_state, self.adam, self.theta, g, lr
-                )
-            self.version += 1
-            self.accum[:] = 0.0
-            self.accum_count = 0
-            self.last_lr = lr
-            updated = True
-            if not vec_is_finite(self.theta):
-                raise DivergenceError(
-                    f"parameters went non-finite at update {self.version}"
-                )
-            if self.adam is not None and not vec_is_finite(self.adam_state.v):
-                raise DivergenceError(
-                    f"Adam's second moment went non-finite at update {self.version}"
-                )
-        if self.loss_version != self.version:
-            loss = float(self.probe_loss(self.theta))
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"probe loss went non-finite at update {self.version}"
-                )
-            self.loss, self.loss_version = loss, self.version
-        self.rows.append(
-            TraceRow(
-                update_idx=self.version,
-                sim_time_s=msg.push_time,
-                pushes=self.total_pushes,
-                staleness=staleness,
-                loss_probe=self.loss,
-                lr=self.last_lr,
-                strategy=self.strategy_label,
-                worker_id=msg.worker,
-            )
-        )
-        return updated
-
-
-class Worker:
-    """One worker's local state: pulled parameters, local accumulation
-    buffer, private RNG, and the batch currently in flight.
-
-    Per compute cycle the stream is consumed in a fixed order (duration
-    draw at start_compute, then gradient noise at finish_compute) so the
-    serial and threaded executors walk identical sample sequences.
-    """
-
-    def __init__(
-        self, wid: int, rng: RngStream, theta0: Vec, local_target: int, combine: str
-    ):
-        self.id = wid
-        self.rng = rng
-        self.theta_local = theta0.copy()
-        self.pulled_version = 0
-        self.buffer = np.zeros_like(theta0)
-        self.local_count = 0
-        self.local_cost = 0
-        self.local_target = local_target
-        self.combine = combine
-        self.batch: Batch | None = None
-
-    def start_compute(self, batch: Batch, model: ComputeTimeModel) -> float:
-        """Accept a batch; returns the compute duration in simulated
-        seconds (per-cost-unit sample times the batch's total cost)."""
-        self.batch = batch
-        return sample_compute_time(self.rng, model) * batch.total_cost
-
-    def finish_compute(
-        self, objective: Objective, push_time: float
-    ) -> GradientMsg | None:
-        """Compute the gradient of the in-flight batch against the locally
-        held parameters and fold it into the local buffer. Emits a message
-        once local_target gradients have accumulated, else None.
-
-        The message's pull_version is the version pulled before the FIRST
-        gradient in the buffer; re-pulls only happen at push time, so the
-        whole buffer was computed against one parameter snapshot.
-        """
-        g = objective.grad(self.theta_local, self.batch, self.rng)
-        self.buffer += g
-        self.local_count += 1
-        self.local_cost += self.batch.total_cost
-        self.batch = None
-        if self.local_count < self.local_target:
-            return None
-        if self.combine == "mean":
-            payload = self.buffer / self.local_target
-        else:
-            payload = self.buffer.copy()
-        msg = GradientMsg(
-            grad=payload,
-            worker=self.id,
-            pull_version=self.pulled_version,
-            push_time=push_time,
-            cost=self.local_cost,
-        )
-        self.buffer = np.zeros_like(self.buffer)
-        self.local_count = 0
-        self.local_cost = 0
-        return msg
-
-    def pull(self, server: ParameterServer) -> None:
-        self.theta_local = server.theta.copy()
-        self.pulled_version = server.version
-
-
 def build_experiment(
     cfg: "ExperimentConfig",
     objective: Objective | None = None,
@@ -618,78 +438,160 @@ def build_experiment(
     return objective, dataset, probe, theta0
 
 
-def _make_schedule(cfg: "ExperimentConfig", local: int, global_count: int) -> LrSchedule:
-    sched = LrSchedule(
-        base_lr=cfg.adam.alpha,
-        warmup_updates=cfg.schedule_warmup,
-        decay=cfg.schedule_decay,
-        batch_scale_factor=cfg.schedule_batch_scale,
-    )
-    # one update aggregates L*G pushes' worth of samples
-    return sched.scaled_for_batch(local * global_count)
-
-
 class _Run:
-    """One run's server, workers and batch feed, with the push step, the
-    divergence handling and the trace assembly that both engines share."""
+    """One run's whole state and the push step both engines share.
+
+    Server side: the parameters, their version (the count of optimizer
+    updates applied), the accumulator of pushed gradients, Adam's state
+    (none for SGD) and the trace rows. One update is applied per G pushes.
+    This is the one place that checks run values for finiteness: the new
+    parameters and Adam's second moment v once per update, the probe loss
+    once per version. A non-finite gradient makes the SGD parameters or
+    Adam's v non-finite at the update that applies it; so does a finite one
+    above ~1e154, whose g*g overflows v and would freeze its coordinate.
+
+    The probe loss is evaluated once per parameter version: theta changes
+    only on an update, so the rows of the pushes between two updates repeat
+    the loss computed for their version. With G > 1 (and for the barrier
+    strategies) that is one probe per G pushes instead of one per push.
+
+    Worker side, in lists indexed by worker id: the RNG stream, the
+    (theta, version) pulled last, the local buffer with the count and cost
+    of the gradients in it, and the batch in flight. Per compute cycle a
+    stream is consumed in a fixed order (duration draw in start, then
+    gradient noise in push), so both engines walk identical sample
+    sequences.
+    """
 
     def __init__(self, cfg: "ExperimentConfig", pieces: tuple):
-        objective, dataset, probe, theta0 = build_experiment(cfg, *pieces)
-        local, global_count, self.pull_every = cfg.strategy.effective(cfg.workers)
-        self.cfg = cfg
-        self.objective = objective
-        self.server = ParameterServer(
-            theta0,
-            cfg.adam if cfg.optimizer_kind == "adam" else None,
-            _make_schedule(cfg, local, global_count),
-            global_count,
-            cfg.combine,
-            lambda th: objective.loss(th, probe),
-            cfg.strategy.label,
+        self.objective, dataset, self.probe, theta0 = build_experiment(cfg, *pieces)
+        self.local, self.global_count, self.pull_every = cfg.strategy.effective(
+            cfg.workers
         )
-        self.workers = [
-            Worker(
-                i,
-                RngStream(cfg.seed, STREAM_WORKER_BASE + i),
-                theta0,
-                local,
-                cfg.combine,
-            )
-            for i in range(cfg.workers)
-        ]
+        self.cfg = cfg
+        self.mean = cfg.combine == "mean"
+        # one update aggregates L*G pushes' worth of samples
+        self.schedule = LrSchedule(
+            base_lr=cfg.adam.alpha,
+            warmup_updates=cfg.schedule_warmup,
+            decay=cfg.schedule_decay,
+            batch_scale_factor=cfg.schedule_batch_scale,
+        ).scaled_for_batch(self.local * self.global_count)
+        self.theta = theta0.copy()
+        self.version = 0
+        self.accum = np.zeros_like(self.theta)
+        self.accum_count = 0
+        # None runs plain SGD, which keeps no state
+        self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
+        self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
+        self.loss = 0.0
+        self.loss_version = -1  # the version `loss` was probed at
+        self.last_lr = 0.0
+        self.total_cost = 0
+        self.rows: list[TraceRow] = []
+        n = cfg.workers
+        self.ids = range(n)
+        self.rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in self.ids]
+        self.pulled_theta = [theta0.copy() for _ in self.ids]
+        self.pulled_version = [0] * n
+        self.bufs = [np.zeros_like(theta0) for _ in self.ids]
+        self.buf_count = [0] * n
+        self.buf_cost = [0] * n
+        self.in_flight: list[Batch | None] = [None] * n
         # round-robin over the batches in dataset order
         self.batches = itertools.cycle(dynamic_batcher(dataset, cfg.batch_budget))
 
-    def start(self, w: Worker) -> float:
-        """Hand w the next batch; returns its compute duration."""
-        return w.start_compute(next(self.batches), self.cfg.compute)
+    def start(self, w: int) -> float:
+        """Hand worker w the next batch; returns its compute duration in
+        simulated seconds (per-cost-unit sample times the batch's cost)."""
+        batch = self.in_flight[w] = next(self.batches)
+        return sample_compute_time(self.rngs[w], self.cfg.compute) * batch.total_cost
 
-    def push(self, w: Worker, t: float) -> tuple[float, list[Worker]] | None:
-        """Finish w's batch at time t and push when its local buffer is
-        full. Returns (start, workers): the workers that start their next
-        batch, at simulated time `start`; None once the update budget is met.
+    def pull(self, w: int) -> None:
+        # a copy, so no later update can change what w computes against
+        self.pulled_theta[w] = self.theta.copy()
+        self.pulled_version[w] = self.version
 
-        In the async family the pusher re-pulls and goes on. A barrier
-        strategy holds finished workers until the round's update lands,
-        then restarts all N together, re-pulling only when the update count
-        is a multiple of the pull period.
+    def push(self, w: int, t: float) -> tuple[float, list[int] | range] | None:
+        """Finish worker w's batch at time t and push when its local buffer
+        holds L gradients. Returns (start, workers): the workers that start
+        their next batch, at simulated time `start`; None once the update
+        budget is met. Raises DivergenceError on any non-finite value.
+
+        The whole buffer was computed against one pulled snapshot, since
+        re-pulls only happen at push time, so the push's staleness is the
+        number of updates since that pull. In the async family the pusher
+        re-pulls and goes on. A barrier strategy holds finished workers
+        until the round's update lands, then restarts all N together,
+        re-pulling only when the update count is a multiple of the pull
+        period.
         """
-        cfg, server = self.cfg, self.server
-        msg = w.finish_compute(self.objective, t + cfg.comm_latency)
-        if msg is None:
+        cfg = self.cfg
+        batch = self.in_flight[w]
+        buf = self.bufs[w]
+        buf += self.objective.grad(self.pulled_theta[w], batch, self.rngs[w])
+        self.buf_count[w] += 1
+        self.buf_cost[w] += batch.total_cost
+        if self.buf_count[w] < self.local:
             return t, [w]
-        updated = server.on_push(msg)
+        self.accum += buf / self.local if self.mean else buf
+        buf[:] = 0.0
+        self.total_cost += self.buf_cost[w]
+        self.buf_count[w] = self.buf_cost[w] = 0
+        staleness = self.version - self.pulled_version[w]
+        self.accum_count += 1
+        updated = self.accum_count == self.global_count
+        if updated:
+            g = self.accum / self.global_count if self.mean else self.accum
+            lr = self.schedule.lr_at(self.version + 1)
+            if self.adam is None:
+                self.theta = sgd_step(self.theta, g, lr)
+            else:
+                self.adam_state, self.theta = adam_step(
+                    self.adam_state, self.adam, self.theta, g, lr
+                )
+            self.version += 1
+            self.accum[:] = 0.0
+            self.accum_count = 0
+            self.last_lr = lr
+            if not vec_is_finite(self.theta):
+                raise DivergenceError(
+                    f"parameters went non-finite at update {self.version}"
+                )
+            if self.adam is not None and not vec_is_finite(self.adam_state.v):
+                raise DivergenceError(
+                    f"Adam's second moment went non-finite at update {self.version}"
+                )
+        if self.loss_version != self.version:
+            loss = float(self.objective.loss(self.theta, self.probe))
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"probe loss went non-finite at update {self.version}"
+                )
+            self.loss, self.loss_version = loss, self.version
+        self.rows.append(
+            TraceRow(
+                update_idx=self.version,
+                sim_time_s=t + cfg.comm_latency,
+                pushes=len(self.rows) + 1,
+                staleness=staleness,
+                loss_probe=self.loss,
+                lr=self.last_lr,
+                strategy=cfg.strategy.label,
+                worker_id=w,
+            )
+        )
         if not cfg.strategy.is_barrier:
-            w.pull(server)
+            self.pull(w)
             nxt = [w]
         elif not updated:
             return t, []  # wait at the barrier for the round to finish
         else:
-            if server.version % self.pull_every == 0:
-                for ww in self.workers:
-                    ww.pull(server)
-            nxt = self.workers  # next round, batch grab in id order
-        if server.version >= cfg.budget_updates:
+            if self.version % self.pull_every == 0:
+                for i in self.ids:
+                    self.pull(i)
+            nxt = self.ids  # next round, batch grab in id order
+        if self.version >= cfg.budget_updates:
             return None
         return t + cfg.comm_latency, nxt
 
@@ -698,8 +600,8 @@ class _Run:
         where completions come from.
 
         Every worker starts in id order, staggered at i/N seconds:
-        begin(w, start, d) hands w a batch that takes d simulated seconds
-        from `start`. finished() returns the next completion as
+        begin(w, start, d) hands worker w a batch that takes d simulated
+        seconds from `start`. finished() returns the next completion as
         (t, worker id). The loop takes the push step (see push) on that
         worker and begins the workers it names. It stops once the update
         budget is met, at the first completion past cfg.budget_sim_time
@@ -707,19 +609,19 @@ class _Run:
         with a diverged trace that keeps every row recorded before it. Any
         other exception propagates.
         """
-        cfg, workers = self.cfg, self.workers
+        cfg = self.cfg
         reason = None
         try:
             # divergence detection rides on IEEE inf/nan propagation; the
             # overflow on the way down is expected, not worth a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                for w in workers:
-                    begin(w, w.id / len(workers), self.start(w))
+                for w in self.ids:
+                    begin(w, w / cfg.workers, self.start(w))
                 while True:
-                    t, wid = finished()
+                    t, w = finished()
                     if cfg.budget_sim_time > 0 and t > cfg.budget_sim_time:
                         break
-                    step = self.push(workers[wid], t)
+                    step = self.push(w, t)
                     if step is None:
                         break
                     start, nxt = step
@@ -727,15 +629,14 @@ class _Run:
                         begin(w, start, self.start(w))
         except DivergenceError as e:
             reason = str(e)
-        server = self.server
         return RunTrace(
-            rows=server.rows,
+            rows=self.rows,
             n_workers=cfg.workers,
             strategy_label=cfg.strategy.label,
             diverged=reason is not None,
             divergence_reason=reason,
-            final_theta=server.theta.copy(),
-            total_cost=server.total_cost,
+            final_theta=self.theta.copy(),
+            total_cost=self.total_cost,
         )
 
 
@@ -757,7 +658,7 @@ def run_simulation(
     run = _Run(cfg, (objective, dataset, probe, theta0))
     heap: list[tuple[float, int]] = []
     return run.execute(
-        lambda w, start, d: heapq.heappush(heap, (start + d, w.id)),
+        lambda w, start, d: heapq.heappush(heap, (start + d, w)),
         lambda: heapq.heappop(heap),
     )
 
@@ -771,39 +672,45 @@ def run_parallel(
 ) -> RunTrace:
     """Run the same event loop with completions timed by N real threads.
 
-    Each worker thread only sleeps: it takes a duration from its queue,
-    sleeps for it (scaled by cfg.parallel_time_scale real seconds per
-    simulated second) and reports the wall time it woke at, in simulated
-    seconds, on one shared queue. Every push step, and so all gradient and
-    optimizer math, runs on the calling thread in _Run.execute, in the
-    order the threads report. A barrier worker is given no next duration
-    until its round's update lands, so every strategy runs here.
+    Each worker thread only sleeps: it takes a wake-up deadline from its
+    queue, the simulated time start + d that the serial engine's heap
+    would hold, sleeps until then (cfg.parallel_time_scale real seconds
+    per simulated second, counted from the run's start) and reports the
+    time it woke, in simulated seconds, on one shared queue. So threaded
+    runs honour comm.latency and the i/N start stagger. Every push step,
+    and so all gradient and optimizer math, runs on the calling thread in
+    _Run.execute, in the order the threads report. A barrier worker is
+    given no next deadline until its round's update lands, so every
+    strategy runs here.
 
     Timings and interleavings are nondeterministic, so only statistical
     assertions hold; with N=1 the update trajectory matches the serial
     engine exactly (timestamps aside). Divergence ends in a diverged
     trace, as in run_simulation; any other exception propagates. The
-    threads are stopped and joined on every exit.
+    threads are stopped, cutting short any sleep still running, and joined
+    on every exit.
     """
     run = _Run(cfg, (objective, dataset, probe, theta0))
     scale = cfg.parallel_time_scale
-    go = [queue.SimpleQueue() for _ in run.workers]
+    go = [queue.SimpleQueue() for _ in run.ids]
     done = queue.SimpleQueue()
+    stop = threading.Event()  # cuts the sleeps still running at the end
     t0 = time.monotonic()
 
-    def sleeper(wid: int) -> None:
-        while (d := go[wid].get()) is not None:
-            time.sleep(d * scale)
-            done.put(((time.monotonic() - t0) / scale, wid))
+    def sleeper(w: int) -> None:
+        while (until := go[w].get()) is not None:
+            stop.wait(max(0.0, until * scale - (time.monotonic() - t0)))
+            done.put(((time.monotonic() - t0) / scale, w))
 
     threads = []
     try:
-        for w in run.workers:
-            th = threading.Thread(target=sleeper, args=(w.id,), name=f"worker-{w.id}")
+        for w in run.ids:
+            th = threading.Thread(target=sleeper, args=(w,), name=f"worker-{w}")
             th.start()
             threads.append(th)
-        return run.execute(lambda w, start, d: go[w.id].put(d), done.get)
+        return run.execute(lambda w, start, d: go[w].put(start + d), done.get)
     finally:
+        stop.set()
         for q in go:
             q.put(None)
         for th in threads:

@@ -290,17 +290,20 @@ def test_c09_byte_identical_reruns(capsys, tmp_path):
 def test_c10_parallel_mode_staleness_ordering(capsys):
     # real threads, real sleeps: global accumulation must still show less
     # staleness than plain async in at least 4 of 5 paired runs
+    # (1 ms real sleeps; at 0.1 simulated seconds a batch, the i/N start
+    # stagger spans 2.5 batches, not the whole run)
     def arm(strategy, updates, seed):
         trace = run_parallel(default_config(
             objective=ObjectiveSpec(kind="quadratic", dim=4, cond=3.0,
                                     noise_sigma=0.5, samples=32),
             workers=4,
             strategy=strategy,
-            compute=ComputeTimeModel.constant(0.001),
+            compute=ComputeTimeModel.constant(0.1),
             batch_budget=1,
             budget_updates=updates,
             seed=seed,
             parallel=True,
+            parallel_time_scale=0.01,
         ))
         mean, _ = staleness_summary(trace)
         return mean

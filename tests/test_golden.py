@@ -4,12 +4,21 @@ A speed change must leave every written byte as it was. The first five
 digests were taken from the engine before probe-loss and batch-array
 caching, the 4096-sample linreg case from the engine that still built its
 datasets from per-row sample objects, so any change to the numbers, the
-row order or the file formats shows up here.
+row order or the file formats shows up here. The two cases for `sum`
+combine with latency and warm-up, and for SGD under combined
+accumulation, were taken from the engine that still passed each push
+through a worker object and a gradient message.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
+
+`PYTHONPATH=src python tests/test_golden.py` prints every case's digest
+on the source it imports, so a change can take its parent's digests from
+a checkout of the parent with the same code.
 """
 
 import hashlib
+import pathlib
+import tempfile
 
 import pytest
 
@@ -89,11 +98,22 @@ GOLDEN = {
         _LINREG_LARGE + "strategy = global_accum-4\n",
         "c4911665498ed5ead8e6fd8a6a5585da598478f8a5ea3f50d7523c2ec6459fad",
     ),
+    "quadratic-local_accum-3-sum-latency-warmup": (
+        _QUAD
+        + "strategy = local_accum-3\ncombine = sum\n"
+        + "comm.latency = 0.25\nschedule.warmup = 5\n",
+        "e88b9779edc4d7d3c20d6c5d6125b9a3f9a75c4b25c73e3247105d3b1a03f277",
+    ),
+    "linreg-combined-3-2-sgd": (
+        _LINREG + "strategy = combined-3-2\noptimizer.kind = sgd\n",
+        "107ecd269e1b43feffa53f7f2351dfcf685302038e81bade4abbf23e7cbf5f2f",
+    ),
 }
 
 
 def output_digest(text: str, out_dir) -> str:
-    run_experiment(parse_config(text + _NOISY), str(out_dir))
+    trace, _ = run_experiment(parse_config(text + _NOISY), str(out_dir))
+    assert not trace.diverged, trace.divergence_reason
     h = hashlib.sha256()
     for name in ("trace.csv", "summary.json"):
         h.update((out_dir / name).read_bytes())
@@ -104,3 +124,9 @@ def output_digest(text: str, out_dir) -> str:
 def test_outputs_match_golden_digest(name, tmp_path):
     text, digest = GOLDEN[name]
     assert output_digest(text, tmp_path) == digest
+
+
+if __name__ == "__main__":
+    for name in sorted(GOLDEN):
+        with tempfile.TemporaryDirectory() as d:
+            print(name, output_digest(GOLDEN[name][0], pathlib.Path(d)))

@@ -255,6 +255,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+def test_cli_rejects_cost_max_above_batch_budget(tmp_path, capsys):
+    # such a sample fits in no batch; it is bad input, not an internal error
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("objective.kind = linreg\nbatch.cost_max = 4\nbatch.budget = 2\n")
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "batch.cost_max" in err and "batch.budget" in err
+
+
 def test_cli_rejects_missing_file(capsys):
     assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG_ERROR
     assert "cannot read" in capsys.readouterr().err

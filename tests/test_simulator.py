@@ -607,14 +607,43 @@ def test_trace_csv_rejects_other_schema(tmp_path):
 def test_parallel_runs_barrier_strategies(strategy, allowed):
     cfg = _cfg(
         strategy=strategy,
-        compute=ComputeTimeModel.constant(0.001),
+        compute=ComputeTimeModel.constant(0.1),
         budget_updates=12,
-        parallel_time_scale=1.0,
+        parallel_time_scale=0.01,
     )
     trace = _finishes(lambda: run_parallel(cfg))["trace"]
     assert trace.updates == 12
     assert trace.pushes == cfg.workers * trace.updates
     assert {r.staleness for r in trace.rows} <= allowed
+
+
+def test_parallel_sleeps_the_comm_latency():
+    # a threaded worker wakes at start + d, and its next start is the push
+    # time plus the message latency, as in the serial engine's heap
+    cfg = _cfg(
+        workers=1,
+        compute=ComputeTimeModel.constant(0.4),
+        comm_latency=0.2,
+        budget_updates=6,
+        parallel_time_scale=0.1,
+    )
+    rows = run_parallel(cfg).rows
+    gaps = [b.sim_time_s - a.sim_time_s for a, b in zip(rows, rows[1:])]
+    assert len(gaps) == 5
+    assert min(gaps) >= 0.6 - 1e-9, gaps
+
+
+def test_parallel_staggers_the_first_starts():
+    # worker 1 starts at 1/2 simulated seconds; worker 0 finishes its
+    # first ten batches of 0.01 s before then, as it does serially
+    cfg = _cfg(
+        workers=2,
+        compute=ComputeTimeModel.constant(0.01),
+        budget_updates=10,
+        parallel_time_scale=0.2,
+    )
+    assert [r.worker_id for r in run_simulation(cfg).rows] == [0] * 10
+    assert [r.worker_id for r in run_parallel(cfg).rows] == [0] * 10
 
 
 def test_parallel_single_worker_matches_serial_trajectory():
