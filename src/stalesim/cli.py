@@ -115,9 +115,12 @@ def _parse_grid(items: list[str]) -> dict:
             raise ConfigError(f"--grid expects KEY=V1,V2,..., got {item!r}")
         key, _, values = item.partition("=")
         vals = [v.strip() for v in values.split(",") if v.strip()]
+        key = key.strip()
         if not vals:
             raise ConfigError(f"--grid {key}: no values given")
-        grid[key.strip()] = vals
+        if key in grid:
+            raise ConfigError(f"--grid {key} given twice; list all its values in one")
+        grid[key] = vals
     return grid
 
 

@@ -21,6 +21,12 @@ the constraint named. parse and serialize round-trip to an equal config.
 
 The table `_KEYS` is the one list of keys, with each key's field and type:
 parse_config, its assembly step and serialize_config all read it.
+
+`strategy = LABEL` (e.g. `strategy = combined-2-3`) is shorthand: it is
+expanded into the four strategy.* values as soon as it is read, so a bad
+label is reported with its line. A document may use either form, not both.
+Overrides apply in order: a label sets all four values, a strategy.* key
+refines them.
 """
 
 from __future__ import annotations
@@ -227,11 +233,12 @@ _KEYS = (
 )
 _TAGS = {k.key: k.tag for k in _KEYS}
 _TAGS["strategy"] = "str"  # label form, e.g. "combined-2-2"; the one key outside _KEYS
+_STRATEGY_KEYS = [k for k in _KEYS if k.path.startswith("strategy.")]
 _DEFAULTS = ExperimentConfig()
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _convert(key: str, raw: str, line: int):
+def _convert(key: str, raw: str, line: int | None):
     tag = _TAGS[key]
     try:
         if tag == "int":
@@ -251,11 +258,25 @@ def _convert(key: str, raw: str, line: int):
     return nums[0] if tag == "float" else nums
 
 
+def _set(values: dict, key: str, raw: str, line: int | None) -> None:
+    """Convert one raw value into values. The label form is shorthand: it
+    sets all four strategy.* values at once."""
+    if key != "strategy":
+        values[key] = _convert(key, raw, line)
+        return
+    try:
+        s = Strategy.parse(raw)
+    except ValueError as e:
+        raise ConfigError(str(e), line) from None
+    for k in _STRATEGY_KEYS:
+        values[k.key] = getattr(s, k.path.partition(".")[2])
+
+
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a config document, apply documented defaults, validate.
 
     overrides, when given, maps keys to raw string values applied on top
-    of the document (the CLI's --seed/--out-dir/--parallel flags).
+    of the document in order (the CLI's --seed/--out-dir/--parallel flags).
     """
     values: dict[str, object] = {}
     seen: dict[str, int] = {}
@@ -275,26 +296,17 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 f"duplicate key {key!r} (first set on line {seen[key]})", lineno
             )
         seen[key] = lineno
-        values[key] = _convert(key, raw, lineno)
+        _set(values, key, raw, lineno)
+    for k in _STRATEGY_KEYS:
+        if "strategy" in seen and k.key in seen:
+            raise ConfigError(
+                f"strategy (label form) conflicts with {k.key}; use one style",
+                max(seen["strategy"], seen[k.key]),
+            )
     for key, raw in (overrides or {}).items():
         if key not in _TAGS:
             raise ConfigError(f"unknown override key {key!r}")
-        # an override in one strategy style supersedes the other style
-        if key == "strategy":
-            for k in list(values):
-                if k.startswith("strategy."):
-                    del values[k]
-        elif key.startswith("strategy.") and "strategy" in values:
-            # a component override refines the label: expand it first
-            try:
-                s = Strategy.parse(values.pop("strategy"))
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
-            for k in _KEYS:
-                owner, _, name = k.path.partition(".")
-                if owner == "strategy":
-                    values[k.key] = getattr(s, name)
-        values[key] = _convert(key, str(raw), 0)
+        _set(values, key, str(raw), None)
     return _assemble(values)
 
 
@@ -304,16 +316,10 @@ def _assemble(v: dict) -> ExperimentConfig:
     for k in _KEYS:
         if k.key in v:
             owner, _, name = k.path.rpartition(".")
-            if owner == "strategy" and "strategy" in v:
-                raise ConfigError(
-                    f"strategy (label form) conflicts with {k.key}; use one style"
-                )
             (subs.setdefault(owner, {}) if owner else top)[name] = v[k.key]
     try:
         for owner, changes in subs.items():
             top[owner] = replace(getattr(_DEFAULTS, owner), **changes)
-        if "strategy" in v:
-            top["strategy"] = Strategy.parse(v["strategy"])
         return replace(_DEFAULTS, **top)
     except ValueError as e:
         raise ConfigError(str(e)) from None

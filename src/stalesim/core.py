@@ -60,9 +60,6 @@ class RngStream:
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
     def integers(self, low: int, high: int, size=None):
         """Integers drawn uniformly from [low, high] inclusive."""
         return self._gen.integers(low, high, size, endpoint=True)

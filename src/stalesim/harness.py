@@ -17,7 +17,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,38 +107,17 @@ class SummaryReport:
         return EXIT_OK
 
     def to_json(self) -> str:
-        doc = {
-            "schema": SUMMARY_SCHEMA,
-            "strategy": self.strategy,
-            "workers": self.workers,
-            "pushes": self.pushes,
-            "updates": self.updates,
-            "sim_time_s": self.sim_time_s,
-            "throughput_cost_per_s": self.throughput_cost_per_s,
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-            "best_loss": self.best_loss,
-            "mean_staleness": self.mean_staleness,
-            "staleness_histogram": {
-                str(k): v for k, v in sorted(self.staleness_histogram.items())
-            },
-            "thresholds": [
-                {
-                    "kind": t.kind,
-                    "value": t.value,
-                    "loss_level": t.loss_level,
-                    "reached": t.reached,
-                    "sim_time_s": t.sim_time_s,
-                    "sim_hours": None
-                    if t.sim_time_s is None
-                    else t.sim_time_s / 3600.0,
-                }
-                for t in self.thresholds
-            ],
-            "diverged": self.diverged,
-            "divergence_reason": self.divergence_reason,
-            "config": self.config_echo,
-        }
+        """summary.json: the fields, with `config_echo` written as `config`,
+        plus `schema` and each threshold's `sim_hours`, keys sorted."""
+        doc = asdict(self)
+        doc["schema"] = SUMMARY_SCHEMA
+        doc["config"] = doc.pop("config_echo")
+        # keys become str before sort_keys sees them, so the histogram is
+        # written in string order ("10" before "2"), as summary-v1 has it
+        hist = doc["staleness_histogram"]
+        doc["staleness_histogram"] = {str(k): v for k, v in hist.items()}
+        for t in doc["thresholds"]:
+            t["sim_hours"] = None if t["sim_time_s"] is None else t["sim_time_s"] / 3600
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -39,8 +39,8 @@ import queue
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -87,7 +87,16 @@ STREAM_OBJECTIVE = 2
 STREAM_INIT = 3
 STREAM_WORKER_BASE = 10
 
-_KINDS = ("sync", "sync_stale", "async", "local_accum", "global_accum", "combined")
+# The Strategy fields each kind takes, in label order; a kind fixes every
+# other field at 1.
+_PARAMS = {
+    "sync": (),
+    "sync_stale": ("pull_every",),
+    "async": (),
+    "local_accum": ("local",),
+    "global_accum": ("global_count",),
+    "combined": ("local", "global_count"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,11 @@ class Strategy:
     """Communication strategy. Use the factory classmethods; the raw
     constructor insists that parameters irrelevant to `kind` stay at 1 so
     equal strategies compare equal.
+
+    _PARAMS is the one record of which parameters each kind takes: the
+    constructor's checks, label and parse all read it. A label is the kind
+    followed by those parameters in table order, joined by "-", e.g.
+    "sync_stale-7" or "combined-2-3" (local, then global).
 
     Degenerate parameter choices collapse onto each other by construction:
     local_accum(1), global_accum(1), and combined(1,1) all run exactly the
@@ -109,28 +123,16 @@ class Strategy:
     pull_every: int = 1
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.local < 1:
-            raise ValueError("strategy local must be >= 1")
-        if self.global_count < 1:
-            raise ValueError("strategy global must be >= 1")
-        if self.pull_every < 1:
-            raise ValueError("strategy pull_every must be >= 1")
-        fixed = {
-            "sync": ("local", "global_count", "pull_every"),
-            "async": ("local", "global_count", "pull_every"),
-            "sync_stale": ("local", "global_count"),
-            "local_accum": ("global_count", "pull_every"),
-            "global_accum": ("local", "pull_every"),
-            "combined": ("pull_every",),
-        }[self.kind]
-        for name in fixed:
-            if getattr(self, name) != 1:
-                shown = "global" if name == "global_count" else name
-                raise ValueError(
-                    f"strategy {self.kind!r} does not take a {shown} parameter"
-                )
+        # messages name each field as its config key does: global, not global_count
+        names = [(f.name, f.name.removesuffix("_count")) for f in fields(self)[1:]]
+        for name, shown in names:
+            if getattr(self, name) < 1:
+                raise ValueError(f"strategy {shown} must be >= 1")
+        for name, shown in names:
+            if name not in _PARAMS[self.kind] and getattr(self, name) != 1:
+                raise ValueError(f"strategy {self.kind!r} does not take a {shown} parameter")
 
     @classmethod
     def sync(cls) -> "Strategy":
@@ -169,45 +171,31 @@ class Strategy:
 
     @property
     def label(self) -> str:
-        if self.kind == "sync_stale":
-            return f"sync_stale-{self.pull_every}"
-        if self.kind == "local_accum":
-            return f"local_accum-{self.local}"
-        if self.kind == "global_accum":
-            return f"global_accum-{self.global_count}"
-        if self.kind == "combined":
-            return f"combined-{self.local}-{self.global_count}"
-        return self.kind
+        params = (str(getattr(self, n)) for n in _PARAMS[self.kind])
+        return "-".join([self.kind, *params])
 
     @classmethod
     def parse(cls, text: str) -> "Strategy":
         """Inverse of .label, e.g. "async", "sync_stale-7", "combined-2-2"."""
-        parts = text.strip().split("-")
-        kind, args = parts[0], parts[1:]
+        kind, *args = text.strip().split("-")
         try:
             nums = [int(a) for a in args]
         except ValueError:
             raise ValueError(f"bad strategy parameters in {text!r}") from None
+        names = _PARAMS.get(kind)
+        if names is None or len(nums) != len(names):
+            raise ValueError(f"cannot parse strategy {text!r}")
         try:
-            if kind == "sync" and not nums:
-                return cls.sync()
-            if kind == "async" and not nums:
-                return cls.asynchronous()
-            if kind == "sync_stale" and len(nums) == 1:
-                return cls.sync_stale(nums[0])
-            if kind == "local_accum" and len(nums) == 1:
-                return cls.local_accum(nums[0])
-            if kind == "global_accum" and len(nums) == 1:
-                return cls.global_accum(nums[0])
-            if kind == "combined" and len(nums) == 2:
-                return cls.combined(nums[0], nums[1])
+            return cls(kind, **dict(zip(names, nums)))
         except ValueError as e:
             raise ValueError(f"invalid strategy {text!r}: {e}") from None
-        raise ValueError(f"cannot parse strategy {text!r}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One trace.csv row. Its fields, in order, are the file's columns
+    (TRACE_COLUMNS) and their annotations the types RunTrace.from_csv
+    reads the cells back as."""
+
     update_idx: int
     sim_time_s: float
     pushes: int
@@ -219,16 +207,8 @@ class TraceRow:
 
 
 TRACE_SCHEMA = "trace-v1"
-TRACE_COLUMNS = (
-    "update_idx",
-    "sim_time_s",
-    "pushes",
-    "staleness",
-    "loss_probe",
-    "lr",
-    "strategy",
-    "worker_id",
-)
+TRACE_COLUMNS = TraceRow._fields
+_COLUMN_TYPES = tuple(get_type_hints(TraceRow).values())
 
 
 class DivergenceError(RuntimeError):
@@ -276,16 +256,16 @@ class RunTrace:
         return min(r.loss_probe for r in self.rows)
 
     def to_csv(self, path: str) -> None:
+        """Write the trace as trace.csv: header comments, the column names,
+        one line per row with each field's str (a float's str is its
+        shortest round-trip repr, for NumPy floats too) and a footer."""
         with open(path, "w") as f:
             f.write(f"# schema={TRACE_SCHEMA}\n")
             f.write(f"# workers={self.n_workers}\n")
             f.write(f"# strategy={self.strategy_label}\n")
             f.write(",".join(TRACE_COLUMNS) + "\n")
             for r in self.rows:
-                f.write(
-                    f"{r.update_idx},{r.sim_time_s!r},{r.pushes},{r.staleness},"
-                    f"{r.loss_probe!r},{r.lr!r},{r.strategy},{r.worker_id}\n"
-                )
+                f.write(",".join(map(str, r)) + "\n")
             f.write(f"# diverged={'true' if self.diverged else 'false'}\n")
             if self.divergence_reason:
                 reason = self.divergence_reason.replace("\n", " ")
@@ -293,8 +273,9 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, path: str) -> "RunTrace":
-        """Rebuild a trace from to_csv output. Fields that never go
-        through the CSV (final_theta, total_cost) come back empty."""
+        """Rebuild a trace from to_csv output, each cell read as its
+        TraceRow annotation's type. Fields that never go through the CSV
+        (final_theta, total_cost) come back empty."""
         meta = {}
         rows = []
         with open(path) as f:
@@ -309,18 +290,7 @@ class RunTrace:
                 c = line.split(",")
                 if len(c) != len(TRACE_COLUMNS):
                     raise ValueError(f"malformed trace row: {line!r}")
-                rows.append(
-                    TraceRow(
-                        update_idx=int(c[0]),
-                        sim_time_s=float(c[1]),
-                        pushes=int(c[2]),
-                        staleness=int(c[3]),
-                        loss_probe=float(c[4]),
-                        lr=float(c[5]),
-                        strategy=c[6],
-                        worker_id=int(c[7]),
-                    )
-                )
+                rows.append(TraceRow._make(t(x) for t, x in zip(_COLUMN_TYPES, c)))
         if meta.get("schema") != TRACE_SCHEMA:
             raise ValueError(f"unsupported trace schema {meta.get('schema')!r}")
         reason = meta.get("reason")
@@ -469,6 +439,7 @@ class _Run:
             cfg.workers
         )
         self.cfg = cfg
+        self.label = cfg.strategy.label  # written into every row
         self.mean = cfg.combine == "mean"
         # one update aggregates L*G pushes' worth of samples
         self.schedule = LrSchedule(
@@ -577,7 +548,7 @@ class _Run:
                 staleness=staleness,
                 loss_probe=self.loss,
                 lr=self.last_lr,
-                strategy=cfg.strategy.label,
+                strategy=self.label,
                 worker_id=w,
             )
         )
@@ -632,7 +603,7 @@ class _Run:
         return RunTrace(
             rows=self.rows,
             n_workers=cfg.workers,
-            strategy_label=cfg.strategy.label,
+            strategy_label=self.label,
             diverged=reason is not None,
             divergence_reason=reason,
             final_theta=self.theta.copy(),

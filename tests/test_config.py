@@ -97,9 +97,13 @@ def test_syntax_error_reports_line():
 
 
 def test_type_errors_report_line():
-    with pytest.raises(ConfigError) as e:
-        parse_config("workers = four\n")
-    assert e.value.line == 1
+    for text, line in [
+        ("workers = four\n", 1),
+        ("workers = 4\nstrategy = warp-9\n", 2),
+    ]:
+        with pytest.raises(ConfigError) as e:
+            parse_config(text)
+        assert e.value.line == line
 
 
 def test_zero_global_count_names_the_constraint():

@@ -401,6 +401,15 @@ def test_cli_sweep_component_override_refines_a_label(tmp_path):
         assert json.loads(summary.read_text())["strategy"] == f"global_accum-{g}"
 
 
+def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
+    # a second --grid for one key would silently drop the first's values
+    cfg_path = _write_cfg(tmp_path, budget_updates=20)
+    args = ["sweep", cfg_path, "--grid", "seed=1,2", "--grid", "seed=3"]
+    assert main(args + ["--out-dir", str(tmp_path / "sw")]) == EXIT_CONFIG_ERROR
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_sweep_and_selftest(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, budget_updates=20)
     code = main(

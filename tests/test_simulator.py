@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stalesim import harness
-from stalesim.config import default_config, ObjectiveSpec
+from stalesim.config import (
+    ObjectiveSpec,
+    default_config,
+    parse_config,
+    serialize_config,
+)
 from stalesim.core import ComputeTimeModel, LrSchedule, RngStream
 from stalesim.harness import EXIT_DIVERGED, run_experiment
 from stalesim.models import Objective, Quadratic, dynamic_batcher
@@ -46,17 +51,35 @@ def _cfg(**kw):
 # strategy values
 
 
-def test_strategy_labels_round_trip():
-    cases = [
-        Strategy.sync(),
-        Strategy.asynchronous(),
-        Strategy.sync_stale(7),
-        Strategy.local_accum(4),
-        Strategy.global_accum(4),
-        Strategy.combined(2, 2),
-    ]
-    for s in cases:
-        assert Strategy.parse(s.label) == s
+_KIND_FACTORIES = {
+    "sync": lambda a, b: Strategy.sync(),
+    "sync_stale": lambda a, b: Strategy.sync_stale(a),
+    "async": lambda a, b: Strategy.asynchronous(),
+    "local_accum": lambda a, b: Strategy.local_accum(a),
+    "global_accum": lambda a, b: Strategy.global_accum(a),
+    "combined": Strategy.combined,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_KIND_FACTORIES)),
+    a=st.integers(1, 9),
+    b=st.integers(1, 9),
+)
+def test_strategy_labels_round_trip(kind, a, b):
+    s = _KIND_FACTORIES[kind](a, b)
+    assert Strategy.parse(s.label) == s
+    # the label form is shorthand for the four strategy.* lines
+    components = "".join(
+        line
+        for line in serialize_config(default_config(strategy=s)).splitlines(True)
+        if line.startswith("strategy.")
+    )
+    from_label = parse_config(f"strategy = {s.label}\n")
+    assert from_label == parse_config(components)
+    assert from_label.strategy == s
+    assert serialize_config(from_label) == serialize_config(parse_config(components))
 
 
 def test_strategy_validation():
@@ -572,20 +595,22 @@ def test_trace_csv_round_trip(tmp_path):
 
 
 def test_trace_csv_keeps_float_precision(tmp_path):
-    row = TraceRow(
-        update_idx=1,
-        sim_time_s=1.0000000000000002,
-        pushes=1,
-        staleness=0,
-        loss_probe=0.1 + 0.2,
-        lr=3e-4,
-        strategy="async",
-        worker_id=0,
-    )
-    trace = RunTrace(rows=[row], n_workers=1, strategy_label="async")
-    path = str(tmp_path / "t.csv")
-    trace.to_csv(path)
-    assert RunTrace.from_csv(path).rows[0] == row
+    # NumPy floats reach the rows from NumPy-typed config values
+    for num in (float, np.float64):
+        row = TraceRow(
+            update_idx=1,
+            sim_time_s=num(1.0000000000000002),
+            pushes=1,
+            staleness=0,
+            loss_probe=num(0.1 + 0.2),
+            lr=num(3e-4),
+            strategy="async",
+            worker_id=0,
+        )
+        trace = RunTrace(rows=[row], n_workers=1, strategy_label="async")
+        path = str(tmp_path / f"{num.__name__}.csv")
+        trace.to_csv(path)
+        assert RunTrace.from_csv(path).rows[0] == row
 
 
 def test_trace_csv_rejects_other_schema(tmp_path):
