@@ -14,7 +14,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .core import ComputeTimeModel, LrSchedule, RngStream, sample_compute_time
+from .core import ComputeTimeModel, RngStream, learning_rate, sample_compute_time
 from .harness import (
     SummaryReport,
     run_experiment,
@@ -64,7 +64,6 @@ __all__ = [
     "ExperimentConfig",
     "GradStreamStats",
     "LinearRegression",
-    "LrSchedule",
     "Mlp",
     "Objective",
     "ObjectiveSpec",
@@ -79,6 +78,7 @@ __all__ = [
     "default_config",
     "dynamic_batcher",
     "finite_diff_grad",
+    "learning_rate",
     "parse_config",
     "predicted_efficiency",
     "run_experiment",

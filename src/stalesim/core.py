@@ -1,5 +1,6 @@
-"""Shared numeric primitives: dense vectors, seeded RNG streams, learning-rate
-schedules, and compute-time models.
+"""Shared numeric primitives: dense vectors, seeded RNG streams and the
+stream ids a run draws from, the learning-rate formula, and compute-time
+models.
 
 Parameter vectors are plain 1-D float64 numpy arrays. Helpers in this module
 enforce the invariants the rest of the package relies on (matching dimensions,
@@ -9,7 +10,7 @@ finiteness as a detectable error state) instead of wrapping arrays in a class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +19,7 @@ __all__ = [
     "as_vec",
     "vec_is_finite",
     "RngStream",
-    "LrSchedule",
+    "learning_rate",
     "ComputeTimeModel",
     "sample_compute_time",
 ]
@@ -68,63 +69,34 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Learning-rate schedule: linear warmup, optional inverse-sqrt decay.
+# Fixed stream ids so every consumer of randomness is independent: training
+# data, probe data, objective parameters (quadratic geometry, regression
+# weights, blob centers), parameter init, and worker i on BASE + i.
+STREAM_DATASET = 0
+STREAM_PROBE = 1
+STREAM_OBJECTIVE = 2
+STREAM_INIT = 3
+STREAM_WORKER_BASE = 10
 
-    lr_at(t) = base_lr * min(t/W, sqrt(W/t))   (decay="inverse-sqrt")
-    lr_at(t) = base_lr * min(t/W, 1)           (decay="none")
 
-    W = warmup_updates; W = 0 disables the warmup/decay factor entirely
-    (factor 1 at every step). The interpolation above is the standard
-    inverse-sqrt-with-warmup shape; the exact formula is a documented
-    choice of this package, not an external constraint.
+def learning_rate(base_lr: float, warmup: int, decay: str, t: int) -> float:
+    """Learning rate for update number t >= 1, with W = warmup:
 
-    batch_scale_factor > 0 lets scaled_for_batch() raise the base rate in
-    proportion to an effective-batch multiplier; 0 disables that scaling.
+    base_lr * min(t/W, sqrt(W/t))   (decay="inverse-sqrt")
+    base_lr * min(t/W, 1)           (decay="none")
+
+    and base_lr at every t when W = 0. This is the standard
+    inverse-sqrt-with-warmup shape, a documented choice of this package.
+    The config checks the schedule.* values this takes; base_lr is the
+    run's rate before the schedule (see simulator._Run).
     """
-
-    base_lr: float
-    warmup_updates: int = 0
-    decay: str = "inverse-sqrt"
-    batch_scale_factor: float = 0.0
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be > 0")
-        if self.warmup_updates < 0:
-            raise ValueError("warmup_updates must be >= 0")
-        if self.decay not in ("inverse-sqrt", "none"):
-            raise ValueError(f"unknown decay mode {self.decay!r}")
-        if self.batch_scale_factor < 0:
-            raise ValueError("batch_scale_factor must be >= 0")
-
-    def lr_at(self, t: int) -> float:
-        """Learning rate for update number t (1-indexed)."""
-        if t < 1:
-            raise ValueError("update index t must be >= 1")
-        w = self.warmup_updates
-        if w == 0:
-            return self.base_lr
-        if self.decay == "inverse-sqrt":
-            factor = min(t / w, math.sqrt(w / t))
-        else:
-            factor = min(t / w, 1.0)
-        return self.base_lr * factor
-
-    def scaled_for_batch(self, batch_multiplier: float) -> "LrSchedule":
-        """Schedule with base_lr scaled for a larger effective batch.
-
-        With batch_scale_factor = s > 0 the new base rate is
-        base_lr * s * batch_multiplier; s = 0 returns self unchanged.
-        """
-        if self.batch_scale_factor == 0:
-            return self
-        if batch_multiplier <= 0:
-            raise ValueError("batch_multiplier must be > 0")
-        return replace(
-            self, base_lr=self.base_lr * self.batch_scale_factor * batch_multiplier
-        )
+    if warmup == 0:
+        return base_lr
+    if decay == "inverse-sqrt":
+        factor = min(t / warmup, math.sqrt(warmup / t))
+    else:
+        factor = min(t / warmup, 1.0)
+    return base_lr * factor
 
 
 @dataclass(frozen=True)

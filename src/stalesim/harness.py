@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -36,7 +37,6 @@ from .optim import AdamConfig, AdamState, adam_step
 from .simulator import (
     RunTrace,
     Strategy,
-    build_experiment,
     run_parallel,
     run_simulation,
     staleness_summary,
@@ -108,7 +108,9 @@ class SummaryReport:
 
     def to_json(self) -> str:
         """summary.json: the fields, with `config_echo` written as `config`,
-        plus `schema` and each threshold's `sim_hours`, keys sorted."""
+        plus `schema` and each threshold's `sim_hours`, keys sorted. A
+        non-finite number (an initial loss that overflowed, and the
+        fraction levels built on it) is written as null."""
         doc = asdict(self)
         doc["schema"] = SUMMARY_SCHEMA
         doc["config"] = doc.pop("config_echo")
@@ -118,7 +120,16 @@ class SummaryReport:
         doc["staleness_histogram"] = {str(k): v for k, v in hist.items()}
         for t in doc["thresholds"]:
             t["sim_hours"] = None if t["sim_time_s"] is None else t["sim_time_s"] / 3600
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _strict(x):
+    """x with every nan or inf float in it, at any depth, as None."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_strict(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _scan_threshold(trace: RunTrace, kind: str, value: float, level: float) -> ThresholdResult:
@@ -178,17 +189,13 @@ def run_experiment(
     """Run one experiment and write trace.csv + summary.json.
 
     Chooses run_parallel when cfg.parallel is set, run_simulation
-    otherwise. The experiment is built once: the pieces that give the
-    initial loss are handed to the engine, which builds none of them again.
-    The exit status for a CLI wrapper comes from SummaryReport.exit_code():
-    0 ok, 3 diverged, 4 thresholds unreached.
+    otherwise. The engine builds the experiment and probes the initial
+    loss; the summary takes it from the trace. The exit status for a CLI
+    wrapper comes from SummaryReport.exit_code(): 0 ok, 3 diverged, 4
+    thresholds unreached.
     """
-    pieces = build_experiment(cfg)
-    objective, _, probe, theta0 = pieces
-    initial_loss = float(objective.loss(theta0, probe))
-    engine = run_parallel if cfg.parallel else run_simulation
-    trace = engine(cfg, *pieces)
-    report = summarize(trace, cfg, initial_loss)
+    trace = (run_parallel if cfg.parallel else run_simulation)(cfg)
+    report = summarize(trace, cfg, trace.initial_loss)
     out = resolve_out_dir(out_dir, cfg)
     os.makedirs(out, exist_ok=True)
     trace.to_csv(os.path.join(out, "trace.csv"))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RngStream, Vec, as_vec
+from .core import STREAM_OBJECTIVE, RngStream, Vec, as_vec
 
 __all__ = [
     "Batch",
@@ -174,7 +174,7 @@ class Quadratic(Objective):
     ) -> "Quadratic":
         """Random PD quadratic with log-spaced eigenvalues in [1, cond] and
         a normal theta_star scaled by theta_star_scale."""
-        rng = RngStream(seed, stream=2)
+        rng = RngStream(seed, STREAM_OBJECTIVE)
         gauss = rng.normal(size=(dim, dim))
         q, _ = np.linalg.qr(gauss)
         eigs = np.logspace(0.0, np.log10(cond), dim)
@@ -308,9 +308,9 @@ def make_blob_samples(
     for c in range(centers.shape[0]):
         pts = rng.normal(0.0, spread, size=(n_per_class, centers.shape[1]))
         xs.append(pts + centers[c])
-        costs += make_cost_stream(rng, n_per_class, cost_max)
+        costs.append(make_cost_stream(rng, n_per_class, cost_max))
     ys = np.repeat(np.arange(centers.shape[0], dtype=np.float64), n_per_class)
-    return Batch(np.concatenate(xs), ys, costs)
+    return Batch(np.concatenate(xs), ys, np.concatenate(costs))
 
 
 def finite_diff_grad(obj: Objective, theta: Vec, batch: Batch, h: float) -> Vec:
@@ -355,12 +355,12 @@ def dynamic_batcher(dataset: Batch, budget: int) -> list[Batch]:
     return batches
 
 
-def make_cost_stream(rng: RngStream, n: int, cost_max: int = 50) -> list[int]:
-    """n integer costs uniform on [1, cost_max]; cost_max=1 means all ones
+def make_cost_stream(rng: RngStream, n: int, cost_max: int = 50) -> np.ndarray:
+    """n int64 costs uniform on [1, cost_max]; cost_max=1 means all ones
     (and draws nothing, keeping cost-free datasets deterministic across
     cost settings)."""
     if cost_max < 1:
         raise ValueError("cost_max must be >= 1")
     if cost_max == 1:
-        return [1] * n
-    return [int(c) for c in rng.integers(1, cost_max, size=n)]
+        return np.ones(n, np.int64)
+    return rng.integers(1, cost_max, size=n)

@@ -45,9 +45,14 @@ from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 import numpy as np
 
 from .core import (
-    LrSchedule,
+    STREAM_DATASET,
+    STREAM_INIT,
+    STREAM_OBJECTIVE,
+    STREAM_PROBE,
+    STREAM_WORKER_BASE,
     RngStream,
     Vec,
+    learning_rate,
     sample_compute_time,
     vec_is_finite,
 )
@@ -79,13 +84,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "TRACE_COLUMNS",
 ]
-
-# Fixed stream ids so every consumer of randomness is independent.
-STREAM_DATASET = 0
-STREAM_PROBE = 1
-STREAM_OBJECTIVE = 2
-STREAM_INIT = 3
-STREAM_WORKER_BASE = 10
 
 # The Strategy fields each kind takes, in label order; a kind fixes every
 # other field at 1.
@@ -212,15 +210,17 @@ _COLUMN_TYPES = tuple(get_type_hints(TraceRow).values())
 
 
 class DivergenceError(RuntimeError):
-    """Raised by the push step, _Run.push, when the parameters, Adam's
-    second moment or the probe loss stop being finite. Both engines convert
-    it into a diverged trace that keeps every row recorded before it."""
+    """Raised by _Run when the parameters, Adam's second moment or the
+    probe loss, the initial one included, stop being finite. Both engines
+    convert it into a diverged trace that keeps the rows recorded before."""
 
 
 @dataclass
 class RunTrace:
     """Per-push trace of a run. One row per push, written after that
     push was fully processed (including any optimizer update it completed).
+    initial_loss is the probe loss of the initial parameters (version 0),
+    non-finite when that probe ended the run.
     """
 
     rows: list
@@ -230,6 +230,7 @@ class RunTrace:
     divergence_reason: str | None = None
     final_theta: Vec | None = None
     total_cost: int = 0
+    initial_loss: float | None = None
 
     @property
     def pushes(self) -> int:
@@ -275,7 +276,7 @@ class RunTrace:
     def from_csv(cls, path: str) -> "RunTrace":
         """Rebuild a trace from to_csv output, each cell read as its
         TraceRow annotation's type. Fields that never go through the CSV
-        (final_theta, total_cost) come back empty."""
+        (final_theta, total_cost, initial_loss) come back empty."""
         meta = {}
         rows = []
         with open(path) as f:
@@ -331,81 +332,50 @@ def build_experiment(
     theta0: Vec | None = None,
 ) -> tuple[Objective, Batch, Batch, Vec]:
     """Construct (objective, dataset, probe batch, initial parameters) from
-    a config, honoring any pieces the caller supplies directly.
+    a config. A caller may supply the objective alone, and the other three
+    pieces are built for it, or all four pieces as an earlier call returned
+    them, which come back unchanged; any other partial set is a ValueError.
 
-    Stream usage: dataset samples come from (seed, stream 0), probe samples
-    from (probe_seed, stream 1), objective parameters (quadratic geometry,
-    regression weights, blob centers) from (seed, stream 2), and parameter
-    init from (seed, stream 3), so probe and training data never share draws.
+    Each kind of draw has its own stream, core.STREAM_*; probe samples are
+    keyed on probe_seed, so probe and training data never share draws.
     """
+    rest = (dataset, probe, theta0)
+    if objective is not None and all(p is not None for p in rest):
+        return objective, dataset, probe, theta0
+    if any(p is not None for p in rest):
+        raise ValueError("build_experiment takes the objective alone or all four pieces")
     spec = cfg.objective
+    data_rng = RngStream(cfg.seed, STREAM_DATASET)
     if spec.kind == "quadratic":
         if objective is None:
             objective = Quadratic.random(
-                spec.dim,
-                cfg.seed,
-                cond=spec.cond,
-                noise_sigma=spec.noise_sigma,
-                theta_star_scale=spec.theta_star_scale,
+                spec.dim, cfg.seed, spec.cond, spec.noise_sigma, spec.theta_star_scale
             )
-        if dataset is None:
-            rng = RngStream(cfg.seed, STREAM_DATASET)
-            costs = make_cost_stream(rng, spec.samples, cfg.batch_cost_max)
-            dataset = Batch.cost_only(costs)
-        if probe is None:
-            # the quadratic's probe loss depends only on theta
-            probe = Batch.cost_only([1])
-        if theta0 is None:
-            theta0 = np.zeros(objective.dim)
-    elif spec.kind == "linreg":
-        rng_obj = RngStream(cfg.seed, STREAM_OBJECTIVE)
-        theta_true = rng_obj.normal(size=spec.dim)
+        dataset = Batch.cost_only(make_cost_stream(data_rng, spec.samples, cfg.batch_cost_max))
+        # the quadratic's probe loss depends only on theta
+        return objective, dataset, Batch.cost_only([1]), np.zeros(objective.dim)
+    obj_rng = RngStream(cfg.seed, STREAM_OBJECTIVE)
+    probe_rng = RngStream(cfg.probe_seed, STREAM_PROBE)
+    if spec.kind == "linreg":
+        theta_true = obj_rng.normal(size=spec.dim)
         if objective is None:
             objective = LinearRegression(spec.dim)
-        if dataset is None:
-            dataset = make_linreg_samples(
-                RngStream(cfg.seed, STREAM_DATASET),
-                spec.samples,
-                theta_true,
-                target_noise=spec.target_noise,
-                cost_max=cfg.batch_cost_max,
-            )
-        if probe is None:
-            probe = make_linreg_samples(
-                RngStream(cfg.probe_seed, STREAM_PROBE),
-                cfg.probe_samples,
-                theta_true,
-                target_noise=0.0,
-            )
-        if theta0 is None:
-            theta0 = np.zeros(objective.dim)
-    elif spec.kind == "mlp":
-        rng_obj = RngStream(cfg.seed, STREAM_OBJECTIVE)
-        centers = rng_obj.normal(0.0, 2.0, size=(spec.classes, spec.in_dim))
-        if objective is None:
-            objective = Mlp(spec.in_dim, spec.hidden, spec.classes)
-        if dataset is None:
-            per_class = max(1, spec.samples // spec.classes)
-            dataset = make_blob_samples(
-                RngStream(cfg.seed, STREAM_DATASET),
-                per_class,
-                centers,
-                spread=spec.spread,
-                cost_max=cfg.batch_cost_max,
-            )
-        if probe is None:
-            per_class = max(1, cfg.probe_samples // spec.classes)
-            probe = make_blob_samples(
-                RngStream(cfg.probe_seed, STREAM_PROBE),
-                per_class,
-                centers,
-                spread=spec.spread,
-            )
-        if theta0 is None:
-            theta0 = objective.init_theta(RngStream(cfg.seed, STREAM_INIT))
-    else:
-        raise ValueError(f"unknown objective kind {spec.kind!r}")
-    return objective, dataset, probe, theta0
+        dataset = make_linreg_samples(
+            data_rng, spec.samples, theta_true, spec.target_noise, cfg.batch_cost_max
+        )
+        probe = make_linreg_samples(probe_rng, cfg.probe_samples, theta_true)
+        return objective, dataset, probe, np.zeros(objective.dim)
+    # mlp, the one kind left (ObjectiveSpec admits no other)
+    centers = obj_rng.normal(0.0, 2.0, size=(spec.classes, spec.in_dim))
+    if objective is None:
+        objective = Mlp(spec.in_dim, spec.hidden, spec.classes)
+    dataset = make_blob_samples(
+        data_rng, max(1, spec.samples // spec.classes), centers, spec.spread, cfg.batch_cost_max
+    )
+    probe = make_blob_samples(
+        probe_rng, max(1, cfg.probe_samples // spec.classes), centers, spec.spread
+    )
+    return objective, dataset, probe, objective.init_theta(RngStream(cfg.seed, STREAM_INIT))
 
 
 class _Run:
@@ -420,10 +390,13 @@ class _Run:
     Adam's v non-finite at the update that applies it; so does a finite one
     above ~1e154, whose g*g overflows v and would freeze its coordinate.
 
-    The probe loss is evaluated once per parameter version: theta changes
-    only on an update, so the rows of the pushes between two updates repeat
-    the loss computed for their version. With G > 1 (and for the barrier
-    strategies) that is one probe per G pushes instead of one per push.
+    _Run owns the run's set-up: it builds the pieces (build_experiment),
+    computes the base learning rate once, and probes the initial
+    parameters as version 0 before any worker starts. probe_loss runs once
+    per parameter version: theta changes only on an update, so the rows of
+    the pushes between two updates repeat the loss of their version. With
+    G > 1 (and for the barrier strategies) that is one probe per G pushes
+    instead of one per push; the rows at version 0 repeat the initial loss.
 
     Worker side, in lists indexed by worker id: the RNG stream, the
     (theta, version) pulled last, the local buffer with the count and cost
@@ -441,13 +414,9 @@ class _Run:
         self.cfg = cfg
         self.label = cfg.strategy.label  # written into every row
         self.mean = cfg.combine == "mean"
-        # one update aggregates L*G pushes' worth of samples
-        self.schedule = LrSchedule(
-            base_lr=cfg.adam.alpha,
-            warmup_updates=cfg.schedule_warmup,
-            decay=cfg.schedule_decay,
-            batch_scale_factor=cfg.schedule_batch_scale,
-        ).scaled_for_batch(self.local * self.global_count)
+        # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
+        lg, scale = self.local * self.global_count, cfg.schedule_batch_scale
+        self.base_lr = cfg.adam.alpha * scale * lg if scale > 0 else cfg.adam.alpha
         self.theta = theta0.copy()
         self.version = 0
         self.accum = np.zeros_like(self.theta)
@@ -455,7 +424,7 @@ class _Run:
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
         self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
-        self.loss = 0.0
+        self.loss = self.initial_loss = 0.0
         self.loss_version = -1  # the version `loss` was probed at
         self.last_lr = 0.0
         self.total_cost = 0
@@ -482,6 +451,17 @@ class _Run:
         # a copy, so no later update can change what w computes against
         self.pulled_theta[w] = self.theta.copy()
         self.pulled_version[w] = self.version
+
+    def probe_loss(self) -> None:
+        """Evaluate the probe loss of the current version into self.loss
+        (and self.initial_loss at version 0). Raises DivergenceError when it
+        is not finite."""
+        self.loss = float(self.objective.loss(self.theta, self.probe))
+        self.loss_version = self.version
+        if self.version == 0:
+            self.initial_loss = self.loss
+        if not np.isfinite(self.loss):
+            raise DivergenceError(f"probe loss went non-finite at update {self.version}")
 
     def push(self, w: int, t: float) -> tuple[float, list[int] | range] | None:
         """Finish worker w's batch at time t and push when its local buffer
@@ -514,7 +494,9 @@ class _Run:
         updated = self.accum_count == self.global_count
         if updated:
             g = self.accum / self.global_count if self.mean else self.accum
-            lr = self.schedule.lr_at(self.version + 1)
+            lr = learning_rate(
+                self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1
+            )
             if self.adam is None:
                 self.theta = sgd_step(self.theta, g, lr)
             else:
@@ -534,12 +516,7 @@ class _Run:
                     f"Adam's second moment went non-finite at update {self.version}"
                 )
         if self.loss_version != self.version:
-            loss = float(self.objective.loss(self.theta, self.probe))
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"probe loss went non-finite at update {self.version}"
-                )
-            self.loss, self.loss_version = loss, self.version
+            self.probe_loss()
         self.rows.append(
             TraceRow(
                 update_idx=self.version,
@@ -570,7 +547,8 @@ class _Run:
         """The one event loop, shared by both engines; they differ only in
         where completions come from.
 
-        Every worker starts in id order, staggered at i/N seconds:
+        The initial parameters are probed first, as version 0. Then every
+        worker starts in id order, staggered at i/N seconds:
         begin(w, start, d) hands worker w a batch that takes d simulated
         seconds from `start`. finished() returns the next completion as
         (t, worker id). The loop takes the push step (see push) on that
@@ -586,6 +564,7 @@ class _Run:
             # divergence detection rides on IEEE inf/nan propagation; the
             # overflow on the way down is expected, not worth a warning
             with np.errstate(over="ignore", invalid="ignore"):
+                self.probe_loss()
                 for w in self.ids:
                     begin(w, w / cfg.workers, self.start(w))
                 while True:
@@ -608,6 +587,7 @@ class _Run:
             divergence_reason=reason,
             final_theta=self.theta.copy(),
             total_cost=self.total_cost,
+            initial_loss=self.initial_loss,
         )
 
 

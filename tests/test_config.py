@@ -123,6 +123,16 @@ def test_irrelevant_strategy_parameter_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["schedule.warmup = -1", "schedule.decay = exponential", "schedule.batch_scale = -0.5"],
+)
+def test_bad_schedule_values_rejected(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=key):
+        parse_config(line + "\n")
+
+
 def test_overrides_replace_document_values():
     cfg = parse_config(MINIMAL, overrides={"seed": "7", "workers": "2"})
     assert cfg.seed == 7 and cfg.workers == 2

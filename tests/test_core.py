@@ -1,4 +1,4 @@
-"""Core plumbing: vectors, named RNG streams, LR schedules, compute times."""
+"""Core plumbing: vectors, named RNG streams, the LR formula, compute times."""
 
 import importlib
 import math
@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import stalesim
 from stalesim.core import (
     ComputeTimeModel,
-    LrSchedule,
     RngStream,
     as_vec,
+    learning_rate,
     sample_compute_time,
     vec_is_finite,
 )
@@ -77,67 +77,46 @@ def test_integers_endpoint_inclusive():
 
 
 def test_lr_peak_at_end_of_warmup():
-    s = LrSchedule(base_lr=0.0003, warmup_updates=16000)
-    assert s.lr_at(16000) == pytest.approx(0.0003, rel=1e-12)
+    assert learning_rate(0.0003, 16000, "inverse-sqrt", 16000) == pytest.approx(
+        0.0003, rel=1e-12
+    )
 
 
 def test_lr_inverse_sqrt_decay_value():
     # sqrt(16000/64000) = 1/2 exactly
-    s = LrSchedule(base_lr=0.0003, warmup_updates=16000)
-    assert s.lr_at(64000) == pytest.approx(0.00015, rel=1e-12)
+    assert learning_rate(0.0003, 16000, "inverse-sqrt", 64000) == pytest.approx(
+        0.00015, rel=1e-12
+    )
 
 
 def test_lr_linear_warmup_midpoint():
-    s = LrSchedule(base_lr=0.0003, warmup_updates=16000)
-    assert s.lr_at(8000) == pytest.approx(0.00015, rel=1e-12)
+    assert learning_rate(0.0003, 16000, "inverse-sqrt", 8000) == pytest.approx(
+        0.00015, rel=1e-12
+    )
 
 
 def test_lr_warmup_disabled_is_flat():
-    s = LrSchedule(base_lr=0.007, warmup_updates=0)
     for t in (1, 10, 100000):
-        assert s.lr_at(t) == 0.007
+        assert learning_rate(0.007, 0, "inverse-sqrt", t) == 0.007
 
 
 def test_lr_decay_none_holds_base_after_warmup():
-    s = LrSchedule(base_lr=0.01, warmup_updates=10, decay="none")
-    assert s.lr_at(5) == pytest.approx(0.005)
+    assert learning_rate(0.01, 10, "none", 5) == pytest.approx(0.005)
     for t in (10, 11, 1000):
-        assert s.lr_at(t) == pytest.approx(0.01)
+        assert learning_rate(0.01, 10, "none", t) == pytest.approx(0.01)
 
 
 @given(t=st.integers(1, 10**7))
 def test_lr_always_positive(t):
-    s = LrSchedule(base_lr=0.0003, warmup_updates=16000)
-    assert s.lr_at(t) > 0
+    assert learning_rate(0.0003, 16000, "inverse-sqrt", t) > 0
 
 
 def test_lr_monotone_up_then_down():
     w = 50
-    s = LrSchedule(base_lr=1.0, warmup_updates=w)
-    ramp = [s.lr_at(t) for t in range(1, w + 1)]
+    ramp = [learning_rate(1.0, w, "inverse-sqrt", t) for t in range(1, w + 1)]
     assert all(a <= b for a, b in zip(ramp, ramp[1:]))
-    tail = [s.lr_at(t) for t in range(w, 5 * w)]
+    tail = [learning_rate(1.0, w, "inverse-sqrt", t) for t in range(w, 5 * w)]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
-
-
-def test_lr_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        LrSchedule(base_lr=0.0, warmup_updates=0)
-    with pytest.raises(ValueError):
-        LrSchedule(base_lr=0.1, warmup_updates=-1)
-    with pytest.raises(ValueError):
-        LrSchedule(base_lr=0.1, warmup_updates=0, decay="exponential")
-    s = LrSchedule(base_lr=0.1, warmup_updates=0)
-    with pytest.raises(ValueError):
-        s.lr_at(0)
-
-
-def test_lr_batch_scaling():
-    s = LrSchedule(base_lr=0.0003, warmup_updates=0, batch_scale_factor=1.0)
-    assert s.scaled_for_batch(4).base_lr == pytest.approx(0.0012)
-    # factor 0 disables scaling
-    flat = LrSchedule(base_lr=0.0003, warmup_updates=0, batch_scale_factor=0.0)
-    assert flat.scaled_for_batch(4).base_lr == pytest.approx(0.0003)
 
 
 # ---------------------------------------------------------------------------

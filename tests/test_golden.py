@@ -7,7 +7,10 @@ datasets from per-row sample objects, so any change to the numbers, the
 row order or the file formats shows up here. The two cases for `sum`
 combine with latency and warm-up, and for SGD under combined
 accumulation, were taken from the engine that still passed each push
-through a worker object and a gradient message.
+through a worker object and a gradient message. The case for
+`schedule.batch_scale` was taken from the engine that still built the
+experiment twice per run and scaled the base rate through a schedule
+object.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 
@@ -103,6 +106,12 @@ GOLDEN = {
         + "strategy = local_accum-3\ncombine = sum\n"
         + "comm.latency = 0.25\nschedule.warmup = 5\n",
         "e88b9779edc4d7d3c20d6c5d6125b9a3f9a75c4b25c73e3247105d3b1a03f277",
+    ),
+    "linreg-combined-3-2-batch_scale": (
+        _LINREG
+        + "strategy = combined-3-2\nschedule.batch_scale = 0.3\n"
+        + "schedule.warmup = 5\nschedule.decay = none\n",
+        "7f186c9a1865f1d9317201a5cd486e4203a8f00b521a0ab28859a98c11a0a177",
     ),
     "linreg-combined-3-2-sgd": (
         _LINREG + "strategy = combined-3-2\noptimizer.kind = sgd\n",

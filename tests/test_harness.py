@@ -2,12 +2,13 @@
 
 import json
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from stalesim import harness
+from stalesim import simulator
 from stalesim.cli import main
 from stalesim.config import ObjectiveSpec, default_config, serialize_config
 from stalesim.core import ComputeTimeModel
@@ -286,10 +287,10 @@ class _CrashingGradient:
 def test_cli_parallel_worker_error_exits_5_without_traceback(
     tmp_path, capsys, monkeypatch
 ):
-    build = harness.build_experiment
+    build = simulator.build_experiment
     crashing = _CrashingGradient()
     monkeypatch.setattr(
-        harness, "build_experiment", lambda cfg: build(cfg, objective=crashing)
+        simulator, "build_experiment", lambda cfg, *pieces: build(cfg, objective=crashing)
     )
     cfg_path = _write_cfg(
         tmp_path, workers=2, parallel_time_scale=1e-4, out_dir=str(tmp_path / "out")
@@ -334,10 +335,10 @@ def test_adam_second_moment_overflow_diverges():
 
 
 def test_cli_run_adam_second_moment_overflow_exits_3(tmp_path, capsys, monkeypatch):
-    build = harness.build_experiment
+    build = simulator.build_experiment
     objective = _HugeFirstCoordinate()
     monkeypatch.setattr(
-        harness, "build_experiment", lambda cfg: build(cfg, objective=objective)
+        simulator, "build_experiment", lambda cfg, *pieces: build(cfg, objective=objective)
     )
     path = tmp_path / "exp.cfg"
     path.write_text(serialize_config(_v_overflow_cfg()))
@@ -357,6 +358,45 @@ def test_cli_run_diverged_before_first_row_exits_3(tmp_path, capsys):
     assert code == EXIT_DIVERGED
     assert "final_loss=n/a" in captured.out
     assert captured.err == ""
+
+
+def test_cli_run_non_finite_initial_loss_writes_strict_json(tmp_path, capsys):
+    # 0.5*d'Ad overflows at theta0 = 0 when theta* ~ 1e200: the probe of
+    # version 0 ends the run, and summary.json writes its inf values as null
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "objective.kind = quadratic\nobjective.dim = 4\n"
+        "objective.theta_star_scale = 1e200\nbudget.updates = 5\n"
+    )
+    code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_DIVERGED
+    assert captured.err == ""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    text = (tmp_path / "out" / "summary.json").read_text()
+    doc = json.loads(text, parse_constant=reject)
+    assert "update 0" in doc["divergence_reason"]
+    assert doc["initial_loss"] is None
+    assert all(t["loss_level"] is None for t in doc["thresholds"])
+
+
+def test_run_experiment_builds_the_experiment_once(tmp_path, monkeypatch):
+    build = simulator.build_experiment
+    calls = []
+
+    def counting(cfg, *pieces):
+        calls.append(cfg)
+        return build(cfg, *pieces)
+
+    # counted wherever a stalesim module holds the function as a global
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stalesim") and vars(module).get("build_experiment") is build:
+            monkeypatch.setattr(module, "build_experiment", counting)
+    run_experiment(_fast_cfg(budget_updates=10), str(tmp_path))
+    assert len(calls) == 1
 
 
 def test_cli_sweep_prints_point_diverged_before_first_row(tmp_path, capsys):

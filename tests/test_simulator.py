@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stalesim import harness
+from stalesim import simulator
 from stalesim.config import (
     ObjectiveSpec,
     default_config,
     parse_config,
     serialize_config,
 )
-from stalesim.core import ComputeTimeModel, LrSchedule, RngStream
+from stalesim.core import ComputeTimeModel, RngStream, learning_rate
 from stalesim.harness import EXIT_DIVERGED, run_experiment
 from stalesim.models import Objective, Quadratic, dynamic_batcher
 from stalesim.optim import AdamConfig, AdamState, adam_step, sgd_step
@@ -172,14 +172,9 @@ def test_one_sync_round_equals_serial_adam_on_mean_gradient():
     accum = np.zeros(5)
     for i in range(4):
         accum += objective.grad(theta0, batches[i])
-    schedule = LrSchedule(
-        base_lr=cfg.adam.alpha,
-        warmup_updates=cfg.schedule_warmup,
-        decay=cfg.schedule_decay,
-    )
+    lr = learning_rate(cfg.adam.alpha, cfg.schedule_warmup, cfg.schedule_decay, 1)
     _, expected = adam_step(
-        AdamState.zeros(5), cfg.adam, theta0, accum / 4.0,
-        lr_override=schedule.lr_at(1),
+        AdamState.zeros(5), cfg.adam, theta0, accum / 4.0, lr_override=lr
     )
     trace = run_simulation(cfg)
     np.testing.assert_array_equal(trace.final_theta, expected)
@@ -207,6 +202,14 @@ def test_single_worker_async_is_serial_sgd():
         theta = sgd_step(theta, objective.grad(theta, batches[k % len(batches)]),
                          cfg.adam.alpha)
     np.testing.assert_array_equal(trace.final_theta, theta)
+
+
+def test_build_experiment_takes_the_objective_alone_or_all_pieces():
+    cfg = _cfg(objective=ObjectiveSpec(kind="linreg", dim=3, samples=24))
+    pieces = build_experiment(cfg)
+    assert all(a is b for a, b in zip(build_experiment(cfg, *pieces), pieces))
+    with pytest.raises(ValueError, match="all four pieces"):
+        build_experiment(cfg, dataset=pieces[1])
 
 
 def test_update_count_is_pushes_over_g():
@@ -239,17 +242,23 @@ def test_local_accum_messages_carry_summed_cost():
 
 
 def test_lr_column_tracks_applied_schedule():
-    cfg = _cfg(
-        strategy=Strategy.global_accum(2),
-        schedule_warmup=4,
-        schedule_decay="inverse-sqrt",
-        budget_updates=12,
-    )
-    trace = run_simulation(cfg)
-    sched = LrSchedule(base_lr=cfg.adam.alpha, warmup_updates=4)
-    for r in trace.rows:
-        want = 0.0 if r.update_idx == 0 else sched.lr_at(r.update_idx)
-        assert r.lr == pytest.approx(want, rel=1e-12)
+    # schedule.batch_scale s > 0 scales the base rate to alpha * s * (L*G),
+    # and combined-3-2 has L*G = 6
+    for strategy, scale in ((Strategy.global_accum(2), 0.0), (Strategy.combined(3, 2), 0.3)):
+        cfg = _cfg(
+            strategy=strategy,
+            schedule_warmup=4,
+            schedule_decay="inverse-sqrt",
+            schedule_batch_scale=scale,
+            budget_updates=12,
+        )
+        trace = run_simulation(cfg)
+        base = cfg.adam.alpha * scale * 6 if scale > 0 else cfg.adam.alpha
+        for r in trace.rows:
+            want = 0.0
+            if r.update_idx > 0:
+                want = base * learning_rate(1.0, 4, "inverse-sqrt", r.update_idx)
+            assert r.lr == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +344,11 @@ def test_accumulated_gradient_overflow_diverges(combine):
 
 
 def test_run_experiment_exits_3_on_accumulated_overflow(tmp_path, monkeypatch):
-    build = harness.build_experiment
+    build = simulator.build_experiment
     monkeypatch.setattr(
-        harness, "build_experiment", lambda cfg: build(cfg, objective=_HugeGradient())
+        simulator,
+        "build_experiment",
+        lambda cfg, *pieces: build(cfg, objective=_HugeGradient()),
     )
     _, report = run_experiment(_overflow_cfg(4, 4), str(tmp_path))
     assert report.exit_code() == EXIT_DIVERGED
@@ -438,9 +449,9 @@ _FAMILIES = {
     cost_max=st.integers(1, 4),
 )
 def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
-    """Over random N, L, G, U and costs: one probe per version, pushes =
-    updates x G plus a remainder below G, staleness >= 0, and the trace
-    survives a CSV round trip."""
+    """Over random N, L, G, U and costs: one probe per version (versions
+    0..updates), pushes = updates x G plus a remainder below G, staleness
+    >= 0, and the trace survives a CSV round trip."""
     strategy = _FAMILIES[family](l, g, u)
     cfg = _cfg(
         workers=n,
@@ -452,7 +463,7 @@ def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
     )
     objective = _CountingObjective()
     trace = run_simulation(cfg, objective=objective)
-    assert objective.losses == len({r.update_idx for r in trace.rows})
+    assert objective.losses == trace.updates + 1
     big_g = strategy.effective(n)[1]
     assert 0 <= trace.pushes - trace.updates * big_g < big_g
     assert all(r.staleness >= 0 for r in trace.rows)
