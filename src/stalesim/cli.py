@@ -7,7 +7,8 @@
 
 Exit codes: 0 success, 2 bad configuration or unreadable input, 3 run
 diverged, 4 finished but missed a configured loss threshold, 5 any other
-error (one line on stderr, no traceback). selftest exits 1 on failure.
+error (one line on stderr, no traceback); sweep exits 3 if a point
+diverged, else 0, missed thresholds or not. selftest exits 1 on failure.
 The default output directory is taken from --out-dir, then the config's
 out_dir, then $STALESIM_OUT, then the working directory.
 """
@@ -20,6 +21,7 @@ import sys
 from .config import ConfigError, parse_config
 from .harness import (
     EXIT_CONFIG_ERROR,
+    EXIT_DIVERGED,
     EXIT_INTERNAL_ERROR,
     resolve_out_dir,
     run_experiment,
@@ -138,7 +140,7 @@ def _cmd_sweep(args) -> int:
             f"mean_staleness={_num(report.mean_staleness, '.4g')} [{status}]"
         )
     print(f"{len(results)} runs written under {out}")
-    return 0
+    return EXIT_DIVERGED if any(r.diverged for _, r in results) else 0
 
 
 def _cmd_selftest(args) -> int:

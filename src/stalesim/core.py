@@ -2,9 +2,9 @@
 stream ids a run draws from, the learning-rate formula, and compute-time
 models.
 
-Parameter vectors are plain 1-D float64 numpy arrays. Helpers in this module
-enforce the invariants the rest of the package relies on (matching dimensions,
-finiteness as a detectable error state) instead of wrapping arrays in a class.
+Parameter vectors are plain 1-D float64 numpy arrays, not wrapped in a class:
+as_vec makes one, and all_finite, one dot product with a zero vector, is the
+finiteness check a run makes on every update.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "Vec",
     "as_vec",
-    "vec_is_finite",
+    "all_finite",
     "RngStream",
     "learning_rate",
     "ComputeTimeModel",
@@ -36,8 +36,11 @@ def as_vec(values) -> Vec:
     return v
 
 
-def vec_is_finite(x: Vec) -> bool:
-    return bool(np.all(np.isfinite(x)))
+def all_finite(x: Vec, zero: Vec) -> bool:
+    """Whether x holds no inf or nan, given zeros of its length: x.zero is
+    nan exactly then, as 0*inf and 0*nan are nan and 0*finite is 0. Call it
+    under np.errstate(invalid="ignore"): 0*inf sets numpy's invalid flag."""
+    return not math.isnan(x.dot(zero))
 
 
 class RngStream:
@@ -61,12 +64,12 @@ class RngStream:
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
+    def standard_normal(self) -> float:
+        return self._gen.standard_normal()
+
     def integers(self, low: int, high: int, size=None):
         """Integers drawn uniformly from [low, high] inclusive."""
         return self._gen.integers(low, high, size, endpoint=True)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
 # Fixed stream ids so every consumer of randomness is independent: training
@@ -136,8 +139,8 @@ def sample_compute_time(rng: RngStream, model: ComputeTimeModel) -> float:
     if model.kind == "constant" or model.std == 0.0:
         return model.mean
     floor = model.mean / 10.0
-    for _ in range(1000):
-        x = float(rng.normal(model.mean, model.std))
+    while True:
+        # what Generator.normal(mean, std) computes, in one standard draw
+        x = model.mean + model.std * rng.standard_normal()
         if x > floor:
             return x
-    return floor  # unreachable for any sane (mean, std); keeps types honest

@@ -19,6 +19,8 @@ stays in the arrays it was drawn into, from the draw to the gradient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import STREAM_OBJECTIVE, RngStream, Vec, as_vec
@@ -159,7 +161,7 @@ class Quadratic(Objective):
         if self.noise_sigma > 0:
             if rng is None:
                 raise ValueError("noisy quadratic gradient requires an RngStream")
-            std = self.noise_sigma / np.sqrt(batch.total_cost)
+            std = self.noise_sigma / math.sqrt(batch.total_cost)
             g = g + rng.normal(0.0, std, size=self.dim)
         return g
 

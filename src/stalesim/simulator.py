@@ -52,9 +52,9 @@ from .core import (
     STREAM_WORKER_BASE,
     RngStream,
     Vec,
+    all_finite,
     learning_rate,
     sample_compute_time,
-    vec_is_finite,
 )
 from .models import (
     Batch,
@@ -400,10 +400,12 @@ class _Run:
 
     Worker side, in lists indexed by worker id: the RNG stream, the
     (theta, version) pulled last, the local buffer with the count and cost
-    of the gradients in it, and the batch in flight. Per compute cycle a
-    stream is consumed in a fixed order (duration draw in start, then
-    gradient noise in push), so both engines walk identical sample
-    sequences.
+    of the gradients in it, and the batch in flight. A pulled theta is the
+    server's array itself: each update binds theta to a new read-only array,
+    so no snapshot changes and an objective that writes into one raises.
+    Per compute cycle a stream is consumed in a fixed order (duration draw
+    in start, then gradient noise in push), so both engines walk identical
+    sample sequences.
     """
 
     def __init__(self, cfg: "ExperimentConfig", pieces: tuple):
@@ -413,13 +415,18 @@ class _Run:
         )
         self.cfg = cfg
         self.label = cfg.strategy.label  # written into every row
-        self.mean = cfg.combine == "mean"
+        # the mean combine divides by each count but 1: x/1 == x bit for bit
+        mean = cfg.combine == "mean"
+        self.mean_local = mean and self.local > 1
+        self.mean_global = mean and self.global_count > 1
         # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
         lg, scale = self.local * self.global_count, cfg.schedule_batch_scale
         self.base_lr = cfg.adam.alpha * scale * lg if scale > 0 else cfg.adam.alpha
         self.theta = theta0.copy()
+        self.theta.setflags(write=False)
         self.version = 0
         self.accum = np.zeros_like(self.theta)
+        self.zero = np.zeros_like(self.theta)  # for all_finite
         self.accum_count = 0
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
@@ -432,7 +439,7 @@ class _Run:
         n = cfg.workers
         self.ids = range(n)
         self.rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in self.ids]
-        self.pulled_theta = [theta0.copy() for _ in self.ids]
+        self.pulled_theta = [self.theta] * n
         self.pulled_version = [0] * n
         self.bufs = [np.zeros_like(theta0) for _ in self.ids]
         self.buf_count = [0] * n
@@ -446,11 +453,6 @@ class _Run:
         simulated seconds (per-cost-unit sample times the batch's cost)."""
         batch = self.in_flight[w] = next(self.batches)
         return sample_compute_time(self.rngs[w], self.cfg.compute) * batch.total_cost
-
-    def pull(self, w: int) -> None:
-        # a copy, so no later update can change what w computes against
-        self.pulled_theta[w] = self.theta.copy()
-        self.pulled_version[w] = self.version
 
     def probe_loss(self) -> None:
         """Evaluate the probe loss of the current version into self.loss
@@ -485,15 +487,15 @@ class _Run:
         self.buf_cost[w] += batch.total_cost
         if self.buf_count[w] < self.local:
             return t, [w]
-        self.accum += buf / self.local if self.mean else buf
-        buf[:] = 0.0
+        self.accum += buf / self.local if self.mean_local else buf
+        buf.fill(0.0)
         self.total_cost += self.buf_cost[w]
         self.buf_count[w] = self.buf_cost[w] = 0
         staleness = self.version - self.pulled_version[w]
         self.accum_count += 1
         updated = self.accum_count == self.global_count
         if updated:
-            g = self.accum / self.global_count if self.mean else self.accum
+            g = self.accum / self.global_count if self.mean_global else self.accum
             lr = learning_rate(
                 self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1
             )
@@ -503,15 +505,16 @@ class _Run:
                 self.adam_state, self.theta = adam_step(
                     self.adam_state, self.adam, self.theta, g, lr
                 )
+            self.theta.setflags(write=False)
             self.version += 1
-            self.accum[:] = 0.0
+            self.accum.fill(0.0)
             self.accum_count = 0
             self.last_lr = lr
-            if not vec_is_finite(self.theta):
+            if not all_finite(self.theta, self.zero):
                 raise DivergenceError(
                     f"parameters went non-finite at update {self.version}"
                 )
-            if self.adam is not None and not vec_is_finite(self.adam_state.v):
+            if self.adam is not None and not all_finite(self.adam_state.v, self.zero):
                 raise DivergenceError(
                     f"Adam's second moment went non-finite at update {self.version}"
                 )
@@ -530,14 +533,14 @@ class _Run:
             )
         )
         if not cfg.strategy.is_barrier:
-            self.pull(w)
+            self.pulled_theta[w], self.pulled_version[w] = self.theta, self.version
             nxt = [w]
         elif not updated:
             return t, []  # wait at the barrier for the round to finish
         else:
             if self.version % self.pull_every == 0:
-                for i in self.ids:
-                    self.pull(i)
+                self.pulled_theta = [self.theta] * cfg.workers
+                self.pulled_version = [self.version] * cfg.workers
             nxt = self.ids  # next round, batch grab in id order
         if self.version >= cfg.budget_updates:
             return None

@@ -13,10 +13,10 @@ import stalesim
 from stalesim.core import (
     ComputeTimeModel,
     RngStream,
+    all_finite,
     as_vec,
     learning_rate,
     sample_compute_time,
-    vec_is_finite,
 )
 
 
@@ -24,10 +24,30 @@ from stalesim.core import (
 # vectors
 
 
+def _finite(x) -> bool:
+    # 0*inf raises numpy's invalid flag; the engine runs under this errstate
+    with np.errstate(invalid="ignore"):
+        return all_finite(x, np.zeros_like(x))
+
+
 def test_finiteness_detection():
-    assert vec_is_finite(as_vec([0.0, 1e300]))
-    assert not vec_is_finite(as_vec([0.0, math.nan]))
-    assert not vec_is_finite(as_vec([math.inf]))
+    assert _finite(as_vec([0.0, 1e300]))
+    assert not _finite(as_vec([0.0, math.nan]))
+    assert not _finite(as_vec([math.inf]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 257])
+def test_finiteness_check_is_exact(n):
+    for bad in (math.inf, -math.inf, math.nan):
+        for i in range(n):
+            x = np.ones(n)
+            x[i] = bad
+            assert not _finite(x), (bad, i)
+    # finite entries whose sum overflows (for n > 1)
+    assert _finite(np.full(n, 1.7e308))
+    assert _finite(np.resize([1.7e308, 1.7e308, -1.7e308], n))
+    for tiny in (5e-324, -2.5e-310, 2.2250738585072e-308):  # denormals
+        assert _finite(np.full(n, tiny))
 
 
 def test_every_exported_name_resolves():
@@ -131,6 +151,18 @@ def test_constant_compute_time_is_exact():
     np.testing.assert_array_equal(
         rng.normal(size=4), RngStream(1, stream=10).normal(size=4)
     )
+
+
+def test_normal_compute_time_is_generator_normal_bit_for_bit():
+    # the draw is mean + std*z from one standard normal, which is what
+    # Generator.normal(mean, std) computes, rejections included
+    m = ComputeTimeModel.normal(1.0, 0.6)
+    rng, ref = RngStream(9, stream=10), RngStream(9, stream=10)
+    for _ in range(5000):
+        want = float(ref.normal(m.mean, m.std))
+        while want <= m.mean / 10.0:
+            want = float(ref.normal(m.mean, m.std))
+        assert sample_compute_time(rng, m) == want
 
 
 def test_zero_sigma_normal_is_constant():

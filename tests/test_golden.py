@@ -10,7 +10,9 @@ accumulation, were taken from the engine that still passed each push
 through a worker object and a gradient message. The case for
 `schedule.batch_scale` was taken from the engine that still built the
 experiment twice per run and scaled the base rate through a schedule
-object.
+object. The two quadratic async cases for SGD, and for Adam with
+beta1 = 0 and epsilon = 0, were taken from the engine that still copied
+every pulled snapshot and checked finiteness with np.isfinite.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 
@@ -112,6 +114,14 @@ GOLDEN = {
         + "strategy = combined-3-2\nschedule.batch_scale = 0.3\n"
         + "schedule.warmup = 5\nschedule.decay = none\n",
         "7f186c9a1865f1d9317201a5cd486e4203a8f00b521a0ab28859a98c11a0a177",
+    ),
+    "quadratic-async-sgd": (
+        _QUAD + "strategy = async\noptimizer.kind = sgd\n",
+        "f3b83a7244879777b170485236047a775a82619b83cca3922da3a9ee14b05fd9",
+    ),
+    "quadratic-async-beta1-0-eps-0": (
+        _QUAD + "strategy = async\noptimizer.beta1 = 0\noptimizer.epsilon = 0\n",
+        "15cd2980f3aae47f7ff0d992afd62bf2ec7ac6ab285a252f41a5321ab4766423",
     ),
     "linreg-combined-3-2-sgd": (
         _LINREG + "strategy = combined-3-2\noptimizer.kind = sgd\n",

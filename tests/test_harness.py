@@ -405,9 +405,26 @@ def test_cli_sweep_prints_point_diverged_before_first_row(tmp_path, capsys):
         ["sweep", cfg_path, "--grid", "seed=0", "--out-dir", str(tmp_path / "sw")]
     )
     captured = capsys.readouterr()
-    assert code == 0
+    assert code == EXIT_DIVERGED
     assert "seed=0: final_loss=n/a mean_staleness=n/a [diverged]" in captured.out
     assert "error:" not in captured.err
+
+
+def test_cli_sweep_exits_3_when_a_point_diverged(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, budget_updates=20)
+    args = ["sweep", cfg_path, "--grid", "optimizer.alpha=0.01,1e308"]
+    assert main(args + ["--out-dir", str(tmp_path / "sw")]) == EXIT_DIVERGED
+    out = capsys.readouterr().out
+    assert "optimizer.alpha=0.01: final_loss=" in out and "[ok]" in out
+    assert "optimizer.alpha=1e308: final_loss=" in out and "[diverged]" in out
+    assert len(list((tmp_path / "sw").iterdir())) == 2  # every point still ran
+    # a point that only misses a threshold leaves the sweep's exit code at 0
+    cfg_path = _write_cfg(tmp_path, budget_updates=4, thresholds=(0.001,))
+    run_out = str(tmp_path / "run")
+    assert main(["run", cfg_path, "--out-dir", run_out]) == EXIT_THRESHOLDS
+    args = ["sweep", cfg_path, "--grid", "seed=0,1"]
+    assert main(args + ["--out-dir", str(tmp_path / "missed")]) == EXIT_OK
+    assert "[diverged]" not in capsys.readouterr().out
 
 
 def test_cli_sweep_seed_overrides_the_configs_seed(tmp_path):

@@ -151,6 +151,23 @@ def test_sgd_step_cases():
         sgd_step(np.zeros(2), np.zeros(2), 0.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), steps=st.integers(1, 5))
+def test_steps_leave_their_inputs_bit_identical(seed, steps):
+    # workers share the server's theta without a copy, so neither step may
+    # write into the theta (or Adam state) it is given
+    draws = RngStream(seed, stream=0).normal(size=(steps + 1, 7))
+    theta, grads = draws[0], draws[1:]
+    state = AdamState.zeros(7)
+    for g in grads:
+        before = (theta.tobytes(), state.m.tobytes(), state.v.tobytes(), g.tobytes())
+        new_state, new_theta = adam_step(state, _paper_cfg(), theta, g, 0.01)
+        sgd_step(theta, g, 0.01)
+        assert (theta.tobytes(), state.m.tobytes(), state.v.tobytes(), g.tobytes()) == before
+        assert new_theta is not theta and new_state.m is not state.m
+        state, theta = new_state, new_theta
+
+
 # ---------------------------------------------------------------------------
 # scale invariance
 

@@ -401,6 +401,73 @@ def test_parallel_nan_gradient_diverges(g):
     assert out["trace"].pushes == _NAN_ROWS[g]
 
 
+class _Drift(_HugeGradient):
+    """Under SGD at lr 1 from theta 0, each update adds `step` to theta."""
+
+    def __init__(self, step):
+        self.step = np.array(step)
+        self.dim = len(step)
+
+    def grad(self, theta, batch, rng=None):
+        return -self.step
+
+
+def _sgd_drift_cfg(updates):
+    return _cfg(
+        objective=ObjectiveSpec(kind="quadratic", dim=4, samples=32),
+        workers=2,
+        strategy=Strategy.asynchronous(),
+        optimizer_kind="sgd",
+        adam=AdamConfig(alpha=1.0),
+        schedule_decay="none",
+        budget_updates=updates,
+    )
+
+
+def test_finite_parameters_whose_sum_overflows_do_not_diverge():
+    step = [1.7e308, 1.7e308, -1.7e308, 0.0]
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(step))
+    trace = run_simulation(_sgd_drift_cfg(1), objective=_Drift(step))
+    assert not trace.diverged, trace.divergence_reason
+    np.testing.assert_array_equal(trace.final_theta, step)
+
+
+def test_parameters_that_overflow_to_inf_diverge():
+    trace = run_simulation(_sgd_drift_cfg(5), objective=_Drift([1.0, -1.7e308, 0, 0]))
+    assert trace.diverged
+    assert trace.divergence_reason == "parameters went non-finite at update 2"
+    assert trace.updates == 1
+
+
+# ---------------------------------------------------------------------------
+# pulled snapshots are shared, read-only arrays
+
+
+class _WritesTheta(_HugeGradient):
+    """Records whether each theta it is handed is writeable, and writes into
+    it when `write` is set."""
+
+    def __init__(self, write=False):
+        self.write = write
+        self.writeable = []
+
+    def grad(self, theta, batch, rng=None):
+        self.writeable.append(theta.flags.writeable)
+        if self.write:
+            theta[0] = 1.0
+        return np.zeros(2)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.asynchronous(), Strategy.sync()])
+def test_pulled_snapshots_are_read_only(strategy):
+    objective = _WritesTheta()
+    run_simulation(_cfg(strategy=strategy, budget_updates=20), objective=objective)
+    assert len(objective.writeable) >= 20 and not any(objective.writeable)
+    with pytest.raises(ValueError, match="read-only"):
+        run_simulation(_cfg(strategy=strategy), objective=_WritesTheta(write=True))
+
+
 # ---------------------------------------------------------------------------
 # probe loss once per parameter version
 
