@@ -2,8 +2,8 @@
 
 Study gradient staleness, Adam's behavior under noisy and stale gradients,
 and local/global gradient accumulation on toy objectives, with a
-reproducible discrete-event scheduler and an optional genuinely threaded
-executor that times the same event loop with real sleeps.
+reproducible discrete-event scheduler and an optional paced mode that
+plays the same event loop back against a real clock.
 """
 
 from .config import (

@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--parallel",
         action="store_true",
-        help="run with real threads instead of the deterministic event loop",
+        help="pace the event loop with real sleeps instead of simulated time",
     )
 
     sweep_p = sub.add_parser("sweep", help="run a grid of config overrides")

@@ -22,21 +22,21 @@ pulled snapshot, local buffer and batch in flight, in lists by worker id.
 Its push method is the whole push step, from the worker's gradient to the
 trace row, with no message in between.
 
-Both engines run one event loop, _Run.execute, on the calling thread; they
-differ only in where worker completions come from. run_simulation takes
-them from a heap of simulated finish times (ties broken by lower worker
-id), so it is deterministic. run_parallel takes them from N threads that
-only sleep until the same simulated deadlines and report when they woke,
-so its timings and interleavings are genuinely nondeterministic while
-every bookkeeping rule, and all of the numerics, stay the same.
+Both engines run one event loop, _Run.execute, on the calling thread. It
+keeps the one event source, a heap of simulated deadlines (ties to the
+lower worker id), and the engines differ only in when a completion popped
+from it is observed. run_simulation observes it at its deadline, so it is
+deterministic. run_parallel sleeps until the deadline on a real clock
+scaled by parallel.time_scale and observes the time it woke, so its
+timings are nondeterministic while every bookkeeping rule, and all of the
+numerics, stay the same.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import queue
-import threading
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -462,7 +462,7 @@ class _Run:
         self.loss_version = self.version
         if self.version == 0:
             self.initial_loss = self.loss
-        if not np.isfinite(self.loss):
+        if not math.isfinite(self.loss):
             raise DivergenceError(f"probe loss went non-finite at update {self.version}")
 
     def push(self, w: int, t: float) -> tuple[float, list[int] | range] | None:
@@ -546,20 +546,21 @@ class _Run:
             return None
         return t + cfg.comm_latency, nxt
 
-    def execute(self, begin, finished) -> RunTrace:
-        """The one event loop, shared by both engines; they differ only in
-        where completions come from.
+    def execute(self, observe) -> RunTrace:
+        """The one event loop, shared by both engines.
 
         The initial parameters are probed first, as version 0. Then every
-        worker starts in id order, staggered at i/N seconds:
-        begin(w, start, d) hands worker w a batch that takes d simulated
-        seconds from `start`. finished() returns the next completion as
-        (t, worker id). The loop takes the push step (see push) on that
-        worker and begins the workers it names. It stops once the update
-        budget is met, at the first completion past cfg.budget_sim_time
-        when that is set, or on divergence: a DivergenceError ends the run
-        with a diverged trace that keeps every row recorded before it. Any
-        other exception propagates.
+        worker starts in id order, staggered at i/N seconds, and its
+        completion deadline (start plus its sampled duration) goes on a
+        heap of (deadline, worker id). The loop pops the earliest
+        completion, ties to the lower id, and observe(deadline) returns the
+        simulated time t at which it is seen. The loop takes the push step
+        (see push) on that worker at t and puts the completions of the
+        workers it names on the heap. It stops once the update budget is
+        met, at the first completion past cfg.budget_sim_time when that is
+        set, or on divergence: a DivergenceError ends the run with a
+        diverged trace that keeps every row recorded before it. Any other
+        exception, observe's included, propagates.
         """
         cfg = self.cfg
         reason = None
@@ -568,10 +569,11 @@ class _Run:
             # overflow on the way down is expected, not worth a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 self.probe_loss()
-                for w in self.ids:
-                    begin(w, w / cfg.workers, self.start(w))
+                heap = [(w / cfg.workers + self.start(w), w) for w in self.ids]
+                heapq.heapify(heap)
                 while True:
-                    t, w = finished()
+                    deadline, w = heapq.heappop(heap)
+                    t = observe(deadline)
                     if cfg.budget_sim_time > 0 and t > cfg.budget_sim_time:
                         break
                     step = self.push(w, t)
@@ -579,7 +581,7 @@ class _Run:
                         break
                     start, nxt = step
                     for w in nxt:
-                        begin(w, start, self.start(w))
+                        heapq.heappush(heap, (start + self.start(w), w))
         except DivergenceError as e:
             reason = str(e)
         return RunTrace(
@@ -603,18 +605,14 @@ def run_simulation(
 ) -> RunTrace:
     """Deterministic discrete-event run of the configured experiment.
 
-    Completions come from a heap of (finish time, worker id), so the loop
-    in _Run.execute takes them in simulated-time order, ties to the lower
-    worker id. The run stops at the update budget, at the first event past
+    _Run.execute observes every completion at its deadline, so the loop
+    takes them in simulated-time order, ties to the lower worker id. The
+    run stops at the update budget, at the first event past
     cfg.budget_sim_time when that is set, or on divergence (the trace
     keeps all rows up to the failure).
     """
     run = _Run(cfg, (objective, dataset, probe, theta0))
-    heap: list[tuple[float, int]] = []
-    return run.execute(
-        lambda w, start, d: heapq.heappush(heap, (start + d, w)),
-        lambda: heapq.heappop(heap),
-    )
+    return run.execute(lambda deadline: deadline)
 
 
 def run_parallel(
@@ -624,48 +622,27 @@ def run_parallel(
     probe: Batch | None = None,
     theta0: Vec | None = None,
 ) -> RunTrace:
-    """Run the same event loop with completions timed by N real threads.
+    """Run the same event loop paced by a real clock, on the calling thread.
 
-    Each worker thread only sleeps: it takes a wake-up deadline from its
-    queue, the simulated time start + d that the serial engine's heap
-    would hold, sleeps until then (cfg.parallel_time_scale real seconds
-    per simulated second, counted from the run's start) and reports the
-    time it woke, in simulated seconds, on one shared queue. So threaded
-    runs honour comm.latency and the i/N start stagger. Every push step,
-    and so all gradient and optimizer math, runs on the calling thread in
-    _Run.execute, in the order the threads report. A barrier worker is
-    given no next deadline until its round's update lands, so every
-    strategy runs here.
-
-    Timings and interleavings are nondeterministic, so only statistical
+    Each completion popped from _Run.execute's heap is observed by sleeping
+    until its deadline, cfg.parallel_time_scale real seconds per simulated
+    second counted from the run's start, and taking the time of waking, in
+    simulated seconds, as the completion time. So paced runs honour
+    comm.latency and the i/N start stagger, and completions come in
+    deadline order. A completion that falls due while a push step runs is
+    observed when that step ends, and each wake time feeds the next
+    deadline, so timings are nondeterministic and only statistical
     assertions hold; with N=1 the update trajectory matches the serial
-    engine exactly (timestamps aside). Divergence ends in a diverged
-    trace, as in run_simulation; any other exception propagates. The
-    threads are stopped, cutting short any sleep still running, and joined
-    on every exit.
+    engine exactly (timestamps aside). No thread is started. Divergence
+    ends in a diverged trace, as in run_simulation; any other exception,
+    a sleep too long for the clock's range included, propagates.
     """
     run = _Run(cfg, (objective, dataset, probe, theta0))
     scale = cfg.parallel_time_scale
-    go = [queue.SimpleQueue() for _ in run.ids]
-    done = queue.SimpleQueue()
-    stop = threading.Event()  # cuts the sleeps still running at the end
     t0 = time.monotonic()
 
-    def sleeper(w: int) -> None:
-        while (until := go[w].get()) is not None:
-            stop.wait(max(0.0, until * scale - (time.monotonic() - t0)))
-            done.put(((time.monotonic() - t0) / scale, w))
+    def observe(deadline: float) -> float:
+        time.sleep(max(0.0, deadline * scale - (time.monotonic() - t0)))
+        return (time.monotonic() - t0) / scale
 
-    threads = []
-    try:
-        for w in run.ids:
-            th = threading.Thread(target=sleeper, args=(w,), name=f"worker-{w}")
-            th.start()
-            threads.append(th)
-        return run.execute(lambda w, start, d: go[w].put(start + d), done.get)
-    finally:
-        stop.set()
-        for q in go:
-            q.put(None)
-        for th in threads:
-            th.join()
+    return run.execute(observe)

@@ -8,7 +8,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_leftover_threads():
     """Fail a test that returns while a thread it started is still alive:
-    the threaded engine must stop and join its workers on every exit."""
+    no engine may leave a thread running after it returns."""
     before = set(threading.enumerate())
     yield
     left = [th.name for th in threading.enumerate() if th not in before]

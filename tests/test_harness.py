@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -299,6 +300,29 @@ def test_cli_parallel_worker_error_exits_5_without_traceback(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == "error: RuntimeError: worker crashed\n"
+
+
+def test_cli_parallel_sleep_overflow_exits_5_without_traceback(tmp_path, capsys):
+    # a deadline past the clock's range ends the paced run at once
+    cfg_path = _write_cfg(
+        tmp_path,
+        workers=1,
+        compute=ComputeTimeModel.constant(1e300),
+        parallel_time_scale=1e-4,
+        out_dir=str(tmp_path / "out"),
+    )
+    out = {}
+    th = threading.Thread(
+        target=lambda: out.update(code=main(["run", cfg_path, "--parallel"])),
+        daemon=True,
+    )
+    th.start()
+    th.join(timeout=10.0)
+    assert not th.is_alive(), "run still going after 10 s"
+    assert out["code"] == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class _HugeFirstCoordinate:

@@ -782,3 +782,33 @@ def test_parallel_respects_update_budget():
     )
     assert trace.updates == 25
     assert all(r.staleness >= 0 for r in trace.rows)
+
+
+class _ThreadCountingObjective(_CountingObjective):
+    """Records threading.active_count() at every gradient."""
+
+    def __init__(self):
+        super().__init__()
+        self.thread_counts = set()
+
+    def grad(self, theta, batch, rng=None):
+        self.thread_counts.add(threading.active_count())
+        return super().grad(theta, batch, rng)
+
+
+def test_parallel_paces_on_the_calling_thread():
+    # no thread per worker: every gradient sees the threads alive before
+    # the run, and completions are observed in time order
+    objective = _ThreadCountingObjective()
+    cfg = _cfg(
+        workers=8,
+        compute=ComputeTimeModel.normal(1.0, 0.3),
+        budget_updates=40,
+        parallel_time_scale=0.001,
+    )
+    before = threading.active_count()
+    trace = run_parallel(cfg, objective=objective)
+    assert trace.updates == 40
+    assert objective.thread_counts == {before}
+    times = [r.sim_time_s for r in trace.rows]
+    assert times == sorted(times)
