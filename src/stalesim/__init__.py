@@ -1,9 +1,10 @@
 """Deterministic parameter-server SGD simulator.
 
 Study gradient staleness, Adam's behavior under noisy and stale gradients,
-and local/global gradient accumulation on toy objectives, with a
-reproducible discrete-event scheduler and an optional paced mode that
-plays the same event loop back against a real clock.
+and local/global gradient accumulation on toy objectives. One entry
+point, run_simulation, runs a reproducible discrete-event scheduler, or,
+when the config sets parallel, plays the same event loop back against a
+real clock.
 """
 
 from .config import (
@@ -47,7 +48,6 @@ from .simulator import (
     RunTrace,
     Strategy,
     TraceRow,
-    run_parallel,
     run_simulation,
     staleness_summary,
 )
@@ -82,7 +82,6 @@ __all__ = [
     "parse_config",
     "predicted_efficiency",
     "run_experiment",
-    "run_parallel",
     "run_simulation",
     "sample_compute_time",
     "selftest_adam_table",

@@ -37,7 +37,6 @@ from .optim import AdamConfig, AdamState, adam_step
 from .simulator import (
     RunTrace,
     Strategy,
-    run_parallel,
     run_simulation,
     staleness_summary,
 )
@@ -188,13 +187,13 @@ def run_experiment(
 ) -> tuple[RunTrace, SummaryReport]:
     """Run one experiment and write trace.csv + summary.json.
 
-    Chooses run_parallel when cfg.parallel is set, run_simulation
-    otherwise. The engine builds the experiment and probes the initial
-    loss; the summary takes it from the trace. The exit status for a CLI
+    run_simulation builds the experiment, paces the run on the real
+    clock when cfg.parallel is set, and probes the initial loss; the
+    summary takes it from the trace. The exit status for a CLI
     wrapper comes from SummaryReport.exit_code(): 0 ok, 3 diverged, 4
     thresholds unreached.
     """
-    trace = (run_parallel if cfg.parallel else run_simulation)(cfg)
+    trace = run_simulation(cfg)
     report = summarize(trace, cfg, trace.initial_loss)
     out = resolve_out_dir(out_dir, cfg)
     os.makedirs(out, exist_ok=True)

@@ -13,13 +13,14 @@ finite-difference oracle verifies every analytic gradient in milliseconds:
 A dataset is one array-backed Batch: a feature matrix, a target vector and
 integer costs (a token-count analog), one row per sample, all read-only.
 The dynamic batcher fills batches greedily up to a cost budget in dataset
-order and returns them as read-only row views of the dataset, so the data
-stays in the arrays it was drawn into, from the draw to the gradient.
+order and cuts them on demand as read-only row views of the dataset, so the
+data stays in the arrays it was drawn into, from the draw to the gradient.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class Batch:
     float64, targets (n,) float64 (a real value or a class id) and costs
     (n,) int64, each cost >= 1 and standing in for the sample's memory
     footprint. total_cost is their sum as a Python int. Nothing is copied:
-    the batches dynamic_batcher returns are row views of the dataset.
+    the batches dynamic_batcher yields are row views of the dataset.
     Objectives that see only the cost (the quadratic) use d = 0.
     """
 
@@ -333,28 +334,32 @@ def finite_diff_grad(obj: Objective, theta: Vec, batch: Batch, h: float) -> Vec:
     return out
 
 
-def dynamic_batcher(dataset: Batch, budget: int) -> list[Batch]:
-    """Greedy cost-budget batching in dataset order.
+def dynamic_batcher(dataset: Batch, budget: int) -> Iterator[Batch]:
+    """Greedy cost-budget batching in dataset order, cut on demand.
 
     A sample joins the open batch iff it fits the budget, otherwise a new
     batch starts. The batches are read-only row views of the dataset, not
-    copies, and concatenate back to it exactly.
+    copies, and concatenate back to it exactly. The budget and every cost
+    are checked at the call; each batch is cut when the iterator reaches
+    it, so a run that uses a few batches of a large dataset cuts only those.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    batches: list[Batch] = []
-    start = 0
-    current_cost = 0
-    for i, cost in enumerate(dataset.costs.tolist()):
-        if cost > budget:
-            raise ValueError(f"sample cost {cost} exceeds batch budget {budget}")
-        if current_cost + cost > budget:
-            batches.append(dataset._rows(start, i, current_cost))
-            start = i
-            current_cost = 0
-        current_cost += cost
-    batches.append(dataset._rows(start, len(dataset), current_cost))
-    return batches
+    over = np.flatnonzero(dataset.costs > budget)
+    if len(over):
+        cost = dataset.costs[over[0]]
+        raise ValueError(f"sample cost {cost} exceeds batch budget {budget}")
+
+    def cut() -> Iterator[Batch]:
+        start = current_cost = 0
+        for i, cost in enumerate(dataset.costs.tolist()):
+            if current_cost + cost > budget:
+                yield dataset._rows(start, i, current_cost)
+                start, current_cost = i, 0
+            current_cost += cost
+        yield dataset._rows(start, len(dataset), current_cost)
+
+    return cut()
 
 
 def make_cost_stream(rng: RngStream, n: int, cost_max: int = 50) -> np.ndarray:

@@ -22,12 +22,12 @@ pulled snapshot, local buffer and batch in flight, in lists by worker id.
 Its push method is the whole push step, from the worker's gradient to the
 trace row, with no message in between.
 
-Both engines run one event loop, _Run.execute, on the calling thread. It
-keeps the one event source, a heap of simulated deadlines (ties to the
-lower worker id), and the engines differ only in when a completion popped
-from it is observed. run_simulation observes it at its deadline, so it is
-deterministic. run_parallel sleeps until the deadline on a real clock
-scaled by parallel.time_scale and observes the time it woke, so its
+run_simulation is the one entry point. It runs one event loop,
+_Run.execute, on the calling thread; the loop keeps the one event source, a
+heap of simulated deadlines (ties to the lower worker id). A run observes
+each completion popped from it at its deadline, so it is deterministic,
+unless cfg.parallel is set: then it sleeps until the deadline on a real
+clock scaled by parallel.time_scale and observes the time it woke, so its
 timings are nondeterministic while every bookkeeping rule, and all of the
 numerics, stay the same.
 """
@@ -78,7 +78,6 @@ __all__ = [
     "RunTrace",
     "DivergenceError",
     "run_simulation",
-    "run_parallel",
     "staleness_summary",
     "build_experiment",
     "TRACE_SCHEMA",
@@ -211,8 +210,8 @@ _COLUMN_TYPES = tuple(get_type_hints(TraceRow).values())
 
 class DivergenceError(RuntimeError):
     """Raised by _Run when the parameters, Adam's second moment or the
-    probe loss, the initial one included, stop being finite. Both engines
-    convert it into a diverged trace that keeps the rows recorded before."""
+    probe loss, the initial one included, stop being finite. _Run.execute
+    converts it into a diverged trace that keeps the rows recorded before."""
 
 
 @dataclass
@@ -379,7 +378,7 @@ def build_experiment(
 
 
 class _Run:
-    """One run's whole state and the push step both engines share.
+    """One run's whole state, its push step and its event loop.
 
     Server side: the parameters, their version (the count of optimizer
     updates applied), the accumulator of pushed gradients, Adam's state
@@ -404,8 +403,8 @@ class _Run:
     server's array itself: each update binds theta to a new read-only array,
     so no snapshot changes and an objective that writes into one raises.
     Per compute cycle a stream is consumed in a fixed order (duration draw
-    in start, then gradient noise in push), so both engines walk identical
-    sample sequences.
+    in start, then gradient noise in push), so serial and paced runs walk
+    identical sample sequences.
     """
 
     def __init__(self, cfg: "ExperimentConfig", pieces: tuple):
@@ -445,7 +444,8 @@ class _Run:
         self.buf_count = [0] * n
         self.buf_cost = [0] * n
         self.in_flight: list[Batch | None] = [None] * n
-        # round-robin over the batches in dataset order
+        # round-robin over the batches in dataset order; cycle keeps each
+        # batch as it is cut and replays them once the dataset is used up
         self.batches = itertools.cycle(dynamic_batcher(dataset, cfg.batch_budget))
 
     def start(self, w: int) -> float:
@@ -546,23 +546,27 @@ class _Run:
             return None
         return t + cfg.comm_latency, nxt
 
-    def execute(self, observe) -> RunTrace:
-        """The one event loop, shared by both engines.
+    def execute(self) -> RunTrace:
+        """The one event loop; run_simulation says how a paced run differs.
 
         The initial parameters are probed first, as version 0. Then every
         worker starts in id order, staggered at i/N seconds, and its
         completion deadline (start plus its sampled duration) goes on a
         heap of (deadline, worker id). The loop pops the earliest
-        completion, ties to the lower id, and observe(deadline) returns the
-        simulated time t at which it is seen. The loop takes the push step
-        (see push) on that worker at t and puts the completions of the
-        workers it names on the heap. It stops once the update budget is
-        met, at the first completion past cfg.budget_sim_time when that is
-        set, or on divergence: a DivergenceError ends the run with a
-        diverged trace that keeps every row recorded before it. Any other
-        exception, observe's included, propagates.
+        completion, ties to the lower id, and observes it at time t: the
+        deadline, or with cfg.parallel the paced clock's reading after a
+        sleep until it. It takes the push step (see push) on that worker at
+        t and puts the completions of the workers it names on the heap. It
+        stops once the update budget is met; at the first completion past
+        cfg.budget_sim_time when that is set, tested on the deadline before
+        any sleep and on t after it; or on divergence: a DivergenceError
+        ends the run with a diverged trace that keeps every row recorded
+        before it. Any other exception, a sleep too long for the clock's
+        range included, propagates.
         """
         cfg = self.cfg
+        limit = cfg.budget_sim_time if cfg.budget_sim_time > 0 else math.inf
+        scale, t0 = cfg.parallel_time_scale, time.monotonic()
         reason = None
         try:
             # divergence detection rides on IEEE inf/nan propagation; the
@@ -572,10 +576,14 @@ class _Run:
                 heap = [(w / cfg.workers + self.start(w), w) for w in self.ids]
                 heapq.heapify(heap)
                 while True:
-                    deadline, w = heapq.heappop(heap)
-                    t = observe(deadline)
-                    if cfg.budget_sim_time > 0 and t > cfg.budget_sim_time:
+                    t, w = heapq.heappop(heap)
+                    if t > limit:
                         break
+                    if cfg.parallel:
+                        time.sleep(max(0.0, t * scale - (time.monotonic() - t0)))
+                        t = (time.monotonic() - t0) / scale
+                        if t > limit:
+                            break
                     step = self.push(w, t)
                     if step is None:
                         break
@@ -603,46 +611,24 @@ def run_simulation(
     probe: Batch | None = None,
     theta0: Vec | None = None,
 ) -> RunTrace:
-    """Deterministic discrete-event run of the configured experiment.
+    """Run the configured experiment (see _Run.execute for the loop).
 
-    _Run.execute observes every completion at its deadline, so the loop
-    takes them in simulated-time order, ties to the lower worker id. The
-    run stops at the update budget, at the first event past
-    cfg.budget_sim_time when that is set, or on divergence (the trace
-    keeps all rows up to the failure).
+    Serial by default: every completion is observed at its deadline, so the
+    loop takes them in simulated-time order, ties to the lower worker id,
+    and the run is deterministic. With cfg.parallel set, the same loop is
+    paced by a real clock on the calling thread, cfg.parallel_time_scale
+    real seconds per simulated second: each completion is observed when a
+    sleep until its deadline ends, so paced runs honour comm.latency and
+    the i/N start stagger and take completions in deadline order. A
+    completion that falls due while a push step runs is observed when that
+    step ends, and each wake time feeds the next deadline, so paced timings
+    are nondeterministic and only statistical assertions hold; with N=1
+    the update trajectory matches the serial run exactly (timestamps
+    aside). No thread is started.
+
+    Either way the run stops at the update budget, at the first completion
+    past cfg.budget_sim_time when that is set, or on divergence (the trace
+    keeps all rows up to the failure). objective, dataset, probe and
+    theta0 go to build_experiment.
     """
-    run = _Run(cfg, (objective, dataset, probe, theta0))
-    return run.execute(lambda deadline: deadline)
-
-
-def run_parallel(
-    cfg: "ExperimentConfig",
-    objective: Objective | None = None,
-    dataset: Batch | None = None,
-    probe: Batch | None = None,
-    theta0: Vec | None = None,
-) -> RunTrace:
-    """Run the same event loop paced by a real clock, on the calling thread.
-
-    Each completion popped from _Run.execute's heap is observed by sleeping
-    until its deadline, cfg.parallel_time_scale real seconds per simulated
-    second counted from the run's start, and taking the time of waking, in
-    simulated seconds, as the completion time. So paced runs honour
-    comm.latency and the i/N start stagger, and completions come in
-    deadline order. A completion that falls due while a push step runs is
-    observed when that step ends, and each wake time feeds the next
-    deadline, so timings are nondeterministic and only statistical
-    assertions hold; with N=1 the update trajectory matches the serial
-    engine exactly (timestamps aside). No thread is started. Divergence
-    ends in a diverged trace, as in run_simulation; any other exception,
-    a sleep too long for the clock's range included, propagates.
-    """
-    run = _Run(cfg, (objective, dataset, probe, theta0))
-    scale = cfg.parallel_time_scale
-    t0 = time.monotonic()
-
-    def observe(deadline: float) -> float:
-        time.sleep(max(0.0, deadline * scale - (time.monotonic() - t0)))
-        return (time.monotonic() - t0) / scale
-
-    return run.execute(observe)
+    return _Run(cfg, (objective, dataset, probe, theta0)).execute()

@@ -23,7 +23,6 @@ from stalesim.optim import AdamConfig, AdamState, GradStreamStats, adam_directio
 from stalesim.simulator import (
     Strategy,
     build_experiment,
-    run_parallel,
     run_simulation,
     staleness_summary,
 )
@@ -105,24 +104,33 @@ def test_c04_adam_scale_invariance(capsys):
 def test_c05_statistical_efficiency(capsys):
     # Six iid streams at once, one coordinate block per case: singles with
     # CoV in {0.5, 1, 2}, then sums of k=4 draws of each (a k-sum of
-    # N(1, cov^2) is N(4, 4 cov^2), i.e. CoV halves).
+    # N(1, cov^2) is N(4, 4 cov^2), i.e. CoV halves). A seventh block of 4
+    # coordinates, from its own stream, has mean 0.5 and variance 2.25
+    # (CoV 3), predicted 1/sqrt(10). Adam is elementwise, so the blocks
+    # share one step without touching each other's values.
     covs = (0.5, 1.0, 2.0)
     width = 8
     cfg = AdamConfig(alpha=0.001, epsilon=0.0)
     rng = RngStream(21, stream=0)
+    rng_cov3 = RngStream(11, stream=0)
     loc = np.repeat([1.0, 1.0, 1.0, 4.0, 4.0, 4.0], width)
     scale = np.repeat([c for c in covs] + [2 * c for c in covs], width)
-    state = AdamState.zeros(6 * width)
-    theta = np.zeros(6 * width)
-    sums = np.zeros(6 * width)
+    dim = 6 * width + 4
+    state = AdamState.zeros(dim)
+    theta = np.zeros(dim)
+    sums = np.zeros(dim)
     kept = 0
     for i in range(100_000):
-        g = rng.normal(size=6 * width) * scale + loc
+        g = np.concatenate(
+            (rng.normal(size=6 * width) * scale + loc, rng_cov3.normal(0.5, 1.5, size=4))
+        )
         state, theta = adam_step(state, cfg, theta, g)
         if i >= 2_000:
             sums += np.abs(adam_direction(state, cfg))
             kept += 1
-    empirical = (sums / kept).reshape(6, width).mean(axis=1)
+    empirical = (sums[: 6 * width] / kept).reshape(6, width).mean(axis=1)
+    cov3 = float(np.mean(sums[6 * width :] / kept))
+    pred_cov3 = predicted_efficiency(GradStreamStats(mean=0.5, variance=2.25, count=1))
 
     ok = True
     details = []
@@ -134,8 +142,11 @@ def test_c05_statistical_efficiency(capsys):
         ok &= abs(e4 - pred4) / pred4 < 0.05
         ok &= e4 > e1  # summing four samples visibly recovers step size
         details.append(f"CoV {cov}: {e1:.3f}/{pred1:.3f}, k=4 {e4:.3f}/{pred4:.3f}")
+    ok &= abs(cov3 - pred_cov3) / pred_cov3 < 0.10
+    details.append(f"CoV 3: {cov3:.3f}/{pred_cov3:.3f}")
     _report(capsys, 5, ok,
-            "long-run |direction| matches 1/sqrt(CoV^2+1); k=4 sums within 5%",
+            "long-run |direction| matches 1/sqrt(CoV^2+1): CoV <= 2 and k=4 sums "
+            "within 5%, CoV 3 within 10%",
             "; ".join(details))
     assert ok, details
 
@@ -196,7 +207,7 @@ def test_c07_strategy_equivalences(capsys):
     )
     trace1 = run_simulation(cfg1)
     objective, dataset, _, theta = build_experiment(cfg1)
-    batches = dynamic_batcher(dataset, cfg1.batch_budget)
+    batches = list(dynamic_batcher(dataset, cfg1.batch_budget))
     for k in range(40):
         theta = sgd_step(theta, objective.grad(theta, batches[k % len(batches)]),
                          cfg1.adam.alpha)
@@ -288,12 +299,12 @@ def test_c09_byte_identical_reruns(capsys, tmp_path):
 
 
 def test_c10_parallel_mode_staleness_ordering(capsys):
-    # real threads, real sleeps: global accumulation must still show less
-    # staleness than plain async in at least 4 of 5 paired runs
-    # (1 ms real sleeps; at 0.1 simulated seconds a batch, the i/N start
-    # stagger spans 2.5 batches, not the whole run)
+    # paced on a real clock, with real sleeps: global accumulation must
+    # still show less staleness than plain async in at least 4 of 5 paired
+    # runs (1 ms real sleeps; at 0.1 simulated seconds a batch, the i/N
+    # start stagger spans 2.5 batches, not the whole run)
     def arm(strategy, updates, seed):
-        trace = run_parallel(default_config(
+        trace = run_simulation(default_config(
             objective=ObjectiveSpec(kind="quadratic", dim=4, cond=3.0,
                                     noise_sigma=0.5, samples=32),
             workers=4,
@@ -317,6 +328,6 @@ def test_c10_parallel_mode_staleness_ordering(capsys):
         pairs.append(f"{g:.2f}<{a:.2f}" if g < a else f"{g:.2f}>={a:.2f}")
     ok = wins >= 4
     _report(capsys, 10, ok,
-            "threaded global accumulation beats async staleness in >= 4/5 runs",
+            "paced global accumulation beats async staleness in >= 4/5 runs",
             f"{wins}/5: " + ", ".join(pairs))
     assert ok, pairs

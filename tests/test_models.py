@@ -217,26 +217,31 @@ def test_finite_diff_rejects_bad_step_and_noisy_objectives():
 
 
 def test_batcher_greedy_fill_example():
-    batches = dynamic_batcher(Batch.cost_only([3] * 3), budget=6)
+    batches = list(dynamic_batcher(Batch.cost_only([3] * 3), budget=6))
     assert [len(b) for b in batches] == [2, 1]
     assert [b.total_cost for b in batches] == [6, 3]
 
 
 def test_batcher_unit_costs_fill_exactly():
-    batches = dynamic_batcher(Batch.cost_only([1] * 23), budget=5)
+    batches = list(dynamic_batcher(Batch.cost_only([1] * 23), budget=5))
     assert [len(b) for b in batches] == [5, 5, 5, 5, 3]
 
 
 def test_batcher_budget_scaling_quarters_batch_count():
     dataset = Batch.cost_only([2] * 200)
-    small = dynamic_batcher(dataset, budget=10)
-    large = dynamic_batcher(dataset, budget=40)
+    small = list(dynamic_batcher(dataset, budget=10))
+    large = list(dynamic_batcher(dataset, budget=40))
     assert len(small) == 4 * len(large)
 
 
 def test_batcher_rejects_oversized_sample():
     with pytest.raises(ValueError):
         dynamic_batcher(Batch.cost_only([11]), budget=10)
+    # checked at the call, not when the iterator reaches the sample
+    with pytest.raises(ValueError, match="sample cost 11 exceeds batch budget 10"):
+        dynamic_batcher(Batch.cost_only([1, 2, 11]), budget=10)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        dynamic_batcher(Batch.cost_only([1]), budget=0)
 
 
 def _costed_dataset(costs):
@@ -252,7 +257,7 @@ def _costed_dataset(costs):
 )
 def test_batcher_partition_properties(costs, budget):
     dataset = _costed_dataset(costs)
-    batches = dynamic_batcher(dataset, budget)
+    batches = list(dynamic_batcher(dataset, budget))
     # order-preserving partition: the rows concatenate back to the dataset
     np.testing.assert_array_equal(
         np.concatenate([b.features for b in batches]), dataset.features
@@ -275,7 +280,7 @@ def test_batcher_partition_properties(costs, budget):
 
 def test_batches_are_read_only_views_of_the_dataset():
     dataset = _costed_dataset([1, 2, 3, 1, 2, 3, 1])
-    batches = dynamic_batcher(dataset, budget=4)
+    batches = list(dynamic_batcher(dataset, budget=4))
     assert len(batches) > 1
     for b in batches:
         for arr, whole in (

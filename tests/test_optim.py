@@ -239,25 +239,6 @@ def test_summing_samples_never_hurts_efficiency(mean, var, count):
     assert 0 < summed <= 1.0
 
 
-def test_efficiency_prediction_matches_long_run_step_size():
-    # Empirical oracle: feed Adam an iid stream with mean 0.5 and variance
-    # 2.25; the long-run average |normalized step| should approach the
-    # predicted 1/sqrt(10) within 10%.
-    cfg = _paper_cfg(epsilon=0.0)
-    rng = RngStream(11, stream=0)
-    state = AdamState.zeros(4)
-    theta = np.zeros(4)
-    mags = []
-    for i in range(100_000):
-        g = rng.normal(0.5, 1.5, size=4)
-        state, theta = adam_step(state, cfg, theta, g)
-        if i >= 2_000:
-            mags.append(np.mean(np.abs(adam_direction(state, cfg))))
-    empirical = float(np.mean(mags))
-    predicted = predicted_efficiency(GradStreamStats(mean=0.5, variance=2.25, count=1))
-    assert abs(empirical - predicted) / predicted < 0.10
-
-
 def test_adam_direction_requires_a_completed_step():
     cfg = _paper_cfg()
     with pytest.raises(ValueError):

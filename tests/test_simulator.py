@@ -1,9 +1,10 @@
-"""Event loop, strategies, staleness accounting, traces, parallel engine."""
+"""Event loop, strategies, staleness accounting, traces, paced runs."""
 
 import os
-import sys
 import tempfile
 import threading
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,6 @@ from stalesim.simulator import (
     Strategy,
     TraceRow,
     build_experiment,
-    run_parallel,
     run_simulation,
     staleness_summary,
 )
@@ -168,7 +168,7 @@ def test_one_sync_round_equals_serial_adam_on_mean_gradient():
         budget_updates=1,
     )
     objective, dataset, probe, theta0 = build_experiment(cfg)
-    batches = dynamic_batcher(dataset, cfg.batch_budget)
+    batches = list(dynamic_batcher(dataset, cfg.batch_budget))
     accum = np.zeros(5)
     for i in range(4):
         accum += objective.grad(theta0, batches[i])
@@ -197,7 +197,7 @@ def test_single_worker_async_is_serial_sgd():
     assert all(r.staleness == 0 for r in trace.rows)
 
     objective, dataset, _, theta = build_experiment(cfg)
-    batches = dynamic_batcher(dataset, cfg.batch_budget)
+    batches = list(dynamic_batcher(dataset, cfg.batch_budget))
     for k in range(30):
         theta = sgd_step(theta, objective.grad(theta, batches[k % len(batches)]),
                          cfg.adam.alpha)
@@ -355,15 +355,15 @@ def test_run_experiment_exits_3_on_accumulated_overflow(tmp_path, monkeypatch):
 
 
 def test_parallel_accumulated_overflow_diverges_without_hanging():
-    cfg = _overflow_cfg(2, 2, parallel_time_scale=1e-4)
-    out = _finishes(lambda: run_parallel(cfg, objective=_HugeGradient()))
+    cfg = _overflow_cfg(2, 2, parallel=True, parallel_time_scale=1e-4)
+    out = _finishes(lambda: run_simulation(cfg, objective=_HugeGradient()))
     assert out["trace"].diverged
     assert "non-finite" in out["trace"].divergence_reason
 
 
 def test_parallel_worker_crash_stops_run_and_reraises():
-    cfg = _overflow_cfg(2, 2, parallel_time_scale=1e-4)
-    out = _finishes(lambda: run_parallel(cfg, objective=_FailingGradient()))
+    cfg = _overflow_cfg(2, 2, parallel=True, parallel_time_scale=1e-4)
+    out = _finishes(lambda: run_simulation(cfg, objective=_FailingGradient()))
     assert isinstance(out.get("error"), RuntimeError)
     assert "worker crashed" in str(out["error"])
 
@@ -394,8 +394,8 @@ def test_nan_gradient_diverges_at_the_update_that_applies_it(g):
 
 @pytest.mark.parametrize("g", sorted(_NAN_ROWS))
 def test_parallel_nan_gradient_diverges(g):
-    cfg = _overflow_cfg(2, g, parallel_time_scale=1e-4)
-    out = _finishes(lambda: run_parallel(cfg, objective=_NanGradient()))
+    cfg = _overflow_cfg(2, g, parallel=True, parallel_time_scale=1e-4)
+    out = _finishes(lambda: run_simulation(cfg, objective=_NanGradient()))
     assert out["trace"].diverged
     assert "non-finite" in out["trace"].divergence_reason
     assert out["trace"].pushes == _NAN_ROWS[g]
@@ -632,21 +632,17 @@ def test_mean_and_sum_combine_agree_under_scale_invariant_adam(
     np.testing.assert_allclose(sum_run.final_theta, mean_run.final_theta, rtol=1e-12)
 
 
-def test_parallel_probe_cache_holds_under_thread_stress():
+def test_parallel_probe_cache_holds_when_paced():
     objective = _CountingObjective()
     cfg = _cfg(
         workers=8,
         strategy=Strategy.global_accum(4),
         compute=ComputeTimeModel.constant(0.001),
         budget_updates=30,
+        parallel=True,
         parallel_time_scale=0.01,
     )
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        trace = _finishes(lambda: run_parallel(cfg, objective=objective))["trace"]
-    finally:
-        sys.setswitchinterval(interval)
+    trace = _finishes(lambda: run_simulation(cfg, objective=objective))["trace"]
     assert trace.updates == 30
     assert objective.losses == len({r.update_idx for r in trace.rows})
     first = {}
@@ -699,7 +695,7 @@ def test_trace_csv_rejects_other_schema(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# parallel engine
+# paced runs (cfg.parallel)
 
 
 @pytest.mark.parametrize(
@@ -712,25 +708,28 @@ def test_parallel_runs_barrier_strategies(strategy, allowed):
         strategy=strategy,
         compute=ComputeTimeModel.constant(0.1),
         budget_updates=12,
+        parallel=True,
         parallel_time_scale=0.01,
     )
-    trace = _finishes(lambda: run_parallel(cfg))["trace"]
+    trace = _finishes(lambda: run_simulation(cfg))["trace"]
     assert trace.updates == 12
     assert trace.pushes == cfg.workers * trace.updates
     assert {r.staleness for r in trace.rows} <= allowed
 
 
 def test_parallel_sleeps_the_comm_latency():
-    # a threaded worker wakes at start + d, and its next start is the push
-    # time plus the message latency, as in the serial engine's heap
+    # a paced completion is observed at start + d or later, and the
+    # worker's next start is the push time plus the message latency, as in
+    # a serial run
     cfg = _cfg(
         workers=1,
         compute=ComputeTimeModel.constant(0.4),
         comm_latency=0.2,
         budget_updates=6,
+        parallel=True,
         parallel_time_scale=0.1,
     )
-    rows = run_parallel(cfg).rows
+    rows = run_simulation(cfg).rows
     gaps = [b.sim_time_s - a.sim_time_s for a, b in zip(rows, rows[1:])]
     assert len(gaps) == 5
     assert min(gaps) >= 0.6 - 1e-9, gaps
@@ -743,10 +742,12 @@ def test_parallel_staggers_the_first_starts():
         workers=2,
         compute=ComputeTimeModel.constant(0.01),
         budget_updates=10,
+        parallel=True,
         parallel_time_scale=0.2,
     )
+    serial = replace(cfg, parallel=False)
+    assert [r.worker_id for r in run_simulation(serial).rows] == [0] * 10
     assert [r.worker_id for r in run_simulation(cfg).rows] == [0] * 10
-    assert [r.worker_id for r in run_parallel(cfg).rows] == [0] * 10
 
 
 def test_parallel_single_worker_matches_serial_trajectory():
@@ -757,31 +758,69 @@ def test_parallel_single_worker_matches_serial_trajectory():
         strategy=Strategy.asynchronous(),
         compute=ComputeTimeModel.constant(0.001),
         budget_updates=50,
+        parallel=True,
         parallel_time_scale=1.0,
     )
-    serial = run_simulation(cfg)
-    threaded = run_parallel(cfg)
-    assert len(threaded.rows) == len(serial.rows)
-    for a, b in zip(serial.rows, threaded.rows):
+    serial = run_simulation(replace(cfg, parallel=False))
+    paced = run_simulation(cfg)
+    assert len(paced.rows) == len(serial.rows)
+    for a, b in zip(serial.rows, paced.rows):
         # identical state machine, real clock: timestamps differ, math not
         assert (a.update_idx, a.pushes, a.staleness, a.worker_id) == (
             b.update_idx, b.pushes, b.staleness, b.worker_id)
         assert a.loss_probe == b.loss_probe
         assert a.lr == b.lr
-    np.testing.assert_array_equal(serial.final_theta, threaded.final_theta)
+    np.testing.assert_array_equal(serial.final_theta, paced.final_theta)
 
 
 def test_parallel_respects_update_budget():
-    trace = run_parallel(
+    trace = run_simulation(
         _cfg(
             strategy=Strategy.global_accum(4),
             compute=ComputeTimeModel.constant(0.001),
             budget_updates=25,
+            parallel=True,
             parallel_time_scale=0.05,
         )
     )
     assert trace.updates == 25
     assert all(r.staleness >= 0 for r in trace.rows)
+
+
+def test_run_simulation_paces_exactly_when_the_config_says_parallel():
+    # the config key alone picks the clock: paced, the run sleeps until its
+    # last completion; serial, the same config returns at once
+    cfg = _cfg(
+        workers=2,
+        compute=ComputeTimeModel.constant(0.5),
+        budget_updates=8,
+        parallel=True,
+        parallel_time_scale=0.1,
+    )
+    walls = {}
+    for parallel in (True, False):
+        begin = time.monotonic()
+        trace = run_simulation(replace(cfg, parallel=parallel))
+        walls[parallel] = time.monotonic() - begin, trace.final_sim_time
+    paced_wall, paced_end = walls[True]
+    serial_wall, serial_end = walls[False]
+    assert paced_wall >= paced_end * cfg.parallel_time_scale >= 0.2
+    assert serial_wall < serial_end * cfg.parallel_time_scale
+
+
+def test_parallel_stops_before_sleeping_past_the_sim_time_budget():
+    # the first completion falls due at 20 simulated seconds, past the
+    # 5 s budget: the run ends without sleeping the 2 s of real time to it
+    cfg = _cfg(
+        workers=1,
+        batch_budget=1,
+        compute=ComputeTimeModel.constant(20.0),
+        budget_sim_time=5.0,
+        parallel=True,
+        parallel_time_scale=0.1,
+    )
+    out = _finishes(lambda: run_simulation(cfg), timeout=0.5)
+    assert out["trace"].rows == []
 
 
 class _ThreadCountingObjective(_CountingObjective):
@@ -804,10 +843,11 @@ def test_parallel_paces_on_the_calling_thread():
         workers=8,
         compute=ComputeTimeModel.normal(1.0, 0.3),
         budget_updates=40,
+        parallel=True,
         parallel_time_scale=0.001,
     )
     before = threading.active_count()
-    trace = run_parallel(cfg, objective=objective)
+    trace = run_simulation(cfg, objective=objective)
     assert trace.updates == 40
     assert objective.thread_counts == {before}
     times = [r.sim_time_s for r in trace.rows]
