@@ -93,8 +93,9 @@ class ObjectiveSpec:
             raise ValueError("objective.samples must be >= 1")
         if self.target_noise < 0:
             raise ValueError("objective.target_noise must be >= 0")
-        if min(self.in_dim, self.hidden) < 1 or self.classes < 2:
-            raise ValueError("mlp needs in_dim, hidden >= 1 and classes >= 2")
+        for name, low in (("in_dim", 1), ("hidden", 1), ("classes", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"objective.{name} must be >= {low}")
         if self.spread <= 0:
             raise ValueError("objective.spread must be > 0")
 

@@ -111,6 +111,8 @@ class Objective:
         raise NotImplementedError
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
+        """The gradient at theta on batch. The engine keeps the returned
+        array and may step with it as is, so never write to it later."""
         raise NotImplementedError
 
     def _check_dim(self, theta: Vec) -> None:

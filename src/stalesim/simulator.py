@@ -16,11 +16,12 @@ worker's parameter pull and the push, so synchronous runs record 0, async
 with N equal-speed workers settles at N-1, and server-side accumulation
 divides staleness by sharing one update among G pulls.
 
-One object, _Run, holds a run's whole state: the server's parameters,
-accumulator, optimizer state and trace rows, and each worker's stream,
-pulled snapshot, local buffer and batch in flight, in lists by worker id.
-Its push method is the whole push step, from the worker's gradient to the
-trace row, with no message in between.
+One object, _Run, holds a run's whole state, and only model state: the
+server's parameters, gradient sum, optimizer state and trace rows, and
+each worker's stream, pulled snapshot, gradient sum and batch in flight,
+in lists by worker id. Its push method is the whole push step, from the
+worker's gradient to the trace row; its update method alone changes the
+parameters.
 
 run_simulation is the one entry point. It runs one event loop,
 _Run.execute, on the calling thread; the loop keeps the one event source, a
@@ -381,30 +382,31 @@ class _Run:
     """One run's whole state, its push step and its event loop.
 
     Server side: the parameters, their version (the count of optimizer
-    updates applied), the accumulator of pushed gradients, Adam's state
-    (none for SGD) and the trace rows. One update is applied per G pushes.
-    This is the one place that checks run values for finiteness: the new
-    parameters and Adam's second moment v once per update, the probe loss
-    once per version. A non-finite gradient makes the SGD parameters or
-    Adam's v non-finite at the update that applies it; so does a finite one
-    above ~1e154, whose g*g overflows v and would freeze its coordinate.
+    updates applied), the sum of the gradients pushed since the last
+    update, Adam's state (none for SGD) and the trace rows. Worker side, in
+    lists indexed by worker id: the RNG stream, the (theta, version) pulled
+    last, the sum of the gradients computed since the last push with their
+    count and cost, and the batch in flight.
 
-    _Run owns the run's set-up: it builds the pieces (build_experiment),
-    computes the base learning rate once, and probes the initial
-    parameters as version 0 before any worker starts. probe_loss runs once
-    per parameter version: theta changes only on an update, so the rows of
-    the pushes between two updates repeat the loss of their version. With
-    G > 1 (and for the barrier strategies) that is one probe per G pushes
-    instead of one per push; the rows at version 0 repeat the initial loss.
+    _Run builds the pieces (build_experiment), computes the base learning
+    rate once and probes the initial parameters as version 0 before any
+    worker starts. From then on only update changes theta: it applies the
+    optimizer step, checks the new parameters and Adam's second moment v
+    for finiteness, and probes the new version's loss. So the rows between
+    two updates repeat the loss of their version, and with G > 1 (and for
+    the barrier strategies) there is one probe per G pushes. A non-finite
+    gradient makes the SGD parameters or Adam's v non-finite at the update
+    that applies it; so does a finite one above ~1e154, whose g*g overflows
+    v and would freeze its coordinate.
 
-    Worker side, in lists indexed by worker id: the RNG stream, the
-    (theta, version) pulled last, the local buffer with the count and cost
-    of the gradients in it, and the batch in flight. A pulled theta is the
-    server's array itself: each update binds theta to a new read-only array,
-    so no snapshot changes and an objective that writes into one raises.
-    Per compute cycle a stream is consumed in a fixed order (duration draw
-    in start, then gradient noise in push), so serial and paced runs walk
-    identical sample sequences.
+    No array is written after it is made. A sum is rebound, not added into
+    a zeroed buffer, so with L = G = 1 the optimizer steps with the array
+    the objective returned. A pulled theta is the server's array itself:
+    each update binds theta to a new read-only array, so no snapshot
+    changes and an objective that writes into one raises. Per compute
+    cycle a stream is consumed in a fixed order (duration draw in start,
+    then gradient noise in push), so serial and paced runs walk identical
+    sample sequences.
     """
 
     def __init__(self, cfg: "ExperimentConfig", pieces: tuple):
@@ -424,14 +426,12 @@ class _Run:
         self.theta = theta0.copy()
         self.theta.setflags(write=False)
         self.version = 0
-        self.accum = np.zeros_like(self.theta)
         self.zero = np.zeros_like(self.theta)  # for all_finite
-        self.accum_count = 0
+        self.accum, self.accum_count = None, 0
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
         self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
         self.loss = self.initial_loss = 0.0
-        self.loss_version = -1  # the version `loss` was probed at
         self.last_lr = 0.0
         self.total_cost = 0
         self.rows: list[TraceRow] = []
@@ -440,9 +440,9 @@ class _Run:
         self.rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in self.ids]
         self.pulled_theta = [self.theta] * n
         self.pulled_version = [0] * n
-        self.bufs = [np.zeros_like(theta0) for _ in self.ids]
-        self.buf_count = [0] * n
-        self.buf_cost = [0] * n
+        self.sums: list[Vec | None] = [None] * n
+        self.sum_count = [0] * n
+        self.sum_cost = [0] * n
         self.in_flight: list[Batch | None] = [None] * n
         # round-robin over the batches in dataset order; cycle keeps each
         # batch as it is cut and replays them once the dataset is used up
@@ -459,19 +459,40 @@ class _Run:
         (and self.initial_loss at version 0). Raises DivergenceError when it
         is not finite."""
         self.loss = float(self.objective.loss(self.theta, self.probe))
-        self.loss_version = self.version
         if self.version == 0:
             self.initial_loss = self.loss
         if not math.isfinite(self.loss):
             raise DivergenceError(f"probe loss went non-finite at update {self.version}")
 
-    def push(self, w: int, t: float) -> tuple[float, list[int] | range] | None:
-        """Finish worker w's batch at time t and push when its local buffer
-        holds L gradients. Returns (start, workers): the workers that start
-        their next batch, at simulated time `start`; None once the update
-        budget is met. Raises DivergenceError on any non-finite value.
+    def update(self, g: Vec) -> None:
+        """Apply one optimizer step with the combined gradient g, making the
+        next version, and probe its loss. Raises DivergenceError when the
+        new parameters, Adam's v or the loss is not finite."""
+        cfg = self.cfg
+        lr = self.last_lr = learning_rate(
+            self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1
+        )
+        if self.adam is None:
+            self.theta = sgd_step(self.theta, g, lr)
+        else:
+            self.adam_state, self.theta = adam_step(self.adam_state, self.adam, self.theta, g, lr)
+        self.theta.setflags(write=False)
+        self.version += 1
+        if not all_finite(self.theta, self.zero):
+            raise DivergenceError(f"parameters went non-finite at update {self.version}")
+        if self.adam is not None and not all_finite(self.adam_state.v, self.zero):
+            raise DivergenceError(
+                f"Adam's second moment went non-finite at update {self.version}"
+            )
+        self.probe_loss()
 
-        The whole buffer was computed against one pulled snapshot, since
+    def push(self, w: int, t: float) -> tuple[float, list[int] | range]:
+        """Finish worker w's batch at time t, push once its sum holds L
+        gradients and update once the server's sum holds G pushes. Returns
+        (start, workers): the workers that start their next batch, at
+        simulated time `start`. Raises DivergenceError on non-finite values.
+
+        The whole local sum was computed against one pulled snapshot, since
         re-pulls only happen at push time, so the push's staleness is the
         number of updates since that pull. In the async family the pusher
         re-pulls and goes on. A barrier strategy holds finished workers
@@ -481,45 +502,28 @@ class _Run:
         """
         cfg = self.cfg
         batch = self.in_flight[w]
-        buf = self.bufs[w]
-        buf += self.objective.grad(self.pulled_theta[w], batch, self.rngs[w])
-        self.buf_count[w] += 1
-        self.buf_cost[w] += batch.total_cost
-        if self.buf_count[w] < self.local:
+        g = self.objective.grad(self.pulled_theta[w], batch, self.rngs[w])
+        # Starting a sum at its first term, not at +0.0, changes only the
+        # sign of exact-zero entries (-0.0 + -0.0 is -0.0, +0.0 + -0.0 is
+        # +0.0). Such an entry reaches theta only as theta - (+-0) (Adam's v
+        # squares it, and m divides it by a positive number), which equals
+        # theta unless theta is -0.0. theta starts as zeros or normal draws,
+        # and theta - x is -0.0 only when theta already is: no bit changes.
+        n = self.sum_count[w]
+        s = self.sums[w] = g if n == 0 else self.sums[w] + g
+        self.sum_count[w] = n + 1
+        self.sum_cost[w] += batch.total_cost
+        if n + 1 < self.local:
             return t, [w]
-        self.accum += buf / self.local if self.mean_local else buf
-        buf.fill(0.0)
-        self.total_cost += self.buf_cost[w]
-        self.buf_count[w] = self.buf_cost[w] = 0
+        self.total_cost += self.sum_cost[w]
+        self.sum_count[w] = self.sum_cost[w] = 0
+        x = s / self.local if self.mean_local else s
+        self.accum = x if self.accum_count == 0 else self.accum + x
+        self.accum_count = (self.accum_count + 1) % self.global_count
         staleness = self.version - self.pulled_version[w]
-        self.accum_count += 1
-        updated = self.accum_count == self.global_count
+        updated = self.accum_count == 0
         if updated:
-            g = self.accum / self.global_count if self.mean_global else self.accum
-            lr = learning_rate(
-                self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1
-            )
-            if self.adam is None:
-                self.theta = sgd_step(self.theta, g, lr)
-            else:
-                self.adam_state, self.theta = adam_step(
-                    self.adam_state, self.adam, self.theta, g, lr
-                )
-            self.theta.setflags(write=False)
-            self.version += 1
-            self.accum.fill(0.0)
-            self.accum_count = 0
-            self.last_lr = lr
-            if not all_finite(self.theta, self.zero):
-                raise DivergenceError(
-                    f"parameters went non-finite at update {self.version}"
-                )
-            if self.adam is not None and not all_finite(self.adam_state.v, self.zero):
-                raise DivergenceError(
-                    f"Adam's second moment went non-finite at update {self.version}"
-                )
-        if self.loss_version != self.version:
-            self.probe_loss()
+            self.update(self.accum / self.global_count if self.mean_global else self.accum)
         self.rows.append(
             TraceRow(
                 update_idx=self.version,
@@ -542,8 +546,6 @@ class _Run:
                 self.pulled_theta = [self.theta] * cfg.workers
                 self.pulled_version = [self.version] * cfg.workers
             nxt = self.ids  # next round, batch grab in id order
-        if self.version >= cfg.budget_updates:
-            return None
         return t + cfg.comm_latency, nxt
 
     def execute(self) -> RunTrace:
@@ -575,7 +577,7 @@ class _Run:
                 self.probe_loss()
                 heap = [(w / cfg.workers + self.start(w), w) for w in self.ids]
                 heapq.heapify(heap)
-                while True:
+                while self.version < cfg.budget_updates:
                     t, w = heapq.heappop(heap)
                     if t > limit:
                         break
@@ -584,10 +586,7 @@ class _Run:
                         t = (time.monotonic() - t0) / scale
                         if t > limit:
                             break
-                    step = self.push(w, t)
-                    if step is None:
-                        break
-                    start, nxt = step
+                    start, nxt = self.push(w, t)
                     for w in nxt:
                         heapq.heappush(heap, (start + self.start(w), w))
         except DivergenceError as e:
@@ -624,11 +623,7 @@ def run_simulation(
     step ends, and each wake time feeds the next deadline, so paced timings
     are nondeterministic and only statistical assertions hold; with N=1
     the update trajectory matches the serial run exactly (timestamps
-    aside). No thread is started.
-
-    Either way the run stops at the update budget, at the first completion
-    past cfg.budget_sim_time when that is set, or on divergence (the trace
-    keeps all rows up to the failure). objective, dataset, probe and
-    theta0 go to build_experiment.
+    aside). No thread is started. objective, dataset, probe and theta0 go
+    to build_experiment.
     """
     return _Run(cfg, (objective, dataset, probe, theta0)).execute()

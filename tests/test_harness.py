@@ -257,6 +257,52 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+# an out-of-range value for every key that ObjectiveSpec and
+# ExperimentConfig check; a non-finite thresholds.absolute is already
+# rejected when the document is read, before those checks run
+_OUT_OF_RANGE = [
+    "objective.kind = cubic",
+    "objective.dim = 0",
+    "objective.cond = 0.5",
+    "objective.noise_sigma = -1",
+    "objective.samples = 0",
+    "objective.target_noise = -0.1",
+    "objective.in_dim = 0",
+    "objective.hidden = 0",
+    "objective.classes = 1",
+    "objective.spread = 0",
+    "workers = 0",
+    "optimizer.kind = rmsprop",
+    "schedule.warmup = -1",
+    "schedule.decay = cosine",
+    "schedule.batch_scale = -1",
+    "comm.latency = -0.5",
+    "combine = median",
+    "batch.budget = 0",
+    "batch.cost_max = 0",
+    "batch.cost_max = 9",  # over the default batch.budget of 8
+    "budget.updates = 0",
+    "budget.sim_time = -1",
+    "probe.samples = 0",
+    "parallel.time_scale = 0",
+    "stats.warmup_pushes = -1",
+    "thresholds = 0.5,1.5",
+    "thresholds.absolute = 1,nan",
+]
+
+
+@pytest.mark.parametrize("line", _OUT_OF_RANGE)
+def test_cli_rejects_an_out_of_range_key_in_one_line(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_cost_max_above_batch_budget(tmp_path, capsys):
     # such a sample fits in no batch; it is bad input, not an internal error
     bad = tmp_path / "bad.cfg"
@@ -483,12 +529,23 @@ def test_cli_sweep_component_override_refines_a_label(tmp_path):
 
 
 def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
-    # a second --grid for one key would silently drop the first's values
+    # a second --grid for one key would silently drop the first's values;
+    # a grid item with no "=", with no values or with an unknown key is
+    # bad input too, and none of them starts a point
     cfg_path = _write_cfg(tmp_path, budget_updates=20)
-    args = ["sweep", cfg_path, "--grid", "seed=1,2", "--grid", "seed=3"]
-    assert main(args + ["--out-dir", str(tmp_path / "sw")]) == EXIT_CONFIG_ERROR
-    assert "seed" in capsys.readouterr().err
-    assert not (tmp_path / "sw").exists()
+    for grid, named in [
+        (["seed=1,2", "seed=3"], "seed"),
+        (["seed"], "seed"),
+        (["seed="], "seed"),
+        (["seed=1", "no.such.key=1,2"], "no.such.key"),
+    ]:
+        args = ["sweep", cfg_path, "--out-dir", str(tmp_path / "sw")]
+        for item in grid:
+            args += ["--grid", item]
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "sw").exists()
 
 
 def test_cli_sweep_and_selftest(tmp_path, capsys):

@@ -162,6 +162,31 @@ def test_mlp_extreme_inputs_stay_finite():
     assert np.all(np.isfinite(mlp.grad(theta, batch)))
 
 
+def _gradient_cases():
+    centers = RngStream(0, stream=2).normal(size=(3, 4))
+    blobs = make_blob_samples(RngStream(0, stream=0), 4, centers)
+    linreg = make_linreg_samples(RngStream(2, stream=0), 8, as_vec([0.3, -1.1, 2.0]))
+    mlp = Mlp(in_dim=4, hidden=8, classes=3)
+    return [
+        (Quadratic.random(dim=5, seed=3), np.ones(5), _unit_batch()),
+        (Quadratic.random(dim=5, seed=3, noise_sigma=1.0), np.ones(5), _unit_batch()),
+        (LinearRegression(3), np.ones(3), linreg),
+        (mlp, mlp.init_theta(RngStream(0, stream=3)), blobs),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["quadratic", "noisy", "linreg", "mlp"])
+def test_gradient_shares_no_memory_with_its_inputs_or_an_earlier_return(case):
+    # the engine keeps each returned gradient as a value and sums by
+    # rebinding, so a gradient must be an array of its own
+    obj, theta, batch = _gradient_cases()[case]
+    rng = RngStream(1, stream=0)
+    first = obj.grad(theta, batch, rng)
+    g = obj.grad(theta, batch, rng)
+    for other in (theta, batch.features, batch.targets, batch.costs, first):
+        assert not np.shares_memory(g, other)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

@@ -204,6 +204,57 @@ def test_single_worker_async_is_serial_sgd():
     np.testing.assert_array_equal(trace.final_theta, theta)
 
 
+class _NegativeZeroGradient(Objective):
+    """theta - target, with -0.0 for every coordinate within 0.5 of its
+    target: the first from the start, the others once theta gets close."""
+
+    dim = 4
+    has_noise = False
+    target = np.array([0.0, 3.0, 1.0, -2.0])
+
+    def loss(self, theta, batch):
+        return float(0.5 * np.sum((theta - self.target) ** 2))
+
+    def grad(self, theta, batch, rng=None):
+        g = theta - self.target
+        g[np.abs(g) < 0.5] = -0.0
+        return g
+
+
+@pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
+def test_negative_zero_gradients_leave_the_bits_of_sums_from_positive_zero(optimizer_kind):
+    # the engine starts each sum at its first gradient, so a sum of -0.0
+    # stays -0.0; a loop that sums from +0.0 must write the same bits
+    cfg = _cfg(
+        workers=1,
+        strategy=Strategy.global_accum(2),
+        optimizer_kind=optimizer_kind,
+        adam=AdamConfig(alpha=0.5),
+    )
+    objective = _NegativeZeroGradient()
+    trace = run_simulation(cfg, objective=objective)
+
+    theta, state = np.zeros(4), AdamState.zeros(4)
+    loss, lr, rows = objective.loss(theta, None), 0.0, []
+    for v in range(cfg.budget_updates):
+        acc = np.zeros(4)
+        for k in (2 * v + 1, 2 * v + 2):  # N=1: both pushes pull version v
+            acc += objective.grad(theta, None)
+            if k % 2 == 0:
+                lr = learning_rate(cfg.adam.alpha, 0, cfg.schedule_decay, v + 1)
+                if optimizer_kind == "sgd":
+                    theta = sgd_step(theta, acc / 2, lr)
+                else:
+                    state, theta = adam_step(state, cfg.adam, theta, acc / 2, lr)
+                loss = objective.loss(theta, None)
+            rows.append(TraceRow(v + 1 - k % 2, float(k), k, 0, loss, lr, "global_accum-2", 0))
+    assert trace.final_theta.tobytes() == theta.tobytes()
+    assert trace.rows == rows
+    # the run did sum -0.0 entries where theta is not zero
+    g = objective.grad(trace.final_theta, None)
+    assert np.any(np.signbit(g) & (g == 0) & (trace.final_theta != 0))
+
+
 def test_build_experiment_takes_the_objective_alone_or_all_pieces():
     cfg = _cfg(objective=ObjectiveSpec(kind="linreg", dim=3, samples=24))
     pieces = build_experiment(cfg)
@@ -821,6 +872,29 @@ def test_parallel_stops_before_sleeping_past_the_sim_time_budget():
     )
     out = _finishes(lambda: run_simulation(cfg), timeout=0.5)
     assert out["trace"].rows == []
+
+
+class _SlowGradient(_CountingObjective):
+    """Takes 30 ms of real time per gradient."""
+
+    def grad(self, theta, batch, rng=None):
+        time.sleep(0.03)
+        return super().grad(theta, batch, rng)
+
+
+def test_parallel_stops_when_a_push_step_runs_past_the_sim_time_budget():
+    # the second completion falls due at ~2 simulated seconds, inside the
+    # 5 s budget, but the first push step takes 30 simulated seconds: the
+    # run observes it past the budget and stops without another row
+    cfg = _cfg(
+        workers=1,
+        budget_sim_time=5.0,
+        parallel=True,
+        parallel_time_scale=0.001,
+    )
+    trace = _finishes(lambda: run_simulation(cfg, objective=_SlowGradient()))["trace"]
+    assert len(trace.rows) == 1
+    assert all(r.sim_time_s <= 5.0 for r in trace.rows)
 
 
 class _ThreadCountingObjective(_CountingObjective):
