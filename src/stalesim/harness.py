@@ -132,9 +132,9 @@ def _strict(x):
 
 
 def _scan_threshold(trace: RunTrace, kind: str, value: float, level: float) -> ThresholdResult:
-    for r in trace.rows:
-        if r.loss_probe <= level:
-            return ThresholdResult(kind, value, level, True, r.sim_time_s)
+    for loss, t in zip(trace.columns["loss_probe"], trace.columns["sim_time_s"]):
+        if loss <= level:
+            return ThresholdResult(kind, value, level, True, t)
     return ThresholdResult(kind, value, level, False, None)
 
 
@@ -167,8 +167,8 @@ def summarize(trace: RunTrace, cfg: ExperimentConfig, initial_loss: float) -> Su
         sim_time_s=t_final,
         throughput_cost_per_s=trace.total_cost / t_final if t_final > 0 else 0.0,
         initial_loss=initial_loss,
-        final_loss=trace.final_loss if trace.rows else None,
-        best_loss=trace.best_loss if trace.rows else None,
+        final_loss=trace.final_loss if trace.pushes else None,
+        best_loss=trace.best_loss if trace.pushes else None,
         mean_staleness=mean_st,
         staleness_histogram=hist,
         thresholds=thresholds,
@@ -220,26 +220,29 @@ def sweep(
     (e.g. {"optimizer.alpha": ["0.001", "0.003"], "seed": ["0", "1"]}).
     overrides, raw values as for parse_config, apply to every point; the
     grid's values win over them (the CLI's sweep --seed).
+    Every point's config is parsed before any point runs, so a bad value
+    anywhere in the grid raises its ConfigError with nothing written.
     Each point runs in its own subdirectory of out_dir named by its
     overrides. jobs > 1 runs points concurrently; points are independent,
     so this is safe, though simulated runs are CPU-bound and mostly
     serialize on the interpreter lock.
     """
     keys = list(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys)))
-
-    def one(combo) -> tuple[str, SummaryReport]:
+    points = []
+    for combo in itertools.product(*(grid[k] for k in keys)):
         point = dict(zip(keys, combo))
         label = "__".join(f"{k}={v}" for k, v in point.items()) or "base"
-        cfg = parse_config(base_text, {**(overrides or {}), **point})
-        sub = os.path.join(out_dir, _sanitize(label))
-        _, report = run_experiment(cfg, sub)
+        points.append((label, parse_config(base_text, {**(overrides or {}), **point})))
+
+    def one(point) -> tuple[str, SummaryReport]:
+        label, cfg = point
+        _, report = run_experiment(cfg, os.path.join(out_dir, _sanitize(label)))
         return label, report
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, combos))
-    return [one(c) for c in combos]
+            return list(pool.map(one, points))
+    return [one(p) for p in points]
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,12 @@ class Objective:
     loss/grad take a Batch; grad additionally takes the caller's RngStream
     so concurrent workers never share sampler state. Objectives themselves
     are immutable and safe to share.
+
+    losses is the optional stacked probe: the engine evaluates the probe
+    loss of up to 64 parameter versions in one call to it. Its default
+    calls loss once per row; the objectives here override it with one
+    stacked computation whose row k is loss(thetas[k], batch) bit for bit,
+    so a subclass that overrides loss overrides losses with it.
     """
 
     dim: int
@@ -109,6 +115,10 @@ class Objective:
 
     def loss(self, theta: Vec, batch: Batch) -> float:
         raise NotImplementedError
+
+    def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
+        """The loss of each row of thetas (K, dim) on batch, as K float64s."""
+        return np.array([float(self.loss(t, batch)) for t in thetas])
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         """The gradient at theta on batch. The engine keeps the returned
@@ -158,6 +168,12 @@ class Quadratic(Objective):
         d = theta - self.theta_star
         return float(0.5 * d @ self.a_matrix @ d)
 
+    def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
+        # loss's products row by row as batched mat-vecs; a gemm over the
+        # stack (thetas @ A) rounds differently in the last bit
+        d = thetas - self.theta_star
+        return (((0.5 * d)[:, None] @ self.a_matrix) @ d[..., None])[:, 0, 0]
+
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
         g = self.a_matrix @ (theta - self.theta_star)
@@ -204,6 +220,12 @@ class LinearRegression(Objective):
         y = batch.targets
         r = x @ theta - y
         return float(0.5 * np.mean(r * r))
+
+    def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
+        # x @ theta for every row as a batched mat-vec, then np.mean's sum
+        # and division along each row
+        r = (batch.features[None] @ thetas[..., None])[..., 0] - batch.targets
+        return 0.5 * (np.add.reduce(r * r, axis=1) / len(batch))
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
@@ -266,6 +288,26 @@ class Mlp(Objective):
         z = z - z.max(axis=1, keepdims=True)
         log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         return a, log_p
+
+    def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
+        # _forward over a stack of K parameter vectors: each weight matrix
+        # gets a leading K axis and each bias a broadcast sample axis
+        h, d, c = self.hidden, self.in_dim, self.classes
+        k = len(thetas)
+        i = h * d + h
+        w1 = thetas[:, : h * d].reshape(k, h, d)
+        b1 = thetas[:, None, h * d : i]
+        w2 = thetas[:, i : i + c * h].reshape(k, c, h)
+        b2 = thetas[:, None, i + c * h :]
+        a = np.tanh(batch.features @ w1.transpose(0, 2, 1) + b1)
+        z = a @ w2.transpose(0, 2, 1) + b2
+        z = z - z.max(axis=2, keepdims=True)
+        log_p = z - np.log(np.exp(z).sum(axis=2, keepdims=True))
+        n = len(batch)
+        # the gathered values as contiguous rows, so each row is summed in
+        # the order np.mean sums loss's 1-D array
+        picked = np.ascontiguousarray(log_p[:, np.arange(n), batch.targets.astype(np.int64)])
+        return -(np.add.reduce(picked, axis=1) / n)
 
     def loss(self, theta: Vec, batch: Batch) -> float:
         self._check_dim(theta)

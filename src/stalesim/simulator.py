@@ -17,11 +17,12 @@ with N equal-speed workers settles at N-1, and server-side accumulation
 divides staleness by sharing one update among G pulls.
 
 One object, _Run, holds a run's whole state, and only model state: the
-server's parameters, gradient sum, optimizer state and trace rows, and
-each worker's stream, pulled snapshot, gradient sum and batch in flight,
-in lists by worker id. Its push method is the whole push step, from the
-worker's gradient to the trace row; its update method alone changes the
-parameters.
+server's parameters, gradient sum, optimizer state, the versions waiting
+for their probe and the trace columns, and each worker's stream, pulled
+snapshot, gradient sum and batch in flight, in lists by worker id. Its
+push method is the whole push step, from the worker's gradient to the
+trace cells; its update method alone changes the parameters, and queues
+each version for a probe that runs in blocks (probe_queued).
 
 run_simulation is the one entry point. It runs one event loop,
 _Run.execute, on the calling thread; the loop keeps the one event source, a
@@ -212,18 +213,22 @@ _COLUMN_TYPES = tuple(get_type_hints(TraceRow).values())
 class DivergenceError(RuntimeError):
     """Raised by _Run when the parameters, Adam's second moment or the
     probe loss, the initial one included, stop being finite. _Run.execute
-    converts it into a diverged trace that keeps the rows recorded before."""
+    converts it into a diverged trace that keeps the rows recorded before
+    the version it names."""
 
 
 @dataclass
 class RunTrace:
-    """Per-push trace of a run. One row per push, written after that
-    push was fully processed (including any optimizer update it completed).
+    """Per-push trace of a run, kept in columns: columns maps each of
+    TRACE_COLUMNS to its list of cells, one per push in push order. A push
+    is recorded after it was fully processed (including any optimizer
+    update it completed), and its loss_probe is the probe loss of the
+    version it left. rows gives the same trace as TraceRows.
     initial_loss is the probe loss of the initial parameters (version 0),
     non-finite when that probe ended the run.
     """
 
-    rows: list
+    columns: dict
     n_workers: int
     strategy_label: str
     diverged: bool = False
@@ -233,40 +238,47 @@ class RunTrace:
     initial_loss: float | None = None
 
     @property
+    def rows(self) -> list[TraceRow]:
+        """The trace as TraceRows, built from the columns at each call."""
+        return list(map(TraceRow._make, zip(*(self.columns[c] for c in TRACE_COLUMNS))))
+
+    @property
     def pushes(self) -> int:
-        return len(self.rows)
+        return len(self.columns["update_idx"])
 
     @property
     def updates(self) -> int:
-        return self.rows[-1].update_idx if self.rows else 0
+        updates = self.columns["update_idx"]
+        return updates[-1] if updates else 0
 
     @property
     def final_sim_time(self) -> float:
-        return self.rows[-1].sim_time_s if self.rows else 0.0
+        times = self.columns["sim_time_s"]
+        return times[-1] if times else 0.0
 
     @property
     def final_loss(self) -> float:
-        if not self.rows:
+        if not self.pushes:
             raise ValueError("empty trace has no final loss")
-        return self.rows[-1].loss_probe
+        return self.columns["loss_probe"][-1]
 
     @property
     def best_loss(self) -> float:
-        if not self.rows:
+        if not self.pushes:
             raise ValueError("empty trace has no best loss")
-        return min(r.loss_probe for r in self.rows)
+        return min(self.columns["loss_probe"])
 
     def to_csv(self, path: str) -> None:
         """Write the trace as trace.csv: header comments, the column names,
-        one line per row with each field's str (a float's str is its
+        one line per push with each cell's str (a float's str is its
         shortest round-trip repr, for NumPy floats too) and a footer."""
+        cells = [map(str, self.columns[c]) for c in TRACE_COLUMNS]
         with open(path, "w") as f:
             f.write(f"# schema={TRACE_SCHEMA}\n")
             f.write(f"# workers={self.n_workers}\n")
             f.write(f"# strategy={self.strategy_label}\n")
             f.write(",".join(TRACE_COLUMNS) + "\n")
-            for r in self.rows:
-                f.write(",".join(map(str, r)) + "\n")
+            f.writelines(",".join(row) + "\n" for row in zip(*cells))
             f.write(f"# diverged={'true' if self.diverged else 'false'}\n")
             if self.divergence_reason:
                 reason = self.divergence_reason.replace("\n", " ")
@@ -275,10 +287,11 @@ class RunTrace:
     @classmethod
     def from_csv(cls, path: str) -> "RunTrace":
         """Rebuild a trace from to_csv output, each cell read as its
-        TraceRow annotation's type. Fields that never go through the CSV
-        (final_theta, total_cost, initial_loss) come back empty."""
+        TraceRow annotation's type into its column. Fields that never go
+        through the CSV (final_theta, total_cost, initial_loss) come back
+        empty."""
         meta = {}
-        rows = []
+        columns = [[] for _ in TRACE_COLUMNS]
         with open(path) as f:
             for line in f:
                 line = line.rstrip("\n")
@@ -291,12 +304,13 @@ class RunTrace:
                 c = line.split(",")
                 if len(c) != len(TRACE_COLUMNS):
                     raise ValueError(f"malformed trace row: {line!r}")
-                rows.append(TraceRow._make(t(x) for t, x in zip(_COLUMN_TYPES, c)))
+                for column, t, x in zip(columns, _COLUMN_TYPES, c):
+                    column.append(t(x))
         if meta.get("schema") != TRACE_SCHEMA:
             raise ValueError(f"unsupported trace schema {meta.get('schema')!r}")
         reason = meta.get("reason")
         return cls(
-            rows=rows,
+            columns=dict(zip(TRACE_COLUMNS, columns)),
             n_workers=int(meta.get("workers", 1)),
             strategy_label=meta.get("strategy", ""),
             diverged=meta.get("diverged") == "true",
@@ -313,12 +327,12 @@ def staleness_summary(
     excludes the first N pushes, which have artificially low staleness
     because the server starts at version 0. Pass 0 to keep everything.
     """
-    if not trace.rows:
+    if not trace.pushes:
         raise ValueError("empty trace")
     skip = trace.n_workers if warmup_pushes is None else warmup_pushes
     if skip < 0:
         raise ValueError("warmup_pushes must be >= 0")
-    vals = [r.staleness for r in trace.rows[skip:]]
+    vals = trace.columns["staleness"][skip:]
     if not vals:
         raise ValueError("no staleness entries left after warmup exclusion")
     return sum(vals) / len(vals), dict(Counter(vals))
@@ -378,26 +392,47 @@ def build_experiment(
     return objective, dataset, probe, objective.init_theta(RngStream(cfg.seed, STREAM_INIT))
 
 
+# Parameter versions per stacked probe call. A small probe's cost is
+# mostly numpy call overhead, which the stack shares. Per version, with the
+# np.stack, on a 2-core Xeon (Python 3.11, NumPy 2.4), best of 7:
+# Quadratic.losses at d=20 costs 7.7 us at K=1, 1.1 us at K=16 and
+# 0.7-1.0 us at K=64 (one Quadratic.loss: 3.1-4.4 us); for the 4-8-3 MLP
+# on 126 probe samples, 38-43, 18-19 and 17-24 us (one Mlp.loss: 54-61 us).
+# A larger block saves little more, and a run computes up to K - 1 more
+# versions before it sees a non-finite probe.
+_PROBE_BLOCK = 64
+
+
 class _Run:
     """One run's whole state, its push step and its event loop.
 
     Server side: the parameters, their version (the count of optimizer
     updates applied), the sum of the gradients pushed since the last
-    update, Adam's state (none for SGD) and the trace rows. Worker side, in
-    lists indexed by worker id: the RNG stream, the (theta, version) pulled
-    last, the sum of the gradients computed since the last push with their
-    count and cost, and the batch in flight.
+    update, Adam's state (none for SGD), the versions waiting for their
+    probe and the trace columns. Worker side, in lists indexed by worker
+    id: the RNG stream, the (theta, version) pulled last, the sum of the
+    gradients computed since the last push with their count and cost, and
+    the batch in flight.
 
     _Run builds the pieces (build_experiment), computes the base learning
     rate once and probes the initial parameters as version 0 before any
     worker starts. From then on only update changes theta: it applies the
     optimizer step, checks the new parameters and Adam's second moment v
-    for finiteness, and probes the new version's loss. So the rows between
-    two updates repeat the loss of their version, and with G > 1 (and for
-    the barrier strategies) there is one probe per G pushes. A non-finite
+    for finiteness, and queues the new version for its probe. A non-finite
     gradient makes the SGD parameters or Adam's v non-finite at the update
     that applies it; so does a finite one above ~1e154, whose g*g overflows
     v and would freeze its coordinate.
+
+    Queued versions are probed in blocks, one objective.losses call on
+    their stack (see probe_queued): every _PROBE_BLOCK versions, at the
+    end of the run and before any exception leaves execute. So a push
+    appends its cells to the trace columns but its loss_probe, which
+    repeats its version's loss, is filled in once at the end from the
+    per-version losses; there is one probe per version, so with G > 1 (and
+    for the barrier strategies) one per G pushes. A probe that goes
+    non-finite at version v rolls the run back to v, so the run ends as if
+    it had been seen at once: the earliest divergence wins, and at one
+    version the parameter and Adam checks come before the probe.
 
     No array is written after it is made. A sum is rebound, not added into
     a zeroed buffer, so with L = G = 1 the optimizer steps with the array
@@ -431,10 +466,20 @@ class _Run:
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
         self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
-        self.loss = self.initial_loss = 0.0
+        self.initial_loss = 0.0
         self.last_lr = 0.0
         self.total_cost = 0
-        self.rows: list[TraceRow] = []
+        # the probe loss of each version probed so far, by version
+        self.version_loss: list[float] = []
+        # per version waiting for its probe: (theta, pushes recorded
+        # before it, total_cost at it)
+        self.queued: list[tuple[Vec, int, int]] = []
+        # the trace columns a push appends to
+        self.update_idx: list[int] = []
+        self.sim_time_s: list[float] = []
+        self.staleness: list[int] = []
+        self.lr: list[float] = []
+        self.worker_id: list[int] = []
         n = cfg.workers
         self.ids = range(n)
         self.rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in self.ids]
@@ -454,20 +499,51 @@ class _Run:
         batch = self.in_flight[w] = next(self.batches)
         return sample_compute_time(self.rngs[w], self.cfg.compute) * batch.total_cost
 
-    def probe_loss(self) -> None:
-        """Evaluate the probe loss of the current version into self.loss
-        (and self.initial_loss at version 0). Raises DivergenceError when it
-        is not finite."""
-        self.loss = float(self.objective.loss(self.theta, self.probe))
-        if self.version == 0:
-            self.initial_loss = self.loss
-        if not math.isfinite(self.loss):
-            raise DivergenceError(f"probe loss went non-finite at update {self.version}")
+    def probe_initial(self) -> None:
+        """Probe version 0, the initial parameters, with one loss call.
+        Raises DivergenceError when its loss is not finite."""
+        self.initial_loss = float(self.objective.loss(self.theta, self.probe))
+        self.version_loss.append(self.initial_loss)
+        if not math.isfinite(self.initial_loss):
+            raise DivergenceError("probe loss went non-finite at update 0")
+
+    def probe_queued(self) -> None:
+        """Probe every queued version in one stacked losses call and empty
+        the queue. When one is not finite, the earliest of them, v, rolls
+        the run back to it: the trace columns keep only the pushes recorded
+        before v, theta becomes theta_v and total_cost its value at v; then
+        it raises DivergenceError, as an immediate probe would have.
+
+        An objective that is not an Objective, such as a wrapper that times
+        or counts loss calls, is probed by Objective's default losses on the
+        queued arrays themselves: one loss call per version, on the same
+        read-only theta an immediate probe would have passed."""
+        if not self.queued:
+            return
+        queued, self.queued = self.queued, []
+        first = len(self.version_loss)  # the version of queued[0]
+        thetas = [theta for theta, _, _ in queued]
+        if isinstance(self.objective, Objective):
+            stack = np.stack(thetas)
+            stack.setflags(write=False)
+            losses = self.objective.losses(stack, self.probe).tolist()
+        else:
+            losses = Objective.losses(self.objective, thetas, self.probe).tolist()
+        if all(map(math.isfinite, losses)):
+            self.version_loss += losses
+            return
+        k = next(k for k, loss in enumerate(losses) if not math.isfinite(loss))
+        self.version_loss += losses[:k]
+        self.theta, pushes, self.total_cost = queued[k]
+        for column in (self.update_idx, self.sim_time_s, self.staleness, self.lr, self.worker_id):
+            del column[pushes:]
+        raise DivergenceError(f"probe loss went non-finite at update {first + k}")
 
     def update(self, g: Vec) -> None:
         """Apply one optimizer step with the combined gradient g, making the
-        next version, and probe its loss. Raises DivergenceError when the
-        new parameters, Adam's v or the loss is not finite."""
+        next version, and queue it for its probe, probing the queue once it
+        holds _PROBE_BLOCK versions. Raises DivergenceError when the new
+        parameters or Adam's v, or a probed loss, is not finite."""
         cfg = self.cfg
         lr = self.last_lr = learning_rate(
             self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1
@@ -484,7 +560,9 @@ class _Run:
             raise DivergenceError(
                 f"Adam's second moment went non-finite at update {self.version}"
             )
-        self.probe_loss()
+        self.queued.append((self.theta, len(self.update_idx), self.total_cost))
+        if len(self.queued) == _PROBE_BLOCK:
+            self.probe_queued()
 
     def push(self, w: int, t: float) -> tuple[float, list[int] | range]:
         """Finish worker w's batch at time t, push once its sum holds L
@@ -524,18 +602,11 @@ class _Run:
         updated = self.accum_count == 0
         if updated:
             self.update(self.accum / self.global_count if self.mean_global else self.accum)
-        self.rows.append(
-            TraceRow(
-                update_idx=self.version,
-                sim_time_s=t + cfg.comm_latency,
-                pushes=len(self.rows) + 1,
-                staleness=staleness,
-                loss_probe=self.loss,
-                lr=self.last_lr,
-                strategy=self.label,
-                worker_id=w,
-            )
-        )
+        self.update_idx.append(self.version)
+        self.sim_time_s.append(t + cfg.comm_latency)
+        self.staleness.append(staleness)
+        self.lr.append(self.last_lr)
+        self.worker_id.append(w)
         if not cfg.strategy.is_barrier:
             self.pulled_theta[w], self.pulled_version[w] = self.theta, self.version
             nxt = [w]
@@ -563,8 +634,11 @@ class _Run:
         cfg.budget_sim_time when that is set, tested on the deadline before
         any sleep and on t after it; or on divergence: a DivergenceError
         ends the run with a diverged trace that keeps every row recorded
-        before it. Any other exception, a sleep too long for the clock's
-        range included, propagates.
+        before it. However the loop ends, the versions still queued are
+        probed first, so a non-finite probe among them ends the run at its
+        version, even when a later exception was leaving the loop. Any
+        other exception, a sleep too long for the clock's range included,
+        then propagates.
         """
         cfg = self.cfg
         limit = cfg.budget_sim_time if cfg.budget_sim_time > 0 else math.inf
@@ -574,25 +648,39 @@ class _Run:
             # divergence detection rides on IEEE inf/nan propagation; the
             # overflow on the way down is expected, not worth a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                self.probe_loss()
-                heap = [(w / cfg.workers + self.start(w), w) for w in self.ids]
-                heapq.heapify(heap)
-                while self.version < cfg.budget_updates:
-                    t, w = heapq.heappop(heap)
-                    if t > limit:
-                        break
-                    if cfg.parallel:
-                        time.sleep(max(0.0, t * scale - (time.monotonic() - t0)))
-                        t = (time.monotonic() - t0) / scale
+                self.probe_initial()
+                try:
+                    heap = [(w / cfg.workers + self.start(w), w) for w in self.ids]
+                    heapq.heapify(heap)
+                    while self.version < cfg.budget_updates:
+                        t, w = heapq.heappop(heap)
                         if t > limit:
                             break
-                    start, nxt = self.push(w, t)
-                    for w in nxt:
-                        heapq.heappush(heap, (start + self.start(w), w))
+                        if cfg.parallel:
+                            time.sleep(max(0.0, t * scale - (time.monotonic() - t0)))
+                            t = (time.monotonic() - t0) / scale
+                            if t > limit:
+                                break
+                        start, nxt = self.push(w, t)
+                        for w in nxt:
+                            heapq.heappush(heap, (start + self.start(w), w))
+                finally:
+                    self.probe_queued()
         except DivergenceError as e:
             reason = str(e)
+        pushes = len(self.update_idx)
+        columns = {
+            "update_idx": self.update_idx,
+            "sim_time_s": self.sim_time_s,
+            "pushes": list(range(1, pushes + 1)),
+            "staleness": self.staleness,
+            "loss_probe": list(map(self.version_loss.__getitem__, self.update_idx)),
+            "lr": self.lr,
+            "strategy": [self.label] * pushes,
+            "worker_id": self.worker_id,
+        }
         return RunTrace(
-            rows=self.rows,
+            columns=columns,
             n_workers=cfg.workers,
             strategy_label=self.label,
             diverged=reason is not None,

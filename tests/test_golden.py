@@ -13,6 +13,10 @@ experiment twice per run and scaled the base rate through a schedule
 object. The two quadratic async cases for SGD, and for Adam with
 beta1 = 0 and epsilon = 0, were taken from the engine that still copied
 every pulled snapshot and checked finiteness with np.isfinite.
+The three diverging quadratic cases were taken from the engine that
+still probed every version's loss at its update: the probe goes non-finite
+at updates 679, 533 and 400, none on a 64-version boundary, so they pin
+how a run ends when that probe waits in a block of queued versions.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 
@@ -130,9 +134,44 @@ GOLDEN = {
 }
 
 
-def output_digest(text: str, out_dir) -> str:
-    trace, _ = run_experiment(parse_config(text + _NOISY), str(out_dir))
-    assert not trace.diverged, trace.divergence_reason
+# SGD at a rate that makes the noisy quadratic blow up
+_DIVERGING = """\
+objective.kind = quadratic
+objective.dim = 8
+objective.noise_sigma = 1.0
+workers = 4
+batch.budget = 8
+budget.updates = 4000
+optimizer.kind = sgd
+optimizer.alpha = 0.5
+seed = 3
+"""
+
+# name: (config, digest, divergence reason)
+DIVERGED = {
+    "quadratic-async-diverges": (
+        _DIVERGING + "strategy = async\n",
+        "95ae6d58d1fc037dcbc208a67dcbaf5d05478a4905543f63f3c1d0fa1c5fed11",
+        "probe loss went non-finite at update 679",
+    ),
+    "quadratic-global_accum-4-diverges": (
+        _DIVERGING + "strategy = global_accum-4\n",
+        "26f0d15ecc409d13af10003863847069f0966371a0b9e4cb6fa96f2eb0a8ffb3",
+        "probe loss went non-finite at update 533",
+    ),
+    "quadratic-sync_stale-3-diverges": (
+        _DIVERGING + "strategy = sync_stale-3\n",
+        "1efedee0a917deaba66043a0561a6e814ccf5eb1d54d116272f890260918fbb1",
+        "probe loss went non-finite at update 400",
+    ),
+}
+
+
+def output_digest(text: str, out_dir, reason: str | None = None) -> str:
+    """sha256 of the run's trace.csv and summary.json; the run must end
+    with the divergence reason given, or undiverged for None."""
+    trace, _ = run_experiment(parse_config(text), str(out_dir))
+    assert trace.divergence_reason == reason
     h = hashlib.sha256()
     for name in ("trace.csv", "summary.json"):
         h.update((out_dir / name).read_bytes())
@@ -142,10 +181,19 @@ def output_digest(text: str, out_dir) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_golden_digest(name, tmp_path):
     text, digest = GOLDEN[name]
-    assert output_digest(text, tmp_path) == digest
+    assert output_digest(text + _NOISY, tmp_path) == digest
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGED))
+def test_diverged_outputs_match_golden_digest(name, tmp_path):
+    text, digest, reason = DIVERGED[name]
+    assert output_digest(text, tmp_path, reason) == digest
 
 
 if __name__ == "__main__":
-    for name in sorted(GOLDEN):
+    cases = {name: (text + _NOISY, None) for name, (text, _) in GOLDEN.items()}
+    cases.update({name: (text, reason) for name, (text, _, reason) in DIVERGED.items()})
+    for name in sorted(cases):
+        text, reason = cases[name]
         with tempfile.TemporaryDirectory() as d:
-            print(name, output_digest(GOLDEN[name][0], pathlib.Path(d)))
+            print(name, output_digest(text, pathlib.Path(d), reason))

@@ -1,6 +1,7 @@
 """Experiment runner, summaries, thresholds, sweeps, selftests, CLI."""
 
 import json
+import math
 import os
 import sys
 import threading
@@ -371,6 +372,49 @@ def test_cli_parallel_sleep_overflow_exits_5_without_traceback(tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class _CrashAfterNonFiniteProbe:
+    """A duck-typed objective: under SGD at lr 1, each update adds 1 to
+    theta[0]. The probe loss is inf from theta[0] = 3 on, and a gradient
+    at a pulled theta[0] of 6 or more raises a plain error."""
+
+    dim = 2
+    has_noise = False
+
+    def loss(self, theta, batch):
+        return math.inf if theta[0] >= 3 else 0.0
+
+    def grad(self, theta, batch, rng=None):
+        if theta[0] >= 6:
+            raise RuntimeError("worker crashed")
+        return np.array([-1.0, 0.0])
+
+
+def test_cli_run_exits_3_when_an_error_follows_a_non_finite_probe(
+    tmp_path, capsys, monkeypatch
+):
+    # the probe of version 3 waits in its block while the run goes on to the
+    # error; the queued versions are probed before the error leaves the
+    # run, so the run ends diverged at version 3, as if probed at once
+    build = simulator.build_experiment
+    objective = _CrashAfterNonFiniteProbe()
+    monkeypatch.setattr(
+        simulator, "build_experiment", lambda cfg, *pieces: build(cfg, objective=objective)
+    )
+    cfg_path = _write_cfg(
+        tmp_path,
+        objective=ObjectiveSpec(kind="quadratic", dim=2, samples=32),
+        workers=2,
+        optimizer_kind="sgd",
+        adam=AdamConfig(alpha=1.0),
+        budget_updates=50,
+    )
+    code = main(["run", cfg_path, "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_DIVERGED
+    assert "DIVERGED: probe loss went non-finite at update 3" in captured.out
+    assert captured.err == ""
+
+
 class _HugeFirstCoordinate:
     """Finite gradients whose first coordinate squares past the float range."""
 
@@ -546,6 +590,17 @@ def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
         assert not (tmp_path / "sw").exists()
+
+
+def test_cli_sweep_checks_every_point_before_running_any(tmp_path, capsys):
+    # the second point is bad: the sweep exits 2 before the first one runs
+    cfg_path = _write_cfg(tmp_path, budget_updates=20)
+    args = ["sweep", cfg_path, "--grid", "workers=4,0", "--out-dir", str(tmp_path / "sw")]
+    assert main(args) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "workers" in err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cli_sweep_and_selftest(tmp_path, capsys):

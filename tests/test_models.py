@@ -187,6 +187,48 @@ def test_gradient_shares_no_memory_with_its_inputs_or_an_earlier_return(case):
         assert not np.shares_memory(g, other)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "linreg", "mlp"]),
+    k=st.integers(1, 80),
+    dim=st.integers(1, 24),
+    hidden=st.integers(1, 10),
+    classes=st.integers(2, 4),
+    samples=st.integers(1, 40),
+    top=st.floats(-3.0, 160.0),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_losses_match_per_row_loss_bit_for_bit(
+    kind, k, dim, hidden, classes, samples, top, seed
+):
+    # the engine probes up to 64 versions in one losses call, so row j must
+    # be loss(thetas[j]) to the last bit, nan and inf rows included
+    rng = RngStream(seed, stream=0)
+    if kind == "quadratic":
+        obj, batch = Quadratic.random(dim, seed, cond=10.0), _unit_batch()
+    elif kind == "linreg":
+        obj = LinearRegression(dim)
+        batch = make_linreg_samples(rng, samples, rng.normal(size=dim), 0.1)
+    else:
+        in_dim = 1 + dim % 5
+        obj = Mlp(in_dim, hidden, classes)
+        centers = rng.normal(0.0, 2.0, size=(classes, in_dim))
+        batch = make_blob_samples(rng, samples, centers)
+    # each row at its own scale, from 1e-3 up to 10**top; the last row at
+    # 1e160, where the quadratic's and linreg's squares overflow
+    gen = np.random.default_rng(seed)
+    scales = 10.0 ** gen.uniform(-3.0, top, size=(k, 1))
+    scales[-1] = 1e160
+    thetas = gen.normal(size=(k, obj.dim)) * scales
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = obj.losses(thetas, batch)
+        want = np.array([obj.loss(t, batch) for t in thetas])
+    assert got.dtype == np.float64 and got.shape == (k,)
+    assert got.tobytes() == want.tobytes()
+    if kind != "mlp":
+        assert not np.isfinite(want[-1])
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

@@ -1,5 +1,6 @@
 """Event loop, strategies, staleness accounting, traces, paced runs."""
 
+import math
 import os
 import tempfile
 import threading
@@ -24,6 +25,7 @@ from stalesim.harness import EXIT_DIVERGED, run_experiment
 from stalesim.models import Objective, Quadratic, dynamic_batcher
 from stalesim.optim import AdamConfig, AdamState, adam_step, sgd_step
 from stalesim.simulator import (
+    TRACE_COLUMNS,
     DivergenceError,
     RunTrace,
     Strategy,
@@ -151,7 +153,8 @@ def test_staleness_summary_warmup_and_empty_errors():
     with pytest.raises(ValueError):
         staleness_summary(trace, warmup_pushes=10_000)
     with pytest.raises(ValueError):
-        staleness_summary(RunTrace(rows=[], n_workers=1, strategy_label="async"))
+        empty = {c: [] for c in TRACE_COLUMNS}
+        staleness_summary(RunTrace(columns=empty, n_workers=1, strategy_label="async"))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +494,33 @@ def test_parameters_that_overflow_to_inf_diverge():
     assert trace.updates == 1
 
 
+class _DriftPastALossWall(_Drift):
+    """_Drift whose probe loss is inf once theta[0] reaches `wall`."""
+
+    def __init__(self, step, wall):
+        super().__init__(step)
+        self.wall = wall
+
+    def loss(self, theta, batch):
+        return math.inf if theta[0] >= self.wall else 0.0
+
+
+def test_queued_non_finite_probe_wins_over_a_later_parameter_overflow():
+    # theta_v = v * step: the probe goes inf at version 5, still queued
+    # (blocks hold 64) when theta[1] overflows at version 18; the run ends
+    # as an immediate probe would have ended it, at version 5
+    step = [1.0, 1e307]
+    trace = run_simulation(_sgd_drift_cfg(40), objective=_DriftPastALossWall(step, 5.0))
+    assert trace.divergence_reason == "probe loss went non-finite at update 5"
+    reference = run_simulation(_sgd_drift_cfg(5), objective=_Drift(step))
+    assert trace.rows == reference.rows[:4]  # every row with update_idx < 5
+    assert trace.final_theta.tobytes() == reference.final_theta.tobytes()
+    assert trace.total_cost == reference.total_cost
+    # without the loss wall the same run ends at the overflow
+    overflow = run_simulation(_sgd_drift_cfg(40), objective=_Drift(step))
+    assert overflow.divergence_reason == "parameters went non-finite at update 18"
+
+
 # ---------------------------------------------------------------------------
 # pulled snapshots are shared, read-only arrays
 
@@ -530,10 +560,10 @@ class _CountingObjective(Objective):
         self.inner = Quadratic.random(dim, seed=0, cond=3.0, noise_sigma=1.0)
         self.dim = dim
         self.has_noise = True
-        self.losses = 0
+        self.loss_calls = 0
 
     def loss(self, theta, batch):
-        self.losses += 1
+        self.loss_calls += 1
         return self.inner.loss(theta, batch)
 
     def grad(self, theta, batch, rng=None):
@@ -544,7 +574,7 @@ class _CountingObjective(Objective):
 def test_probe_loss_runs_once_per_version(strategy):
     objective = _CountingObjective()
     trace = run_simulation(_cfg(strategy=strategy), objective=objective)
-    assert objective.losses == trace.updates + 1  # versions 0..updates
+    assert objective.loss_calls == trace.updates + 1  # versions 0..updates
 
 
 _FAMILIES = {
@@ -581,7 +611,7 @@ def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
     )
     objective = _CountingObjective()
     trace = run_simulation(cfg, objective=objective)
-    assert objective.losses == trace.updates + 1
+    assert objective.loss_calls == trace.updates + 1
     big_g = strategy.effective(n)[1]
     assert 0 <= trace.pushes - trace.updates * big_g < big_g
     assert all(r.staleness >= 0 for r in trace.rows)
@@ -695,7 +725,7 @@ def test_parallel_probe_cache_holds_when_paced():
     )
     trace = _finishes(lambda: run_simulation(cfg, objective=objective))["trace"]
     assert trace.updates == 30
-    assert objective.losses == len({r.update_idx for r in trace.rows})
+    assert objective.loss_calls == len({r.update_idx for r in trace.rows})
     first = {}
     for r in trace.rows:  # every row of a version carries that version's loss
         assert first.setdefault(r.update_idx, r.loss_probe) == r.loss_probe
@@ -732,7 +762,8 @@ def test_trace_csv_keeps_float_precision(tmp_path):
             strategy="async",
             worker_id=0,
         )
-        trace = RunTrace(rows=[row], n_workers=1, strategy_label="async")
+        columns = {c: [cell] for c, cell in zip(TRACE_COLUMNS, row)}
+        trace = RunTrace(columns=columns, n_workers=1, strategy_label="async")
         path = str(tmp_path / f"{num.__name__}.csv")
         trace.to_csv(path)
         assert RunTrace.from_csv(path).rows[0] == row
