@@ -11,7 +11,6 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     ObjectiveSpec,
-    default_config,
     parse_config,
     serialize_config,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "TraceRow",
     "adam_direction",
     "adam_step",
-    "default_config",
     "dynamic_batcher",
     "finite_diff_grad",
     "learning_rate",

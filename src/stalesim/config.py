@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "serialize_config",
-    "default_config",
 ]
 
 
@@ -65,7 +64,9 @@ class ObjectiveSpec:
 
     dim/cond/noise_sigma/theta_star_scale apply to the quadratic (dim also
     to linreg); target_noise to linreg; in_dim/hidden/classes/spread to the
-    mlp. samples is the dataset size (per class for the mlp).
+    mlp. samples is the dataset size. The mlp splits it, and probe.samples,
+    over the classes: samples // classes rows per class, at least 1, so the
+    defaults give 255 training and 63 probe rows.
     """
 
     kind: str = "quadratic"
@@ -104,15 +105,13 @@ class ObjectiveSpec:
 class ExperimentConfig:
     objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
     workers: int = 4
-    strategy: Strategy = field(default_factory=Strategy.asynchronous)
+    strategy: Strategy = Strategy("async")
     optimizer_kind: str = "adam"
     adam: AdamConfig = field(default_factory=AdamConfig)
     schedule_warmup: int = 0
     schedule_decay: str = "inverse-sqrt"
     schedule_batch_scale: float = 0.0
-    compute: ComputeTimeModel = field(
-        default_factory=lambda: ComputeTimeModel.constant(1.0)
-    )
+    compute: ComputeTimeModel = ComputeTimeModel("constant", 1.0)
     comm_latency: float = 0.0
     combine: str = "mean"
     batch_budget: int = 8
@@ -171,12 +170,6 @@ class ExperimentConfig:
         for a in self.thresholds_absolute:
             if not math.isfinite(a):
                 raise ValueError("thresholds.absolute values must be finite")
-
-
-def default_config(**updates) -> ExperimentConfig:
-    """ExperimentConfig with defaults, overridden by keyword arguments
-    (field names of ExperimentConfig)."""
-    return replace(ExperimentConfig(), **updates)
 
 
 class _Key(NamedTuple):

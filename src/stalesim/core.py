@@ -4,7 +4,9 @@ models.
 
 Parameter vectors are plain 1-D float64 numpy arrays, not wrapped in a class:
 as_vec makes one, and all_finite, one dot product with a zero vector, is the
-finiteness check a run makes on every update.
+finiteness check a run makes on every update. An RngStream is likewise a
+plain numpy Generator; only its constructor, which keys it on (seed, stream
+id), is ours, so callers draw with the Generator methods themselves.
 """
 
 from __future__ import annotations
@@ -43,33 +45,18 @@ def all_finite(x: Vec, zero: Vec) -> bool:
     return not math.isnan(x.dot(zero))
 
 
-class RngStream:
-    """A named, reproducible random stream.
-
-    Backed by numpy's Philox counter-based generator keyed on
-    (seed, stream id), so the same pair yields a bit-identical sample
-    sequence on every run and platform. Each stream must be consumed by a
-    single worker at a time; distinct stream ids never overlap.
+class RngStream(np.random.Generator):
+    """A named, reproducible random stream: a numpy Generator on the Philox
+    counter-based bit generator keyed on (seed, stream id), so the same
+    pair yields a bit-identical sample sequence on every run and platform.
+    Each stream must be consumed by a single worker at a time; distinct
+    stream ids never overlap.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def standard_normal(self) -> float:
-        return self._gen.standard_normal()
-
-    def integers(self, low: int, high: int, size=None):
-        """Integers drawn uniformly from [low, high] inclusive."""
-        return self._gen.integers(low, high, size, endpoint=True)
+        mask = 0xFFFFFFFFFFFFFFFF
+        key = np.array([int(seed) & mask, int(stream) & mask], dtype=np.uint64)
+        super().__init__(np.random.Philox(key=key))
 
 
 # Fixed stream ids so every consumer of randomness is independent: training
@@ -104,7 +91,8 @@ def learning_rate(base_lr: float, warmup: int, decay: str, t: int) -> float:
 
 @dataclass(frozen=True)
 class ComputeTimeModel:
-    """Distribution of per-batch compute durations, in seconds per cost unit.
+    """Distribution of per-batch compute durations, in seconds per cost unit,
+    e.g. ComputeTimeModel("normal", 1.0, 0.2).
 
     kind="constant": always `mean`. kind="normal": normal(mean, std)
     truncated below at mean/10 by rejection so durations stay positive.
@@ -116,19 +104,11 @@ class ComputeTimeModel:
 
     def __post_init__(self):
         if self.kind not in ("constant", "normal"):
-            raise ValueError(f"unknown compute-time model {self.kind!r}")
+            raise ValueError(f"compute.kind must be constant or normal, got {self.kind!r}")
         if self.mean <= 0:
-            raise ValueError("compute-time mean must be > 0")
+            raise ValueError("compute.mean must be > 0")
         if self.std < 0:
-            raise ValueError("compute-time std must be >= 0")
-
-    @classmethod
-    def constant(cls, mean: float) -> "ComputeTimeModel":
-        return cls("constant", mean)
-
-    @classmethod
-    def normal(cls, mean: float, std: float) -> "ComputeTimeModel":
-        return cls("normal", mean, std)
+            raise ValueError("compute.std must be >= 0")
 
 
 def sample_compute_time(rng: RngStream, model: ComputeTimeModel) -> float:

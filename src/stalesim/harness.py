@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, default_config, parse_config, serialize_config
+from .config import ExperimentConfig, parse_config, serialize_config
 from .core import ComputeTimeModel, RngStream
 from .models import (
     Batch,
@@ -304,7 +304,7 @@ def selftest_adam_table() -> tuple[bool, list[str]]:
         theta = np.zeros(1)
         got = {"m": [], "v": [], "m_hat": [], "v_hat": [], "theta": []}
         for g in table["g"]:
-            state, theta = adam_step(state, cfg, theta, np.array([g]))
+            state, theta = adam_step(state, cfg, theta, np.array([g]), cfg.alpha)
             got["m"].append(state.m[0])
             got["v"].append(state.v[0])
             got["m_hat"].append(state.m[0] / (1 - cfg.beta1**state.t))
@@ -333,13 +333,13 @@ def selftest_adam_table() -> tuple[bool, list[str]]:
 def _staleness_config(strategy: Strategy, updates: int) -> ExperimentConfig:
     # unit costs + constant unit compute keep every batch's duration at
     # exactly 1 s, incommensurate with the i/4 s worker stagger
-    return default_config(
+    return ExperimentConfig(
         strategy=strategy,
         workers=4,
         batch_budget=1,
         batch_cost_max=1,
         budget_updates=updates,
-        compute=ComputeTimeModel.constant(1.0),
+        compute=ComputeTimeModel("constant", 1.0),
         seed=0,
     )
 
@@ -351,11 +351,11 @@ def selftest_staleness_table() -> tuple[bool, list[str]]:
     steady-state pattern, so the five means are checked for equality, not
     approximately."""
     cases = [
-        (Strategy.sync(), 50, 0.0),
-        (Strategy.asynchronous(), 200, 3.0),
-        (Strategy.local_accum(4), 50, 3.0),
-        (Strategy.combined(2, 2), 50, 1.5),
-        (Strategy.global_accum(4), 50, 0.75),
+        (Strategy("sync"), 50, 0.0),
+        (Strategy("async"), 200, 3.0),
+        (Strategy("local_accum", local=4), 50, 3.0),
+        (Strategy("combined", local=2, global_count=2), 50, 1.5),
+        (Strategy("global_accum", global_count=4), 50, 0.75),
     ]
     lines = []
     ok = True
@@ -368,13 +368,13 @@ def selftest_staleness_table() -> tuple[bool, list[str]]:
             f"{strategy.label:>16}: mean staleness {mean} "
             f"(expected {expected}) {'ok' if case_ok else 'MISMATCH'}"
         )
-    noisy = default_config(
-        strategy=Strategy.asynchronous(),
+    noisy = ExperimentConfig(
+        strategy=Strategy("async"),
         workers=4,
         batch_budget=1,
         batch_cost_max=1,
         budget_updates=10_000,
-        compute=ComputeTimeModel.normal(1.0, 0.2),
+        compute=ComputeTimeModel("normal", 1.0, 0.2),
         seed=0,
     )
     mean, _ = staleness_summary(run_simulation(noisy))

@@ -414,4 +414,4 @@ def make_cost_stream(rng: RngStream, n: int, cost_max: int = 50) -> np.ndarray:
         raise ValueError("cost_max must be >= 1")
     if cost_max == 1:
         return np.ones(n, np.int64)
-    return rng.integers(1, cost_max, size=n)
+    return rng.integers(1, cost_max, size=n, endpoint=True)

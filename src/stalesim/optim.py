@@ -1,13 +1,14 @@
 """Optimizers and gradient-stream analysis.
 
-Adam and plain SGD are implemented as pure functions over explicit state:
-the parameter server owns the Adam state, calls the step functions itself
-and checks the results for finiteness, so these functions leave values
-unchecked. The analysis half (`adam_direction`, `predicted_efficiency`)
-quantifies how gradient noise throttles Adam: in the long run the mean update
-magnitude per coordinate approaches 1/sqrt(CoV^2 + 1) where CoV is the
-coefficient of variation of the gradient stream, so averaging independent
-samples (which shrinks CoV as 1/sqrt(N)) speeds Adam up.
+Adam and plain SGD are implemented as pure functions over explicit state
+and an explicit learning rate: the engine (simulator._Run.update) owns the
+Adam state, passes the scheduled rate to every step and checks the results
+for finiteness, so these functions leave values unchecked. The analysis
+half (`adam_direction`, `predicted_efficiency`) quantifies how gradient
+noise throttles Adam: in the long run the mean update magnitude per
+coordinate approaches 1/sqrt(CoV^2 + 1) where CoV is the coefficient of
+variation of the gradient stream, so averaging independent samples (which
+shrinks CoV as 1/sqrt(N)) speeds Adam up.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ class AdamConfig:
 
     def __post_init__(self):
         if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+            raise ValueError("optimizer.alpha must be > 0")
         if not 0 <= self.beta1 < 1:
-            raise ValueError("beta1 must be in [0, 1)")
+            raise ValueError("optimizer.beta1 must be in [0, 1)")
         if not 0 <= self.beta2 < 1:
-            raise ValueError("beta2 must be in [0, 1)")
+            raise ValueError("optimizer.beta2 must be in [0, 1)")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+            raise ValueError("optimizer.epsilon must be >= 0")
 
 
 @dataclass
@@ -88,20 +89,17 @@ class GradStreamStats:
 
 
 def adam_step(
-    state: AdamState,
-    cfg: AdamConfig,
-    theta: Vec,
-    g: Vec,
-    lr_override: float | None = None,
+    state: AdamState, cfg: AdamConfig, theta: Vec, g: Vec, lr: float
 ) -> tuple[AdamState, Vec]:
-    """Apply one Adam update; returns (new state, new parameters).
+    """Apply one Adam update with learning rate lr; returns (new state, new
+    parameters).
 
         m' = b1*m + (1-b1)*g
         v' = b2*v + (1-b2)*g^2
         theta' = theta - lr * (m'/(1-b1^(t+1))) / (sqrt(v'/(1-b2^(t+1))) + eps)
 
-    lr_override, when given, replaces cfg.alpha for this step only; schedules
-    live outside the optimizer and feed in through this hook.
+    The caller picks lr: the engine passes the scheduled rate (see
+    core.learning_rate), so cfg.alpha is read only where the rate is set.
     """
     if theta.shape != g.shape or state.m.shape != g.shape:
         raise ValueError(
@@ -112,7 +110,6 @@ def adam_step(
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
     m_hat = m / (1.0 - cfg.beta1**t_new)
     v_hat = v / (1.0 - cfg.beta2**t_new)
-    lr = cfg.alpha if lr_override is None else lr_override
     theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     return AdamState(m=m, v=v, t=t_new), theta_new
 

@@ -100,18 +100,20 @@ _PARAMS = {
 
 @dataclass(frozen=True)
 class Strategy:
-    """Communication strategy. Use the factory classmethods; the raw
-    constructor insists that parameters irrelevant to `kind` stay at 1 so
-    equal strategies compare equal.
+    """Communication strategy, built by the constructor, e.g.
+    Strategy("global_accum", global_count=4), or from its label by parse.
 
     _PARAMS is the one record of which parameters each kind takes: the
-    constructor's checks, label and parse all read it. A label is the kind
-    followed by those parameters in table order, joined by "-", e.g.
-    "sync_stale-7" or "combined-2-3" (local, then global).
+    constructor's checks, label and parse all read it. The constructor
+    insists that parameters a kind does not take stay at 1, so equal
+    strategies compare equal. A label is the kind followed by its
+    parameters in table order, joined by "-", e.g. "sync_stale-7" or
+    "combined-2-3" (local, then global). Check messages name each field by
+    its config key (strategy.global for global_count).
 
     Degenerate parameter choices collapse onto each other by construction:
-    local_accum(1), global_accum(1), and combined(1,1) all run exactly the
-    async schedule, and sync_stale(1) runs exactly sync. They stay distinct
+    local_accum-1, global_accum-1 and combined-1-1 all run exactly the
+    async schedule, and sync_stale-1 runs exactly sync. They stay distinct
     values here (the trace records what was configured); the simulation
     engine sees only the normalized numbers.
     """
@@ -123,39 +125,16 @@ class Strategy:
 
     def __post_init__(self):
         if self.kind not in _PARAMS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        # messages name each field as its config key does: global, not global_count
-        names = [(f.name, f.name.removesuffix("_count")) for f in fields(self)[1:]]
-        for name, shown in names:
+            raise ValueError(
+                f"strategy.kind must be one of {', '.join(_PARAMS)}, got {self.kind!r}"
+            )
+        keys = [(f.name, "strategy." + f.name.removesuffix("_count")) for f in fields(self)[1:]]
+        for name, key in keys:
             if getattr(self, name) < 1:
-                raise ValueError(f"strategy {shown} must be >= 1")
-        for name, shown in names:
+                raise ValueError(f"{key} must be >= 1")
+        for name, key in keys:
             if name not in _PARAMS[self.kind] and getattr(self, name) != 1:
-                raise ValueError(f"strategy {self.kind!r} does not take a {shown} parameter")
-
-    @classmethod
-    def sync(cls) -> "Strategy":
-        return cls("sync")
-
-    @classmethod
-    def sync_stale(cls, pull_every: int) -> "Strategy":
-        return cls("sync_stale", pull_every=pull_every)
-
-    @classmethod
-    def asynchronous(cls) -> "Strategy":
-        return cls("async")
-
-    @classmethod
-    def local_accum(cls, local: int) -> "Strategy":
-        return cls("local_accum", local=local)
-
-    @classmethod
-    def global_accum(cls, global_count: int) -> "Strategy":
-        return cls("global_accum", global_count=global_count)
-
-    @classmethod
-    def combined(cls, local: int, global_count: int) -> "Strategy":
-        return cls("combined", local=local, global_count=global_count)
+                raise ValueError(f"strategy {self.kind!r} does not take {key}")
 
     @property
     def is_barrier(self) -> bool:
@@ -415,8 +394,9 @@ class _Run:
     the batch in flight.
 
     _Run builds the pieces (build_experiment), computes the base learning
-    rate once and probes the initial parameters as version 0 before any
-    worker starts. From then on only update changes theta: it applies the
+    rate once and queues the initial parameters as version 0, which execute
+    probes on their own before any worker starts. From then on only update
+    changes theta: it applies the
     optimizer step, checks the new parameters and Adam's second moment v
     for finiteness, and queues the new version for its probe. A non-finite
     gradient makes the SGD parameters or Adam's v non-finite at the update
@@ -466,14 +446,13 @@ class _Run:
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
         self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
-        self.initial_loss = 0.0
         self.last_lr = 0.0
         self.total_cost = 0
         # the probe loss of each version probed so far, by version
         self.version_loss: list[float] = []
         # per version waiting for its probe: (theta, pushes recorded
-        # before it, total_cost at it)
-        self.queued: list[tuple[Vec, int, int]] = []
+        # before it, total_cost at it); version 0 is the initial theta
+        self.queued: list[tuple[Vec, int, int]] = [(self.theta, 0, 0)]
         # the trace columns a push appends to
         self.update_idx: list[int] = []
         self.sim_time_s: list[float] = []
@@ -499,20 +478,14 @@ class _Run:
         batch = self.in_flight[w] = next(self.batches)
         return sample_compute_time(self.rngs[w], self.cfg.compute) * batch.total_cost
 
-    def probe_initial(self) -> None:
-        """Probe version 0, the initial parameters, with one loss call.
-        Raises DivergenceError when its loss is not finite."""
-        self.initial_loss = float(self.objective.loss(self.theta, self.probe))
-        self.version_loss.append(self.initial_loss)
-        if not math.isfinite(self.initial_loss):
-            raise DivergenceError("probe loss went non-finite at update 0")
-
     def probe_queued(self) -> None:
         """Probe every queued version in one stacked losses call and empty
         the queue. When one is not finite, the earliest of them, v, rolls
         the run back to it: the trace columns keep only the pushes recorded
-        before v, theta becomes theta_v and total_cost its value at v; then
-        it raises DivergenceError, as an immediate probe would have.
+        before v, theta becomes theta_v and total_cost its value at v, and
+        the losses kept end with v's own (no kept row reads it, but the
+        initial loss is version 0's); then it raises DivergenceError, as an
+        immediate probe would have.
 
         An objective that is not an Objective, such as a wrapper that times
         or counts loss calls, is probed by Objective's default losses on the
@@ -533,7 +506,7 @@ class _Run:
             self.version_loss += losses
             return
         k = next(k for k, loss in enumerate(losses) if not math.isfinite(loss))
-        self.version_loss += losses[:k]
+        self.version_loss += losses[: k + 1]
         self.theta, pushes, self.total_cost = queued[k]
         for column in (self.update_idx, self.sim_time_s, self.staleness, self.lr, self.worker_id):
             del column[pushes:]
@@ -648,7 +621,7 @@ class _Run:
             # divergence detection rides on IEEE inf/nan propagation; the
             # overflow on the way down is expected, not worth a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                self.probe_initial()
+                self.probe_queued()  # version 0, before any worker starts
                 try:
                     heap = [(w / cfg.workers + self.start(w), w) for w in self.ids]
                     heapq.heapify(heap)
@@ -687,7 +660,7 @@ class _Run:
             divergence_reason=reason,
             final_theta=self.theta.copy(),
             total_cost=self.total_cost,
-            initial_loss=self.initial_loss,
+            initial_loss=self.version_loss[0],
         )
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from stalesim.config import ObjectiveSpec, default_config
+from stalesim.config import ExperimentConfig, ObjectiveSpec
 from stalesim.core import ComputeTimeModel, RngStream
 from stalesim.harness import (
     run_experiment,
@@ -63,12 +63,12 @@ def test_c03_periodic_pull_staleness_formula(capsys):
     # whole U-cycles
     results = {}
     for u in (2, 5, 7):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             objective=ObjectiveSpec(kind="quadratic", dim=4, cond=3.0, samples=32),
             workers=4,
-            strategy=Strategy.sync_stale(u),
+            strategy=Strategy("sync_stale", pull_every=u),
             batch_budget=1,
-            compute=ComputeTimeModel.constant(1.0),
+            compute=ComputeTimeModel("constant", 1.0),
             budget_updates=6 * u,
             seed=0,
         )
@@ -88,8 +88,8 @@ def test_c04_adam_scale_invariance(capsys):
         state_a, state_b = AdamState.zeros(5), AdamState.zeros(5)
         theta_a, theta_b = np.zeros(5), np.zeros(5)
         for g in grads:
-            state_a, theta_a = adam_step(state_a, cfg, theta_a, g)
-            state_b, theta_b = adam_step(state_b, cfg, theta_b, c * g)
+            state_a, theta_a = adam_step(state_a, cfg, theta_a, g, cfg.alpha)
+            state_b, theta_b = adam_step(state_b, cfg, theta_b, c * g, cfg.alpha)
             rel = np.linalg.norm(theta_b - theta_a) / max(
                 np.linalg.norm(theta_a), 1e-30
             )
@@ -124,7 +124,7 @@ def test_c05_statistical_efficiency(capsys):
         g = np.concatenate(
             (rng.normal(size=6 * width) * scale + loc, rng_cov3.normal(0.5, 1.5, size=4))
         )
-        state, theta = adam_step(state, cfg, theta, g)
+        state, theta = adam_step(state, cfg, theta, g, cfg.alpha)
         if i >= 2_000:
             sums += np.abs(adam_direction(state, cfg))
             kept += 1
@@ -171,34 +171,34 @@ def test_c07_strategy_equivalences(capsys):
     # degenerate accumulation parameters must not change a single bit of
     # the run: only the configured label differs
     def run(strategy):
-        return run_simulation(default_config(
+        return run_simulation(ExperimentConfig(
             objective=ObjectiveSpec(kind="quadratic", dim=6, cond=5.0,
                                     noise_sigma=1.0, samples=32),
             workers=4,
             strategy=strategy,
-            compute=ComputeTimeModel.normal(1.0, 0.2),
+            compute=ComputeTimeModel("normal", 1.0, 0.2),
             batch_budget=1,
             budget_updates=60,
             seed=3,
         ))
 
     ok = True
-    base = run(Strategy.asynchronous())
-    for s in (Strategy.local_accum(1), Strategy.global_accum(1),
-              Strategy.combined(1, 1)):
+    base = run(Strategy("async"))
+    for s in (Strategy("local_accum", local=1), Strategy("global_accum", global_count=1),
+              Strategy("combined", local=1, global_count=1)):
         other = run(s)
         ok &= _numeric_rows(other) == _numeric_rows(base)
         ok &= np.array_equal(other.final_theta, base.final_theta)
-    sync_a = run(Strategy.sync())
-    sync_b = run(Strategy.sync_stale(1))
+    sync_a = run(Strategy("sync"))
+    sync_b = run(Strategy("sync_stale", pull_every=1))
     ok &= _numeric_rows(sync_a) == _numeric_rows(sync_b)
     ok &= np.array_equal(sync_a.final_theta, sync_b.final_theta)
 
     # one worker, no accumulation: the simulator is plain serial SGD
-    cfg1 = default_config(
+    cfg1 = ExperimentConfig(
         objective=ObjectiveSpec(kind="linreg", dim=4, samples=24),
         workers=1,
-        strategy=Strategy.asynchronous(),
+        strategy=Strategy("async"),
         optimizer_kind="sgd",
         schedule_decay="none",
         batch_budget=4,
@@ -230,7 +230,7 @@ def test_c08_staleness_breaks_convergence_and_accumulation_restores_it(capsys):
     t0 = time.perf_counter()
 
     def arm(strategy, updates, seed):
-        return run_simulation(default_config(
+        return run_simulation(ExperimentConfig(
             objective=ObjectiveSpec(kind="quadratic", dim=20, cond=10.0,
                                     noise_sigma=2.0, theta_star_scale=5.0,
                                     samples=64),
@@ -239,7 +239,7 @@ def test_c08_staleness_breaks_convergence_and_accumulation_restores_it(capsys):
             adam=AdamConfig(alpha=0.06),
             schedule_decay="none",
             batch_budget=8,
-            compute=ComputeTimeModel.constant(1.0),
+            compute=ComputeTimeModel("constant", 1.0),
             budget_updates=updates,
             seed=seed,
         ))
@@ -247,9 +247,9 @@ def test_c08_staleness_breaks_convergence_and_accumulation_restores_it(capsys):
     both = 0
     per_seed = []
     for seed in range(5):
-        sync = arm(Strategy.sync(), 1000, seed)
-        asyn = arm(Strategy.asynchronous(), 4000, seed)
-        glob = arm(Strategy.global_accum(4), 1000, seed)
+        sync = arm(Strategy("sync"), 1000, seed)
+        asyn = arm(Strategy("async"), 4000, seed)
+        glob = arm(Strategy("global_accum", global_count=4), 1000, seed)
         initial = sync.rows[0].loss_probe
         a = (not sync.diverged) and sync.final_loss < 1e-3 * initial and (
             asyn.diverged or asyn.final_loss >= 10 * sync.final_loss
@@ -272,12 +272,12 @@ def test_c08_staleness_breaks_convergence_and_accumulation_restores_it(capsys):
 
 
 def test_c09_byte_identical_reruns(capsys, tmp_path):
-    cfg = default_config(
+    cfg = ExperimentConfig(
         objective=ObjectiveSpec(kind="quadratic", dim=8, cond=10.0,
                                 noise_sigma=1.0, samples=48),
         workers=4,
-        strategy=Strategy.combined(2, 2),
-        compute=ComputeTimeModel.normal(1.0, 0.2),
+        strategy=Strategy("combined", local=2, global_count=2),
+        compute=ComputeTimeModel("normal", 1.0, 0.2),
         batch_budget=16,
         batch_cost_max=7,
         budget_updates=200,
@@ -304,12 +304,12 @@ def test_c10_parallel_mode_staleness_ordering(capsys):
     # runs (1 ms real sleeps; at 0.1 simulated seconds a batch, the i/N
     # start stagger spans 2.5 batches, not the whole run)
     def arm(strategy, updates, seed):
-        trace = run_simulation(default_config(
+        trace = run_simulation(ExperimentConfig(
             objective=ObjectiveSpec(kind="quadratic", dim=4, cond=3.0,
                                     noise_sigma=0.5, samples=32),
             workers=4,
             strategy=strategy,
-            compute=ComputeTimeModel.constant(0.1),
+            compute=ComputeTimeModel("constant", 0.1),
             batch_budget=1,
             budget_updates=updates,
             seed=seed,
@@ -322,8 +322,8 @@ def test_c10_parallel_mode_staleness_ordering(capsys):
     wins = 0
     pairs = []
     for rep in range(5):
-        a = arm(Strategy.asynchronous(), 1000, 100 + rep)
-        g = arm(Strategy.global_accum(4), 250, 100 + rep)
+        a = arm(Strategy("async"), 1000, 100 + rep)
+        g = arm(Strategy("global_accum", global_count=4), 250, 100 + rep)
         wins += g < a
         pairs.append(f"{g:.2f}<{a:.2f}" if g < a else f"{g:.2f}>={a:.2f}")
     ok = wins >= 4

@@ -5,7 +5,7 @@ import pytest
 from stalesim import config
 from stalesim.config import (
     ConfigError,
-    default_config,
+    ExperimentConfig,
     parse_config,
     serialize_config,
 )
@@ -21,7 +21,7 @@ strategy.kind = async
 def test_minimal_config_gets_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.workers == 4
-    assert cfg.strategy == Strategy.asynchronous()
+    assert cfg.strategy == Strategy("async")
     assert cfg.objective.kind == "quadratic"
     assert cfg.objective.dim == 20  # default
     assert cfg.adam.beta1 == 0.9 and cfg.adam.beta2 == 0.98
@@ -58,7 +58,7 @@ thresholds = 0.5, 0.25
 thresholds.target = 0.1
 """
     cfg = parse_config(text)
-    assert cfg.strategy == Strategy.combined(2, 2)
+    assert cfg.strategy == Strategy("combined", local=2, global_count=2)
     assert cfg.compute.kind == "normal" and cfg.compute.std == 0.4
     assert cfg.thresholds == (0.5, 0.25)
     assert cfg.thresholds_target == 0.1
@@ -67,7 +67,7 @@ thresholds.target = 0.1
 
 def test_strategy_label_shorthand():
     cfg = parse_config("strategy = combined-2-2\n")
-    assert cfg.strategy == Strategy.combined(2, 2)
+    assert cfg.strategy == Strategy("combined", local=2, global_count=2)
 
 
 def test_strategy_label_conflicts_with_component_keys():
@@ -140,9 +140,9 @@ def test_overrides_replace_document_values():
 
 def test_component_override_refines_a_label_form_strategy():
     cfg = parse_config("strategy = global_accum-4\n", {"strategy.global": "2"})
-    assert cfg.strategy == Strategy.global_accum(2)
+    assert cfg.strategy == Strategy("global_accum", global_count=2)
     cfg = parse_config("strategy = combined-2-3\n", {"strategy.local": "5"})
-    assert cfg.strategy == Strategy.combined(5, 3)
+    assert cfg.strategy == Strategy("combined", local=5, global_count=3)
     with pytest.raises(ConfigError, match="strategy"):
         parse_config("strategy = global_accum-x\n", {"strategy.global": "2"})
 
@@ -150,10 +150,10 @@ def test_component_override_refines_a_label_form_strategy():
 def test_strategy_override_supersedes_component_form():
     text = "strategy.kind = global_accum\nstrategy.global = 4\n"
     cfg = parse_config(text, overrides={"strategy": "async"})
-    assert cfg.strategy == Strategy.asynchronous()
+    assert cfg.strategy == Strategy("async")
     cfg2 = parse_config("strategy = async\n",
                         overrides={"strategy": "sync_stale-5"})
-    assert cfg2.strategy == Strategy.sync_stale(5)
+    assert cfg2.strategy == Strategy("sync_stale", pull_every=5)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -161,15 +161,15 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.workers == 2
 
 
-def test_default_config_kwargs():
-    cfg = default_config(workers=8, combine="sum")
+def test_experiment_config_kwargs():
+    cfg = ExperimentConfig(workers=8, combine="sum")
     assert cfg.workers == 8 and cfg.combine == "sum"
     with pytest.raises(ValueError):
-        default_config(combine="median")
+        ExperimentConfig(combine="median")
 
 
 def test_serialize_emits_parseable_flat_document():
-    text = serialize_config(default_config())
+    text = serialize_config(ExperimentConfig())
     for line in text.strip().splitlines():
         assert line.startswith("#") or " = " in line
     # idempotent: serializing the reparse gives the same bytes
@@ -289,7 +289,7 @@ def test_label_form_serialization_is_pinned_and_round_trips():
         "strategy.pull_every = 1\n", "strategy = sync_stale-3\n"
     )
     cfg = parse_config(doc)
-    assert cfg.strategy == Strategy.sync_stale(3)
+    assert cfg.strategy == Strategy("sync_stale", pull_every=3)
     expected = EVERY_KEY_SERIALIZED.replace(
         _COMBINED_LINES,
         "strategy.kind = sync_stale\nstrategy.local = 1\nstrategy.global = 1\n",

@@ -12,7 +12,7 @@ import pytest
 
 from stalesim import simulator
 from stalesim.cli import main
-from stalesim.config import ObjectiveSpec, default_config, serialize_config
+from stalesim.config import ExperimentConfig, ObjectiveSpec, serialize_config
 from stalesim.core import ComputeTimeModel
 from stalesim.harness import (
     EXIT_CONFIG_ERROR,
@@ -38,16 +38,16 @@ def _fast_cfg(**kw):
     base = dict(
         objective=ObjectiveSpec(kind="quadratic", dim=6, cond=5.0, samples=32),
         workers=4,
-        strategy=Strategy.asynchronous(),
+        strategy=Strategy("async"),
         adam=AdamConfig(alpha=0.05),
         schedule_decay="none",
         batch_budget=1,
-        compute=ComputeTimeModel.constant(1.0),
+        compute=ComputeTimeModel("constant", 1.0),
         budget_updates=400,
         seed=1,
     )
     base.update(kw)
-    return default_config(**base)
+    return ExperimentConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "workers" in capsys.readouterr().err
 
 
-# an out-of-range value for every key that ObjectiveSpec and
-# ExperimentConfig check; a non-finite thresholds.absolute is already
-# rejected when the document is read, before those checks run
+# an out-of-range value for every check that ObjectiveSpec,
+# ExperimentConfig, Strategy, AdamConfig and ComputeTimeModel make; a
+# non-finite thresholds.absolute is already rejected when the document is
+# read, before those checks run
 _OUT_OF_RANGE = [
     "objective.kind = cubic",
     "objective.dim = 0",
@@ -273,10 +274,22 @@ _OUT_OF_RANGE = [
     "objective.classes = 1",
     "objective.spread = 0",
     "workers = 0",
+    "strategy.kind = nope",
+    "strategy.local = 0",
+    "strategy.global = 0",
+    "strategy.pull_every = 0",
+    "strategy.global = 2",  # the default kind, async, takes no global
     "optimizer.kind = rmsprop",
+    "optimizer.alpha = 0",
+    "optimizer.beta1 = 1",
+    "optimizer.beta2 = -0.5",
+    "optimizer.epsilon = -1",
     "schedule.warmup = -1",
     "schedule.decay = cosine",
     "schedule.batch_scale = -1",
+    "compute.kind = weird",
+    "compute.mean = 0",
+    "compute.std = -1",
     "comm.latency = -0.5",
     "combine = median",
     "batch.budget = 0",
@@ -354,7 +367,7 @@ def test_cli_parallel_sleep_overflow_exits_5_without_traceback(tmp_path, capsys)
     cfg_path = _write_cfg(
         tmp_path,
         workers=1,
-        compute=ComputeTimeModel.constant(1e300),
+        compute=ComputeTimeModel("constant", 1e300),
         parallel_time_scale=1e-4,
         out_dir=str(tmp_path / "out"),
     )

@@ -373,3 +373,9 @@ def test_cost_stream_bounds():
     np.testing.assert_array_equal(
         rng2.normal(size=3), RngStream(0, stream=0).normal(size=3)
     )
+
+
+def test_cost_stream_reaches_cost_max():
+    # costs are uniform on [1, cost_max], both ends included
+    costs = make_cost_stream(RngStream(5, stream=1), 2000, cost_max=3)
+    assert set(costs.tolist()) == {1, 2, 3}

@@ -26,7 +26,7 @@ def _run_adam_on_stream(grads, cfg):
     state = AdamState.zeros(grads.shape[1])
     states = []
     for g in grads:
-        state, theta = adam_step(state, cfg, theta, g)
+        state, theta = adam_step(state, cfg, theta, g, cfg.alpha)
         states.append(state)
     return theta, states
 
@@ -46,7 +46,7 @@ def test_first_adam_step_bias_correction_exact():
     # m_hat = g and v_hat = g^2, so the step is -alpha * g/(|g| + eps).
     cfg = _paper_cfg()
     g = as_vec([2.0, -0.5, 0.125])
-    state, theta = adam_step(AdamState.zeros(3), cfg, np.zeros(3), g)
+    state, theta = adam_step(AdamState.zeros(3), cfg, np.zeros(3), g, cfg.alpha)
     np.testing.assert_allclose(state.m / (1 - 0.9), g, rtol=1e-15)
     np.testing.assert_allclose(state.v / (1 - 0.98), g * g, rtol=1e-15)
     expected = -cfg.alpha * g / (np.abs(g) + cfg.epsilon)
@@ -63,7 +63,7 @@ def test_constant_stream_matches_worked_trajectory():
     state = AdamState.zeros(1)
     thetas = []
     for g in grads:
-        state, theta = adam_step(state, cfg, theta, g)
+        state, theta = adam_step(state, cfg, theta, g, cfg.alpha)
         thetas.append(theta[0])
     np.testing.assert_allclose(
         thetas, [-0.001, -0.002, -0.003, -0.004, -0.005, -0.006], atol=2e-6
@@ -95,23 +95,24 @@ def test_sign_flipping_stream_crosses_zero_at_step_six():
     state = AdamState.zeros(1)
     signs = []
     for g in grads:
-        state, theta = adam_step(state, cfg, theta, g)
+        state, theta = adam_step(state, cfg, theta, g, cfg.alpha)
         signs.append(theta[0])
     assert all(v >= 0 for v in signs[:5])
     assert signs[5] <= 0
 
 
-def test_adam_step_lr_override_replaces_alpha():
+def test_adam_step_lr_replaces_alpha():
+    # the lr passed wins over cfg.alpha, which the step never reads
     cfg = _paper_cfg(alpha=123.0)
     g = as_vec([1.0])
-    _, theta = adam_step(AdamState.zeros(1), cfg, np.zeros(1), g, lr_override=0.5)
+    _, theta = adam_step(AdamState.zeros(1), cfg, np.zeros(1), g, 0.5)
     assert theta[0] == pytest.approx(-0.5, rel=1e-8)
 
 
 def test_adam_step_dimension_and_finite_checks():
     cfg = _paper_cfg()
     with pytest.raises(ValueError):
-        adam_step(AdamState.zeros(2), cfg, np.zeros(2), np.zeros(3))
+        adam_step(AdamState.zeros(2), cfg, np.zeros(2), np.zeros(3), cfg.alpha)
 
 
 def test_adam_state_invariants():
@@ -123,7 +124,7 @@ def test_adam_state_invariants():
     rng = RngStream(3, stream=0)
     theta = np.zeros(4)
     for _ in range(50):
-        s, theta = adam_step(s, cfg, theta, rng.normal(size=4))
+        s, theta = adam_step(s, cfg, theta, rng.normal(size=4), cfg.alpha)
         assert np.all(s.v >= 0)
     assert s.t == 50
 
@@ -243,7 +244,7 @@ def test_adam_direction_requires_a_completed_step():
     cfg = _paper_cfg()
     with pytest.raises(ValueError):
         adam_direction(AdamState.zeros(2), cfg)
-    state, _ = adam_step(AdamState.zeros(2), cfg, np.zeros(2), as_vec([1.0, 1.0]))
+    state, _ = adam_step(AdamState.zeros(2), cfg, np.zeros(2), as_vec([1.0, 1.0]), cfg.alpha)
     np.testing.assert_allclose(adam_direction(state, cfg), [1.0, 1.0], rtol=1e-7)
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from stalesim import simulator
 from stalesim.config import (
+    ExperimentConfig,
     ObjectiveSpec,
-    default_config,
     parse_config,
     serialize_config,
 )
@@ -41,41 +41,32 @@ def _cfg(**kw):
         objective=ObjectiveSpec(kind="quadratic", dim=4, cond=3.0, samples=32),
         workers=4,
         batch_budget=1,
-        compute=ComputeTimeModel.constant(1.0),
+        compute=ComputeTimeModel("constant", 1.0),
         budget_updates=40,
         seed=0,
     )
     base.update(kw)
-    return default_config(**base)
+    return ExperimentConfig(**base)
 
 
 # ---------------------------------------------------------------------------
 # strategy values
 
 
-_KIND_FACTORIES = {
-    "sync": lambda a, b: Strategy.sync(),
-    "sync_stale": lambda a, b: Strategy.sync_stale(a),
-    "async": lambda a, b: Strategy.asynchronous(),
-    "local_accum": lambda a, b: Strategy.local_accum(a),
-    "global_accum": lambda a, b: Strategy.global_accum(a),
-    "combined": Strategy.combined,
-}
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(_KIND_FACTORIES)),
+    kind=st.sampled_from(sorted(simulator._PARAMS)),
     a=st.integers(1, 9),
     b=st.integers(1, 9),
 )
 def test_strategy_labels_round_trip(kind, a, b):
-    s = _KIND_FACTORIES[kind](a, b)
+    # the kind takes the first len(_PARAMS[kind]) of (a, b), in label order
+    s = Strategy(kind, **dict(zip(simulator._PARAMS[kind], (a, b))))
     assert Strategy.parse(s.label) == s
     # the label form is shorthand for the four strategy.* lines
     components = "".join(
         line
-        for line in serialize_config(default_config(strategy=s)).splitlines(True)
+        for line in serialize_config(ExperimentConfig(strategy=s)).splitlines(True)
         if line.startswith("strategy.")
     )
     from_label = parse_config(f"strategy = {s.label}\n")
@@ -86,7 +77,7 @@ def test_strategy_labels_round_trip(kind, a, b):
 
 def test_strategy_validation():
     with pytest.raises(ValueError, match=">= 1"):
-        Strategy.global_accum(0)
+        Strategy("global_accum", global_count=0)
     with pytest.raises(ValueError, match="does not take"):
         Strategy("async", local=2)
     with pytest.raises(ValueError):
@@ -95,13 +86,14 @@ def test_strategy_validation():
 
 def test_degenerate_strategies_run_the_async_schedule():
     n = 4
-    assert Strategy.local_accum(1).effective(n) == Strategy.asynchronous().effective(n)
-    assert Strategy.global_accum(1).effective(n) == Strategy.asynchronous().effective(n)
-    assert Strategy.combined(1, 1).effective(n) == Strategy.asynchronous().effective(n)
-    assert Strategy.sync_stale(1).effective(n) == Strategy.sync().effective(n)
+    asynchronous = Strategy("async").effective(n)
+    assert Strategy("local_accum", local=1).effective(n) == asynchronous
+    assert Strategy("global_accum", global_count=1).effective(n) == asynchronous
+    assert Strategy("combined", local=1, global_count=1).effective(n) == asynchronous
+    assert Strategy("sync_stale", pull_every=1).effective(n) == Strategy("sync").effective(n)
     # sync aggregates all N workers per update, barrier-style
-    assert Strategy.sync().effective(n) == (1, n, 1)
-    assert Strategy.sync().is_barrier and not Strategy.asynchronous().is_barrier
+    assert Strategy("sync").effective(n) == (1, n, 1)
+    assert Strategy("sync").is_barrier and not Strategy("async").is_barrier
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +101,7 @@ def test_degenerate_strategies_run_the_async_schedule():
 
 
 def test_sync_staleness_all_zero():
-    trace = run_simulation(_cfg(strategy=Strategy.sync()))
+    trace = run_simulation(_cfg(strategy=Strategy("sync")))
     mean, hist = staleness_summary(trace, warmup_pushes=0)
     assert mean == 0.0
     assert hist == {0: trace.pushes}
@@ -119,7 +111,7 @@ def test_sync_staleness_all_zero():
 def test_sync_stale_mean_is_half_u_minus_one(u, expect):
     # over whole U-cycles the per-round staleness pattern is 0,1,...,U-1
     trace = run_simulation(
-        _cfg(strategy=Strategy.sync_stale(u), budget_updates=4 * u)
+        _cfg(strategy=Strategy("sync_stale", pull_every=u), budget_updates=4 * u)
     )
     mean, hist = staleness_summary(trace, warmup_pushes=0)
     assert mean == expect
@@ -127,7 +119,7 @@ def test_sync_stale_mean_is_half_u_minus_one(u, expect):
 
 
 def test_steady_state_async_staleness_is_n_minus_one():
-    trace = run_simulation(_cfg(strategy=Strategy.asynchronous(), budget_updates=200))
+    trace = run_simulation(_cfg(strategy=Strategy("async"), budget_updates=200))
     mean, _ = staleness_summary(trace)  # default warmup skips the first N pushes
     assert mean == 3.0
 
@@ -135,8 +127,8 @@ def test_steady_state_async_staleness_is_n_minus_one():
 def test_staleness_nonnegative_and_mean_matches_rows():
     trace = run_simulation(
         _cfg(
-            strategy=Strategy.combined(2, 2),
-            compute=ComputeTimeModel.normal(1.0, 0.2),
+            strategy=Strategy("combined", local=2, global_count=2),
+            compute=ComputeTimeModel("normal", 1.0, 0.2),
             budget_updates=100,
         )
     )
@@ -149,7 +141,7 @@ def test_staleness_nonnegative_and_mean_matches_rows():
 
 
 def test_staleness_summary_warmup_and_empty_errors():
-    trace = run_simulation(_cfg(strategy=Strategy.asynchronous(), budget_updates=8))
+    trace = run_simulation(_cfg(strategy=Strategy("async"), budget_updates=8))
     with pytest.raises(ValueError):
         staleness_summary(trace, warmup_pushes=10_000)
     with pytest.raises(ValueError):
@@ -166,7 +158,7 @@ def test_one_sync_round_equals_serial_adam_on_mean_gradient():
     # the N batch gradients, accumulated in worker-id order.
     cfg = _cfg(
         objective=ObjectiveSpec(kind="linreg", dim=5, samples=64),
-        strategy=Strategy.sync(),
+        strategy=Strategy("sync"),
         batch_budget=4,
         budget_updates=1,
     )
@@ -176,9 +168,7 @@ def test_one_sync_round_equals_serial_adam_on_mean_gradient():
     for i in range(4):
         accum += objective.grad(theta0, batches[i])
     lr = learning_rate(cfg.adam.alpha, cfg.schedule_warmup, cfg.schedule_decay, 1)
-    _, expected = adam_step(
-        AdamState.zeros(5), cfg.adam, theta0, accum / 4.0, lr_override=lr
-    )
+    _, expected = adam_step(AdamState.zeros(5), cfg.adam, theta0, accum / 4.0, lr)
     trace = run_simulation(cfg)
     np.testing.assert_array_equal(trace.final_theta, expected)
     assert trace.updates == 1 and trace.pushes == 4
@@ -190,7 +180,7 @@ def test_single_worker_async_is_serial_sgd():
     cfg = _cfg(
         objective=ObjectiveSpec(kind="linreg", dim=3, samples=24),
         workers=1,
-        strategy=Strategy.asynchronous(),
+        strategy=Strategy("async"),
         optimizer_kind="sgd",
         schedule_decay="none",
         batch_budget=4,
@@ -230,7 +220,7 @@ def test_negative_zero_gradients_leave_the_bits_of_sums_from_positive_zero(optim
     # stays -0.0; a loop that sums from +0.0 must write the same bits
     cfg = _cfg(
         workers=1,
-        strategy=Strategy.global_accum(2),
+        strategy=Strategy("global_accum", global_count=2),
         optimizer_kind=optimizer_kind,
         adam=AdamConfig(alpha=0.5),
     )
@@ -266,9 +256,19 @@ def test_build_experiment_takes_the_objective_alone_or_all_pieces():
         build_experiment(cfg, dataset=pieces[1])
 
 
+def test_mlp_splits_the_sample_counts_over_the_classes():
+    # samples // classes rows per class, at least 1: 256 and 64 over 3
+    # classes give 255 and 63 rows, and 2 over 3 classes one row each
+    _, dataset, probe, _ = build_experiment(ExperimentConfig(objective=ObjectiveSpec(kind="mlp")))
+    assert (len(dataset), len(probe)) == (255, 63)
+    cfg = ExperimentConfig(objective=ObjectiveSpec(kind="mlp", samples=2), probe_samples=2)
+    _, dataset, probe, _ = build_experiment(cfg)
+    assert (len(dataset), len(probe)) == (3, 3)
+
+
 def test_update_count_is_pushes_over_g():
     for g in (1, 2, 4):
-        s = Strategy.global_accum(g) if g > 1 else Strategy.asynchronous()
+        s = Strategy("global_accum", global_count=g) if g > 1 else Strategy("async")
         trace = run_simulation(_cfg(strategy=s, budget_updates=24))
         assert trace.updates == 24
         assert trace.pushes == g * trace.updates
@@ -279,17 +279,17 @@ def test_local_accumulation_cuts_communication_time():
     # per-message latency the local-accumulation run finishes sooner
     kw = dict(comm_latency=0.5)
     t_async = run_simulation(
-        _cfg(strategy=Strategy.asynchronous(), budget_updates=100, **kw)
+        _cfg(strategy=Strategy("async"), budget_updates=100, **kw)
     ).final_sim_time
     t_local = run_simulation(
-        _cfg(strategy=Strategy.local_accum(4), budget_updates=25, **kw)
+        _cfg(strategy=Strategy("local_accum", local=4), budget_updates=25, **kw)
     ).final_sim_time
     assert t_local < t_async
 
 
 def test_local_accum_messages_carry_summed_cost():
     trace = run_simulation(
-        _cfg(strategy=Strategy.local_accum(4), batch_budget=2, budget_updates=10)
+        _cfg(strategy=Strategy("local_accum", local=4), batch_budget=2, budget_updates=10)
     )
     # every message folds L=4 batches of total_cost 2 each
     assert trace.total_cost == 10 * 4 * 2
@@ -298,7 +298,10 @@ def test_local_accum_messages_carry_summed_cost():
 def test_lr_column_tracks_applied_schedule():
     # schedule.batch_scale s > 0 scales the base rate to alpha * s * (L*G),
     # and combined-3-2 has L*G = 6
-    for strategy, scale in ((Strategy.global_accum(2), 0.0), (Strategy.combined(3, 2), 0.3)):
+    for strategy, scale in (
+        (Strategy("global_accum", global_count=2), 0.0),
+        (Strategy("combined", local=3, global_count=2), 0.3),
+    ):
         cfg = _cfg(
             strategy=strategy,
             schedule_warmup=4,
@@ -322,7 +325,7 @@ def test_lr_column_tracks_applied_schedule():
 def test_divergence_detected_and_trace_preserved():
     cfg = _cfg(
         objective=ObjectiveSpec(kind="quadratic", dim=4, cond=10.0, samples=16),
-        strategy=Strategy.asynchronous(),
+        strategy=Strategy("async"),
         optimizer_kind="sgd",
         adam=AdamConfig(alpha=10.0),  # way past the stability edge for sgd
         schedule_decay="none",
@@ -382,7 +385,7 @@ def _overflow_cfg(workers, g, **kw):
     return _cfg(
         objective=ObjectiveSpec(kind="quadratic", dim=2, samples=32),
         workers=workers,
-        strategy=Strategy.global_accum(g),
+        strategy=Strategy("global_accum", global_count=g),
         **kw,
     )
 
@@ -470,7 +473,7 @@ def _sgd_drift_cfg(updates):
     return _cfg(
         objective=ObjectiveSpec(kind="quadratic", dim=4, samples=32),
         workers=2,
-        strategy=Strategy.asynchronous(),
+        strategy=Strategy("async"),
         optimizer_kind="sgd",
         adam=AdamConfig(alpha=1.0),
         schedule_decay="none",
@@ -492,6 +495,16 @@ def test_parameters_that_overflow_to_inf_diverge():
     assert trace.diverged
     assert trace.divergence_reason == "parameters went non-finite at update 2"
     assert trace.updates == 1
+
+
+def test_non_finite_initial_loss_ends_the_run_before_any_push():
+    # 0.5*d'Ad overflows at theta0 = 0 when theta* ~ 1e200: the probe of
+    # version 0 ends the run, and the trace keeps that probe's own value
+    cfg = _cfg(objective=ObjectiveSpec(kind="quadratic", dim=4, theta_star_scale=1e200))
+    trace = run_simulation(cfg)
+    assert trace.diverged and trace.pushes == 0
+    assert trace.divergence_reason == "probe loss went non-finite at update 0"
+    assert trace.initial_loss == math.inf
 
 
 class _DriftPastALossWall(_Drift):
@@ -540,7 +553,7 @@ class _WritesTheta(_HugeGradient):
         return np.zeros(2)
 
 
-@pytest.mark.parametrize("strategy", [Strategy.asynchronous(), Strategy.sync()])
+@pytest.mark.parametrize("strategy", [Strategy("async"), Strategy("sync")])
 def test_pulled_snapshots_are_read_only(strategy):
     objective = _WritesTheta()
     run_simulation(_cfg(strategy=strategy, budget_updates=20), objective=objective)
@@ -570,7 +583,7 @@ class _CountingObjective(Objective):
         return self.inner.grad(theta, batch, rng)
 
 
-@pytest.mark.parametrize("strategy", [Strategy.global_accum(4), Strategy.sync()])
+@pytest.mark.parametrize("strategy", [Strategy("global_accum", global_count=4), Strategy("sync")])
 def test_probe_loss_runs_once_per_version(strategy):
     objective = _CountingObjective()
     trace = run_simulation(_cfg(strategy=strategy), objective=objective)
@@ -578,12 +591,12 @@ def test_probe_loss_runs_once_per_version(strategy):
 
 
 _FAMILIES = {
-    "sync": lambda l, g, u: Strategy.sync(),
-    "sync_stale": lambda l, g, u: Strategy.sync_stale(u),
-    "async": lambda l, g, u: Strategy.asynchronous(),
-    "local_accum": lambda l, g, u: Strategy.local_accum(l),
-    "global_accum": lambda l, g, u: Strategy.global_accum(g),
-    "combined": lambda l, g, u: Strategy.combined(l, g),
+    "sync": lambda l, g, u: Strategy("sync"),
+    "sync_stale": lambda l, g, u: Strategy("sync_stale", pull_every=u),
+    "async": lambda l, g, u: Strategy("async"),
+    "local_accum": lambda l, g, u: Strategy("local_accum", local=l),
+    "global_accum": lambda l, g, u: Strategy("global_accum", global_count=g),
+    "combined": lambda l, g, u: Strategy("combined", local=l, global_count=g),
 }
 
 
@@ -606,7 +619,7 @@ def test_probe_and_accumulation_counts_property(n, family, l, g, u, cost_max):
         strategy=strategy,
         batch_budget=4,
         batch_cost_max=cost_max,
-        compute=ComputeTimeModel.normal(1.0, 0.2),
+        compute=ComputeTimeModel("normal", 1.0, 0.2),
         budget_updates=10,
     )
     objective = _CountingObjective()
@@ -645,7 +658,7 @@ def test_async_family_steady_state_staleness_is_n_minus_one_over_g(n, l, g, bloc
     trace = run_simulation(
         _cfg(
             workers=n,
-            strategy=Strategy.combined(l, g),
+            strategy=Strategy("combined", local=l, global_count=g),
             budget_updates=warmup // g + blocks,
         )
     )
@@ -667,10 +680,10 @@ def test_barrier_family_staleness_is_half_u_minus_one(n, u, cycles, cost_max, se
     trace = run_simulation(
         _cfg(
             workers=n,
-            strategy=Strategy.sync_stale(u) if u > 1 else Strategy.sync(),
+            strategy=Strategy("sync_stale", pull_every=u) if u > 1 else Strategy("sync"),
             batch_budget=4,
             batch_cost_max=cost_max,
-            compute=ComputeTimeModel.normal(1.0, 0.2),
+            compute=ComputeTimeModel("normal", 1.0, 0.2),
             budget_updates=cycles * u + 1,
             seed=seed,
         )
@@ -702,7 +715,7 @@ def test_mean_and_sum_combine_agree_under_scale_invariant_adam(
                 combine=combine,
                 batch_budget=4,
                 batch_cost_max=cost_max,
-                compute=ComputeTimeModel.normal(1.0, 0.2),
+                compute=ComputeTimeModel("normal", 1.0, 0.2),
                 budget_updates=10,
             )
         )
@@ -717,8 +730,8 @@ def test_parallel_probe_cache_holds_when_paced():
     objective = _CountingObjective()
     cfg = _cfg(
         workers=8,
-        strategy=Strategy.global_accum(4),
-        compute=ComputeTimeModel.constant(0.001),
+        strategy=Strategy("global_accum", global_count=4),
+        compute=ComputeTimeModel("constant", 0.001),
         budget_updates=30,
         parallel=True,
         parallel_time_scale=0.01,
@@ -738,7 +751,7 @@ def test_parallel_probe_cache_holds_when_paced():
 
 def test_trace_csv_round_trip(tmp_path):
     trace = run_simulation(
-        _cfg(strategy=Strategy.combined(2, 2), budget_updates=12)
+        _cfg(strategy=Strategy("combined", local=2, global_count=2), budget_updates=12)
     )
     path = str(tmp_path / "trace.csv")
     trace.to_csv(path)
@@ -782,13 +795,13 @@ def test_trace_csv_rejects_other_schema(tmp_path):
 
 @pytest.mark.parametrize(
     "strategy,allowed",
-    [(Strategy.sync(), {0}), (Strategy.sync_stale(3), {0, 1, 2})],
+    [(Strategy("sync"), {0}), (Strategy("sync_stale", pull_every=3), {0, 1, 2})],
     ids=["sync", "sync_stale-3"],
 )
 def test_parallel_runs_barrier_strategies(strategy, allowed):
     cfg = _cfg(
         strategy=strategy,
-        compute=ComputeTimeModel.constant(0.1),
+        compute=ComputeTimeModel("constant", 0.1),
         budget_updates=12,
         parallel=True,
         parallel_time_scale=0.01,
@@ -805,7 +818,7 @@ def test_parallel_sleeps_the_comm_latency():
     # a serial run
     cfg = _cfg(
         workers=1,
-        compute=ComputeTimeModel.constant(0.4),
+        compute=ComputeTimeModel("constant", 0.4),
         comm_latency=0.2,
         budget_updates=6,
         parallel=True,
@@ -822,7 +835,7 @@ def test_parallel_staggers_the_first_starts():
     # first ten batches of 0.01 s before then, as it does serially
     cfg = _cfg(
         workers=2,
-        compute=ComputeTimeModel.constant(0.01),
+        compute=ComputeTimeModel("constant", 0.01),
         budget_updates=10,
         parallel=True,
         parallel_time_scale=0.2,
@@ -837,8 +850,8 @@ def test_parallel_single_worker_matches_serial_trajectory():
         objective=ObjectiveSpec(kind="quadratic", dim=4, cond=3.0,
                                 noise_sigma=0.5, samples=32),
         workers=1,
-        strategy=Strategy.asynchronous(),
-        compute=ComputeTimeModel.constant(0.001),
+        strategy=Strategy("async"),
+        compute=ComputeTimeModel("constant", 0.001),
         budget_updates=50,
         parallel=True,
         parallel_time_scale=1.0,
@@ -858,8 +871,8 @@ def test_parallel_single_worker_matches_serial_trajectory():
 def test_parallel_respects_update_budget():
     trace = run_simulation(
         _cfg(
-            strategy=Strategy.global_accum(4),
-            compute=ComputeTimeModel.constant(0.001),
+            strategy=Strategy("global_accum", global_count=4),
+            compute=ComputeTimeModel("constant", 0.001),
             budget_updates=25,
             parallel=True,
             parallel_time_scale=0.05,
@@ -874,7 +887,7 @@ def test_run_simulation_paces_exactly_when_the_config_says_parallel():
     # last completion; serial, the same config returns at once
     cfg = _cfg(
         workers=2,
-        compute=ComputeTimeModel.constant(0.5),
+        compute=ComputeTimeModel("constant", 0.5),
         budget_updates=8,
         parallel=True,
         parallel_time_scale=0.1,
@@ -896,7 +909,7 @@ def test_parallel_stops_before_sleeping_past_the_sim_time_budget():
     cfg = _cfg(
         workers=1,
         batch_budget=1,
-        compute=ComputeTimeModel.constant(20.0),
+        compute=ComputeTimeModel("constant", 20.0),
         budget_sim_time=5.0,
         parallel=True,
         parallel_time_scale=0.1,
@@ -946,7 +959,7 @@ def test_parallel_paces_on_the_calling_thread():
     objective = _ThreadCountingObjective()
     cfg = _cfg(
         workers=8,
-        compute=ComputeTimeModel.normal(1.0, 0.3),
+        compute=ComputeTimeModel("normal", 1.0, 0.3),
         budget_updates=40,
         parallel=True,
         parallel_time_scale=0.001,
