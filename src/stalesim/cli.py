@@ -71,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
 
 
@@ -127,12 +127,14 @@ def _parse_grid(items: list[str]) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     text = _read(args.config)
     grid = _parse_grid(args.grid)
     overrides = {} if args.seed is None else {"seed": str(args.seed)}
     base_cfg = parse_config(text, overrides)  # validate the base before fanning out
     out = resolve_out_dir(args.out_dir, base_cfg)
-    results = sweep(text, grid, out, jobs=max(1, args.jobs), overrides=overrides)
+    results = sweep(text, grid, out, jobs=args.jobs, overrides=overrides)
     for label, report in results:
         status = "diverged" if report.diverged else "ok"
         print(

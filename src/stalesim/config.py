@@ -158,6 +158,9 @@ class ExperimentConfig:
             raise ValueError("budget.updates must be >= 1")
         if self.budget_sim_time < 0:
             raise ValueError("budget.sim_time must be >= 0 (0 disables it)")
+        for key, seed in (("seed", self.seed), ("probe.seed", self.probe_seed)):
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"{key} must be in [0, 2**64), got {seed}")
         if self.probe_samples < 1:
             raise ValueError("probe.samples must be >= 1")
         if self.parallel_time_scale <= 0:

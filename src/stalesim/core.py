@@ -50,13 +50,16 @@ class RngStream(np.random.Generator):
     counter-based bit generator keyed on (seed, stream id), so the same
     pair yields a bit-identical sample sequence on every run and platform.
     Each stream must be consumed by a single worker at a time; distinct
-    stream ids never overlap.
+    stream ids never overlap. The seed and the stream id are each one
+    64-bit key word, so each must lie in [0, 2**64).
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        mask = 0xFFFFFFFFFFFFFFFF
-        key = np.array([int(seed) & mask, int(stream) & mask], dtype=np.uint64)
-        super().__init__(np.random.Philox(key=key))
+        words = [int(seed), int(stream)]
+        for name, word in zip(("seed", "stream id"), words):
+            if not 0 <= word < 2**64:
+                raise ValueError(f"RngStream {name} must be in [0, 2**64), got {word}")
+        super().__init__(np.random.Philox(key=np.array(words, dtype=np.uint64)))
 
 
 # Fixed stream ids so every consumer of randomness is independent: training

@@ -198,7 +198,7 @@ def run_experiment(
     out = resolve_out_dir(out_dir, cfg)
     os.makedirs(out, exist_ok=True)
     trace.to_csv(os.path.join(out, "trace.csv"))
-    with open(os.path.join(out, "summary.json"), "w") as f:
+    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
         f.write(report.to_json())
     return trace, report
 

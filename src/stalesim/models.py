@@ -99,25 +99,30 @@ class Batch:
 class Objective:
     """Interface shared by all toy objectives.
 
-    loss/grad take a Batch; grad additionally takes the caller's RngStream
-    so concurrent workers never share sampler state. Objectives themselves
-    are immutable and safe to share.
+    loss/losses/grad take a Batch; grad additionally takes the caller's
+    RngStream so concurrent workers never share sampler state. Objectives
+    themselves are immutable and safe to share.
 
-    losses is the optional stacked probe: the engine evaluates the probe
-    loss of up to 64 parameter versions in one call to it. Its default
-    calls loss once per row; the objectives here override it with one
-    stacked computation whose row k is loss(thetas[k], batch) bit for bit,
-    so a subclass that overrides loss overrides losses with it.
+    losses is the probe: the engine evaluates the probe loss of up to 64
+    parameter versions in one call to it, and loss is its one-row case. A
+    subclass overrides one of the two. The objectives here override losses
+    with one stacked computation whose row k never depends on how many
+    rows are stacked; an objective that overrides only loss is probed one
+    loss call per row.
     """
 
     dim: int
     has_noise: bool = False
 
     def loss(self, theta: Vec, batch: Batch) -> float:
-        raise NotImplementedError
+        """The loss at theta on batch: row 0 of losses on theta alone."""
+        self._check_dim(theta)
+        return float(self.losses(theta[None], batch)[0])
 
     def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
         """The loss of each row of thetas (K, dim) on batch, as K float64s."""
+        if getattr(type(self), "loss", None) is Objective.loss:
+            raise NotImplementedError(f"{type(self).__name__} overrides neither loss nor losses")
         return np.array([float(self.loss(t, batch)) for t in thetas])
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
@@ -163,14 +168,9 @@ class Quadratic(Objective):
     def has_noise(self) -> bool:
         return self.noise_sigma > 0
 
-    def loss(self, theta: Vec, batch: Batch) -> float:
-        self._check_dim(theta)
-        d = theta - self.theta_star
-        return float(0.5 * d @ self.a_matrix @ d)
-
     def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
-        # loss's products row by row as batched mat-vecs; a gemm over the
-        # stack (thetas @ A) rounds differently in the last bit
+        # 0.5 d'A d row by row as batched mat-vecs; a gemm over the stack
+        # (thetas @ A) would round a row differently as K changes
         d = thetas - self.theta_star
         return (((0.5 * d)[:, None] @ self.a_matrix) @ d[..., None])[:, 0, 0]
 
@@ -214,16 +214,9 @@ class LinearRegression(Objective):
             raise ValueError("dim must be >= 1")
         self.dim = dim
 
-    def loss(self, theta: Vec, batch: Batch) -> float:
-        self._check_dim(theta)
-        x = batch.features
-        y = batch.targets
-        r = x @ theta - y
-        return float(0.5 * np.mean(r * r))
-
     def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
-        # x @ theta for every row as a batched mat-vec, then np.mean's sum
-        # and division along each row
+        # x @ theta for every row as a batched mat-vec, then the mean of
+        # the squared residuals along each row
         r = (batch.features[None] @ thetas[..., None])[..., 0] - batch.targets
         return 0.5 * (np.add.reduce(r * r, axis=1) / len(batch))
 
@@ -257,7 +250,8 @@ class Mlp(Objective):
     """One-hidden-layer tanh network with softmax cross-entropy loss.
 
     Parameter layout in theta: W1 (hidden x in) row-major, b1, W2
-    (classes x hidden) row-major, b2. Kept small so the finite-difference
+    (classes x hidden) row-major, b2. One forward pass, _forward, serves
+    both the stacked losses and grad. Kept small so the finite-difference
     oracle can sweep every coordinate quickly.
     """
 
@@ -269,60 +263,38 @@ class Mlp(Objective):
         self.classes = classes
         self.dim = hidden * in_dim + hidden + classes * hidden + classes
 
-    def _unpack(self, theta: Vec):
+    def _forward(self, theta: np.ndarray, x: np.ndarray):
+        """W2, the hidden activations and the log-probabilities of x's
+        rows, for one parameter vector (dim,) or a stack (K, dim): each
+        weight matrix gets theta's leading axes and each bias a broadcast
+        sample axis, so the stack's arrays get a leading K axis."""
         h, d, c = self.hidden, self.in_dim, self.classes
-        i = 0
-        w1 = theta[i : i + h * d].reshape(h, d)
-        i += h * d
-        b1 = theta[i : i + h]
-        i += h
-        w2 = theta[i : i + c * h].reshape(c, h)
-        i += c * h
-        b2 = theta[i : i + c]
-        return w1, b1, w2, b2
-
-    def _forward(self, theta: Vec, x: np.ndarray):
-        w1, b1, w2, b2 = self._unpack(theta)
-        a = np.tanh(x @ w1.T + b1)
-        z = a @ w2.T + b2
-        z = z - z.max(axis=1, keepdims=True)
-        log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return a, log_p
+        lead = theta.shape[:-1]
+        i = h * d + h
+        w1 = theta[..., : h * d].reshape(lead + (h, d))
+        b1 = theta[..., None, h * d : i]
+        w2 = theta[..., i : i + c * h].reshape(lead + (c, h))
+        b2 = theta[..., None, i + c * h :]
+        a = np.tanh(x @ w1.swapaxes(-1, -2) + b1)
+        z = a @ w2.swapaxes(-1, -2) + b2
+        z = z - z.max(axis=-1, keepdims=True)
+        log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return w2, a, log_p
 
     def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
-        # _forward over a stack of K parameter vectors: each weight matrix
-        # gets a leading K axis and each bias a broadcast sample axis
-        h, d, c = self.hidden, self.in_dim, self.classes
-        k = len(thetas)
-        i = h * d + h
-        w1 = thetas[:, : h * d].reshape(k, h, d)
-        b1 = thetas[:, None, h * d : i]
-        w2 = thetas[:, i : i + c * h].reshape(k, c, h)
-        b2 = thetas[:, None, i + c * h :]
-        a = np.tanh(batch.features @ w1.transpose(0, 2, 1) + b1)
-        z = a @ w2.transpose(0, 2, 1) + b2
-        z = z - z.max(axis=2, keepdims=True)
-        log_p = z - np.log(np.exp(z).sum(axis=2, keepdims=True))
+        _, _, log_p = self._forward(thetas, batch.features)
         n = len(batch)
-        # the gathered values as contiguous rows, so each row is summed in
-        # the order np.mean sums loss's 1-D array
+        # the gathered values as contiguous rows, so that each row is summed
+        # in the same order whatever K is
         picked = np.ascontiguousarray(log_p[:, np.arange(n), batch.targets.astype(np.int64)])
         return -(np.add.reduce(picked, axis=1) / n)
-
-    def loss(self, theta: Vec, batch: Batch) -> float:
-        self._check_dim(theta)
-        x = batch.features
-        y = batch.targets.astype(np.int64)
-        _, log_p = self._forward(theta, x)
-        return float(-np.mean(log_p[np.arange(len(batch)), y]))
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
         x = batch.features
         y = batch.targets.astype(np.int64)
         n = len(batch)
-        w1, b1, w2, b2 = self._unpack(theta)
-        a, log_p = self._forward(theta, x)
+        w2, a, log_p = self._forward(theta, x)
         dz2 = np.exp(log_p)
         dz2[np.arange(n), y] -= 1.0
         dz2 /= n
@@ -361,7 +333,8 @@ def make_blob_samples(
 
 
 def finite_diff_grad(obj: Objective, theta: Vec, batch: Batch, h: float) -> Vec:
-    """Central-difference gradient oracle: (loss(t+h*e_i)-loss(t-h*e_i))/2h.
+    """Central-difference gradient oracle: (loss(t+h*e_i)-loss(t-h*e_i))/2h,
+    from one losses call on the 2*dim stacked rows theta +- h*e_i.
 
     Only valid for deterministic objectives; refuses to run when the
     objective injects gradient noise.
@@ -370,12 +343,10 @@ def finite_diff_grad(obj: Objective, theta: Vec, batch: Batch, h: float) -> Vec:
         raise ValueError("h must be > 0")
     if obj.has_noise:
         raise ValueError("finite differences require noise disabled")
-    out = np.zeros_like(theta)
-    for i in range(theta.shape[0]):
-        e = np.zeros_like(theta)
-        e[i] = h
-        out[i] = (obj.loss(theta + e, batch) - obj.loss(theta - e, batch)) / (2 * h)
-    return out
+    e = h * np.eye(theta.shape[0])
+    f = obj.losses(np.concatenate([theta + e, theta - e]), batch)
+    plus, minus = np.split(f, 2)
+    return (plus - minus) / (2 * h)
 
 
 def dynamic_batcher(dataset: Batch, budget: int) -> Iterator[Batch]:

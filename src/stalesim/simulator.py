@@ -252,7 +252,7 @@ class RunTrace:
         one line per push with each cell's str (a float's str is its
         shortest round-trip repr, for NumPy floats too) and a footer."""
         cells = [map(str, self.columns[c]) for c in TRACE_COLUMNS]
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(f"# schema={TRACE_SCHEMA}\n")
             f.write(f"# workers={self.n_workers}\n")
             f.write(f"# strategy={self.strategy_label}\n")
@@ -271,7 +271,7 @@ class RunTrace:
         empty."""
         meta = {}
         columns = [[] for _ in TRACE_COLUMNS]
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for line in f:
                 line = line.rstrip("\n")
                 if line.startswith("#"):
@@ -375,8 +375,8 @@ def build_experiment(
 # mostly numpy call overhead, which the stack shares. Per version, with the
 # np.stack, on a 2-core Xeon (Python 3.11, NumPy 2.4), best of 7:
 # Quadratic.losses at d=20 costs 7.7 us at K=1, 1.1 us at K=16 and
-# 0.7-1.0 us at K=64 (one Quadratic.loss: 3.1-4.4 us); for the 4-8-3 MLP
-# on 126 probe samples, 38-43, 18-19 and 17-24 us (one Mlp.loss: 54-61 us).
+# 0.7-1.0 us at K=64; for the 4-8-3 MLP on 126 probe samples, 38-43, 18-19
+# and 17-24 us. Objective.loss is the K=1 call without the np.stack.
 # A larger block saves little more, and a run computes up to K - 1 more
 # versions before it sees a non-finite probe.
 _PROBE_BLOCK = 64

@@ -3,6 +3,8 @@
 import importlib
 import math
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,16 @@ def test_every_exported_name_resolves():
         assert not missing, f"{mod.__name__}.__all__ names missing: {missing}"
 
 
+def test_readme_library_example_runs(capsys):
+    # the README's `## Library` section documents the public API by example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", library, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    mean, final_loss = map(float, capsys.readouterr().out.split())
+    assert mean > 0 and math.isfinite(final_loss)
+
+
 # ---------------------------------------------------------------------------
 # rng streams
 
@@ -85,6 +97,14 @@ def test_stream_reference_draws_frozen():
         np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
     ).normal(size=3)
     np.testing.assert_array_equal(got, expected)
+
+
+def test_stream_key_words_outside_64_bits_are_rejected():
+    # each is one Philox key word; masking 2**64 to 0 would alias seed 0
+    for seed, stream in ((2**64, 0), (-1, 0), (0, 2**64), (0, -1)):
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+            RngStream(seed, stream)
+    RngStream(2**64 - 1, 2**64 - 1)
 
 
 # ---------------------------------------------------------------------------

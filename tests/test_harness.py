@@ -302,18 +302,32 @@ _OUT_OF_RANGE = [
     "stats.warmup_pushes = -1",
     "thresholds = 0.5,1.5",
     "thresholds.absolute = 1,nan",
+    "seed = 18446744073709551616",  # 2**64, one past the Philox key word
+    "probe.seed = -1",
 ]
 
+# the same rejection reached through a flag or the file's bytes: the
+# config file's bytes, the command with its flags, and what the one error
+# line names
+_BAD_INPUT = {
+    "run --seed -1": (b"seed = 7\n", ["run", "--seed", "-1"], "seed"),
+    "sweep --jobs 0": (b"", ["sweep", "--jobs", "0"], "--jobs must be >= 1"),
+    "sweep --jobs -3": (b"", ["sweep", "--jobs", "-3"], "--jobs must be >= 1"),
+    "non-UTF-8 file": (b"seed = 7  # \xff\n", ["run"], "cannot read config file"),
+}
 
-@pytest.mark.parametrize("line", _OUT_OF_RANGE)
-def test_cli_rejects_an_out_of_range_key_in_one_line(tmp_path, capsys, line):
-    key = line.split(" = ")[0]
+
+@pytest.mark.parametrize("case", _OUT_OF_RANGE + list(_BAD_INPUT))
+def test_cli_rejects_an_out_of_range_key_in_one_line(tmp_path, capsys, case):
+    default = ((case + "\n").encode(), ["run"], case.split(" = ")[0])
+    data, (command, *flags), named = _BAD_INPUT.get(case, default)
     bad = tmp_path / "bad.cfg"
-    bad.write_text(line + "\n")
-    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    bad.write_bytes(data)
+    out = str(tmp_path / "out")
+    assert main([command, str(bad), *flags, "--out-dir", out]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert key in err and "Traceback" not in err
+    assert named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -10,6 +10,7 @@ from stalesim.models import (
     Batch,
     LinearRegression,
     Mlp,
+    Objective,
     Quadratic,
     dynamic_batcher,
     finite_diff_grad,
@@ -187,6 +188,34 @@ def test_gradient_shares_no_memory_with_its_inputs_or_an_earlier_return(case):
         assert not np.shares_memory(g, other)
 
 
+@pytest.mark.parametrize("case", range(4), ids=["quadratic", "noisy", "linreg", "mlp"])
+def test_wrong_dimension_theta_is_rejected_by_loss_and_grad(case):
+    obj, theta, batch = _gradient_cases()[case]
+    for bad in (theta[:-1], np.append(theta, 0.0), np.stack([theta, theta])):
+        with pytest.raises(ValueError, match=f"objective expects {obj.dim}"):
+            obj.loss(bad, batch)
+        with pytest.raises(ValueError, match=f"objective expects {obj.dim}"):
+            obj.grad(bad, batch, RngStream(1, stream=0))
+
+
+def test_an_objective_with_no_loss_formula_is_not_implemented():
+    # loss and losses default to each other; a subclass overrides one
+    class NoFormula(Objective):
+        dim = 2
+
+    obj = NoFormula()
+    with pytest.raises(NotImplementedError, match="neither loss nor losses"):
+        obj.loss(np.zeros(2), _unit_batch())
+    with pytest.raises(NotImplementedError, match="neither loss nor losses"):
+        obj.losses(np.zeros((1, 2)), _unit_batch())
+
+
+# loss is the one-row case of losses, so this checks that a row's loss
+# never depends on how many rows are stacked with it. That still matters:
+# a version's probe block is cut short where the run ends or diverges, so
+# its loss must not depend on the block's size, and perfbench checks that
+# its traced runs, which probe with one loss call per version, write the
+# digests of its untraced ones.
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(["quadratic", "linreg", "mlp"]),
