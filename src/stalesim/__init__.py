@@ -36,7 +36,6 @@ from .models import (
 from .optim import (
     AdamConfig,
     AdamState,
-    GradStreamStats,
     adam_direction,
     adam_step,
     predicted_efficiency,
@@ -61,7 +60,6 @@ __all__ = [
     "ConfigError",
     "DivergenceError",
     "ExperimentConfig",
-    "GradStreamStats",
     "LinearRegression",
     "Mlp",
     "Objective",

@@ -18,11 +18,11 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_config, serialize_config
+from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core import ComputeTimeModel, RngStream
 from .models import (
     Batch,
@@ -220,29 +220,35 @@ def sweep(
     (e.g. {"optimizer.alpha": ["0.001", "0.003"], "seed": ["0", "1"]}).
     overrides, raw values as for parse_config, apply to every point; the
     grid's values win over them (the CLI's sweep --seed).
-    Every point's config is parsed before any point runs, so a bad value
-    anywhere in the grid raises its ConfigError with nothing written.
     Each point runs in its own subdirectory of out_dir named by its
-    overrides. jobs > 1 runs points concurrently; points are independent,
+    overrides. Every point's config is parsed, and its directory named,
+    before any point runs, so a bad value anywhere in the grid, or two
+    points that would share a directory, raises a ConfigError with nothing
+    written. jobs > 1 runs points concurrently; points are independent,
     so this is safe, though simulated runs are CPU-bound and mostly
     serialize on the interpreter lock.
     """
     keys = list(grid)
-    points = []
+    points = {}  # directory -> (label, config)
     for combo in itertools.product(*(grid[k] for k in keys)):
         point = dict(zip(keys, combo))
         label = "__".join(f"{k}={v}" for k, v in point.items()) or "base"
-        points.append((label, parse_config(base_text, {**(overrides or {}), **point})))
+        path = os.path.join(out_dir, _sanitize(label))
+        if path in points:
+            raise ConfigError(
+                f"sweep points {points[path][0]} and {label} share the directory {path}"
+            )
+        points[path] = (label, parse_config(base_text, {**(overrides or {}), **point}))
 
-    def one(point) -> tuple[str, SummaryReport]:
-        label, cfg = point
-        _, report = run_experiment(cfg, os.path.join(out_dir, _sanitize(label)))
+    def one(item) -> tuple[str, SummaryReport]:
+        path, (label, cfg) = item
+        _, report = run_experiment(cfg, path)
         return label, report
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, points))
-    return [one(p) for p in points]
+            return list(pool.map(one, points.items()))
+    return [one(p) for p in points.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +374,9 @@ def selftest_staleness_table() -> tuple[bool, list[str]]:
             f"{strategy.label:>16}: mean staleness {mean} "
             f"(expected {expected}) {'ok' if case_ok else 'MISMATCH'}"
         )
-    noisy = ExperimentConfig(
-        strategy=Strategy("async"),
-        workers=4,
-        batch_budget=1,
-        batch_cost_max=1,
-        budget_updates=10_000,
+    noisy = replace(
+        _staleness_config(Strategy("async"), 10_000),
         compute=ComputeTimeModel("normal", 1.0, 0.2),
-        seed=0,
     )
     mean, _ = staleness_summary(run_simulation(noisy))
     noisy_ok = 2.8 <= mean <= 3.2
@@ -395,41 +396,26 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def selftest_gradients() -> tuple[bool, list[str]]:
     """Analytic gradients vs central finite differences on all three
     objectives (noise disabled)."""
+    rng = RngStream(11, 7)
+    theta_q = rng.normal(size=6)
+    theta_true = rng.normal(size=5)
+    theta_l = rng.normal(size=5)
+    centers = rng.normal(0.0, 2.0, size=(3, 4))
+    linreg_batch = make_linreg_samples(RngStream(12, 0), 8, theta_true)
+    mlp, mlp_batch = Mlp(4, 8, 3), make_blob_samples(RngStream(13, 0), 5, centers)
+    cases = [
+        ("quadratic", Quadratic.random(6, seed=3, cond=10.0), theta_q, Batch.cost_only([1]), 1e-6),
+        ("linreg", LinearRegression(5), theta_l, linreg_batch, 1e-6),
+        (f"mlp ({mlp.dim} params)", mlp, mlp.init_theta(RngStream(14, 3)), mlp_batch, 1e-4),
+    ]
     lines = []
     ok = True
-
-    obj_q = Quadratic.random(6, seed=3, cond=10.0)
-    rng = RngStream(11, 7)
-    theta = rng.normal(size=6)
-    dummy = Batch.cost_only([1])
-    err = _rel_err(
-        obj_q.grad(theta, dummy), finite_diff_grad(obj_q, theta, dummy, 1e-4)
-    )
-    case_ok = err < 1e-6
-    ok &= case_ok
-    lines.append(f"quadratic: rel err {err:.3e} (tol 1e-06) {'ok' if case_ok else 'MISMATCH'}")
-
-    theta_true = rng.normal(size=5)
-    batch = make_linreg_samples(RngStream(12, 0), 8, theta_true)
-    obj_l = LinearRegression(5)
-    theta = rng.normal(size=5)
-    err = _rel_err(
-        obj_l.grad(theta, batch), finite_diff_grad(obj_l, theta, batch, 1e-4)
-    )
-    case_ok = err < 1e-6
-    ok &= case_ok
-    lines.append(f"linreg: rel err {err:.3e} (tol 1e-06) {'ok' if case_ok else 'MISMATCH'}")
-
-    obj_m = Mlp(4, 8, 3)
-    centers = rng.normal(0.0, 2.0, size=(3, 4))
-    mbatch = make_blob_samples(RngStream(13, 0), 5, centers)
-    theta = obj_m.init_theta(RngStream(14, 3))
-    err = _rel_err(
-        obj_m.grad(theta, mbatch), finite_diff_grad(obj_m, theta, mbatch, 1e-4)
-    )
-    case_ok = err < 1e-4
-    ok &= case_ok
-    lines.append(
-        f"mlp ({obj_m.dim} params): rel err {err:.3e} (tol 1e-04) {'ok' if case_ok else 'MISMATCH'}"
-    )
+    for name, objective, theta, batch, tol in cases:
+        err = _rel_err(
+            objective.grad(theta, batch), finite_diff_grad(objective, theta, batch, 1e-4)
+        )
+        case_ok = err < tol
+        ok &= case_ok
+        verdict = "ok" if case_ok else "MISMATCH"
+        lines.append(f"{name}: rel err {err:.3e} (tol {tol:.0e}) {verdict}")
     return ok, lines

@@ -22,7 +22,6 @@ from .core import Vec
 __all__ = [
     "AdamConfig",
     "AdamState",
-    "GradStreamStats",
     "adam_step",
     "sgd_step",
     "adam_direction",
@@ -67,25 +66,6 @@ class AdamState:
     @classmethod
     def zeros(cls, dim: int) -> "AdamState":
         return cls(m=np.zeros(dim), v=np.zeros(dim), t=0)
-
-
-@dataclass(frozen=True)
-class GradStreamStats:
-    """Mean/variance summary of a gradient stream.
-
-    count is the number of independent samples summed (or averaged) into
-    each gradient; the per-gradient variance is variance/count.
-    """
-
-    mean: float
-    variance: float
-    count: int = 1
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be >= 0")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
 
 
 def adam_step(
@@ -133,15 +113,20 @@ def adam_direction(state: AdamState, cfg: AdamConfig) -> Vec:
     return m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
-def predicted_efficiency(stats: GradStreamStats) -> float:
-    """Predicted long-run mean |adam_direction| for an i.i.d. gradient stream.
+def predicted_efficiency(mean: float, variance: float, count: int = 1) -> float:
+    """Predicted long-run mean |adam_direction| for an i.i.d. gradient stream
+    of one sample's mean and variance, each gradient the sum (or average)
+    of count independent samples.
 
-    Returns 1/sqrt(Var/mean^2 + 1) with Var = stats.variance / stats.count,
-    since summing (or averaging) count independent samples divides the
+    Returns 1/sqrt(Var/mean^2 + 1) with Var = variance / count, since
+    summing (or averaging) count independent samples divides the
     variance-to-squared-mean ratio by count. Undefined at mean 0.
     """
-    if stats.mean == 0:
+    if variance < 0:
+        raise ValueError("variance must be >= 0")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if mean == 0:
         raise ValueError("efficiency is undefined for a zero-mean stream")
-    var = stats.variance / stats.count
-    return 1.0 / np.sqrt(var / stats.mean**2 + 1.0)
+    return 1.0 / np.sqrt(variance / count / mean**2 + 1.0)
 

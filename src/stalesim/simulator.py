@@ -18,11 +18,12 @@ divides staleness by sharing one update among G pulls.
 
 One object, _Run, holds a run's whole state, and only model state: the
 server's parameters, gradient sum, optimizer state, the versions waiting
-for their probe and the trace columns, and each worker's stream, pulled
-snapshot, gradient sum and batch in flight, in lists by worker id. Its
-push method is the whole push step, from the worker's gradient to the
-trace cells; its update method alone changes the parameters, and queues
-each version for a probe that runs in blocks (probe_queued).
+for their probe, each version's rate and loss and one record per push,
+and each worker's stream, pulled snapshot, gradient sum and batch in
+flight, in lists by worker id. Its push method is the whole push step,
+from the worker's gradient to the push's record; its update method alone
+changes the parameters, and queues each version for a probe that runs in
+blocks (probe_queued).
 
 run_simulation is the one entry point. It runs one event loop,
 _Run.execute, on the calling thread; the loop keeps the one event source, a
@@ -388,31 +389,32 @@ class _Run:
     Server side: the parameters, their version (the count of optimizer
     updates applied), the sum of the gradients pushed since the last
     update, Adam's state (none for SGD), the versions waiting for their
-    probe and the trace columns. Worker side, in lists indexed by worker
-    id: the RNG stream, the (theta, version) pulled last, the sum of the
-    gradients computed since the last push with their count and cost, and
-    the batch in flight.
+    probe, each version's rate and probe loss, and one record per push.
+    Worker side, in lists indexed by worker id: the RNG stream, the
+    (theta, version) pulled last, the sum of the gradients computed since
+    the last push with their count and cost, and the batch in flight.
 
     _Run builds the pieces (build_experiment), computes the base learning
     rate once and queues the initial parameters as version 0, which execute
     probes on their own before any worker starts. From then on only update
-    changes theta: it applies the
-    optimizer step, checks the new parameters and Adam's second moment v
-    for finiteness, and queues the new version for its probe. A non-finite
-    gradient makes the SGD parameters or Adam's v non-finite at the update
-    that applies it; so does a finite one above ~1e154, whose g*g overflows
-    v and would freeze its coordinate.
+    changes theta: it applies the optimizer step at the scheduled rate,
+    checks the new parameters and Adam's second moment v for finiteness,
+    and queues the new version for its probe. A non-finite gradient makes
+    the SGD parameters or Adam's v non-finite at the update that applies
+    it; so does a finite one above ~1e154, whose g*g overflows v and would
+    freeze its coordinate.
 
     Queued versions are probed in blocks, one objective.losses call on
     their stack (see probe_queued): every _PROBE_BLOCK versions, at the
-    end of the run and before any exception leaves execute. So a push
-    appends its cells to the trace columns but its loss_probe, which
-    repeats its version's loss, is filled in once at the end from the
-    per-version losses; there is one probe per version, so with G > 1 (and
-    for the barrier strategies) one per G pushes. A probe that goes
-    non-finite at version v rolls the run back to v, so the run ends as if
-    it had been seen at once: the earliest divergence wins, and at one
-    version the parameter and Adam checks come before the probe.
+    end of the run and before any exception leaves execute. A push
+    appends one record, (the version it left, sim time, staleness, worker
+    id); execute transposes the records into the trace columns once and
+    fills each row's lr and loss_probe, facts of its version, from
+    version_lr and version_loss. There is one probe per version, so with
+    G > 1 (and for the barrier strategies) one per G pushes. A probe that
+    goes non-finite at version v rolls the run back to v, so the run ends
+    as if it had been seen at once: the earliest divergence wins, and at
+    one version the parameter and Adam checks come before the probe.
 
     No array is written after it is made. A sum is rebound, not added into
     a zeroed buffer, so with L = G = 1 the optimizer steps with the array
@@ -446,19 +448,17 @@ class _Run:
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
         self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
-        self.last_lr = 0.0
         self.total_cost = 0
-        # the probe loss of each version probed so far, by version
+        # by version: the rate its update applied (0.0 for the initial
+        # version) and the probe loss of each version probed so far
+        self.version_lr = [0.0]
         self.version_loss: list[float] = []
         # per version waiting for its probe: (theta, pushes recorded
         # before it, total_cost at it); version 0 is the initial theta
         self.queued: list[tuple[Vec, int, int]] = [(self.theta, 0, 0)]
-        # the trace columns a push appends to
-        self.update_idx: list[int] = []
-        self.sim_time_s: list[float] = []
-        self.staleness: list[int] = []
-        self.lr: list[float] = []
-        self.worker_id: list[int] = []
+        # one record per push, in push order:
+        # (version it left, sim time, staleness, worker id)
+        self.pushed: list[tuple[int, float, int, int]] = []
         n = cfg.workers
         self.ids = range(n)
         self.rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in self.ids]
@@ -481,7 +481,7 @@ class _Run:
     def probe_queued(self) -> None:
         """Probe every queued version in one stacked losses call and empty
         the queue. When one is not finite, the earliest of them, v, rolls
-        the run back to it: the trace columns keep only the pushes recorded
+        the run back to it: the push records keep only the pushes recorded
         before v, theta becomes theta_v and total_cost its value at v, and
         the losses kept end with v's own (no kept row reads it, but the
         initial loss is version 0's); then it raises DivergenceError, as an
@@ -508,8 +508,7 @@ class _Run:
         k = next(k for k, loss in enumerate(losses) if not math.isfinite(loss))
         self.version_loss += losses[: k + 1]
         self.theta, pushes, self.total_cost = queued[k]
-        for column in (self.update_idx, self.sim_time_s, self.staleness, self.lr, self.worker_id):
-            del column[pushes:]
+        del self.pushed[pushes:]
         raise DivergenceError(f"probe loss went non-finite at update {first + k}")
 
     def update(self, g: Vec) -> None:
@@ -518,9 +517,8 @@ class _Run:
         holds _PROBE_BLOCK versions. Raises DivergenceError when the new
         parameters or Adam's v, or a probed loss, is not finite."""
         cfg = self.cfg
-        lr = self.last_lr = learning_rate(
-            self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1
-        )
+        lr = learning_rate(self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1)
+        self.version_lr.append(lr)
         if self.adam is None:
             self.theta = sgd_step(self.theta, g, lr)
         else:
@@ -533,7 +531,7 @@ class _Run:
             raise DivergenceError(
                 f"Adam's second moment went non-finite at update {self.version}"
             )
-        self.queued.append((self.theta, len(self.update_idx), self.total_cost))
+        self.queued.append((self.theta, len(self.pushed), self.total_cost))
         if len(self.queued) == _PROBE_BLOCK:
             self.probe_queued()
 
@@ -575,11 +573,7 @@ class _Run:
         updated = self.accum_count == 0
         if updated:
             self.update(self.accum / self.global_count if self.mean_global else self.accum)
-        self.update_idx.append(self.version)
-        self.sim_time_s.append(t + cfg.comm_latency)
-        self.staleness.append(staleness)
-        self.lr.append(self.last_lr)
-        self.worker_id.append(w)
+        self.pushed.append((self.version, t + cfg.comm_latency, staleness, w))
         if not cfg.strategy.is_barrier:
             self.pulled_theta[w], self.pulled_version[w] = self.theta, self.version
             nxt = [w]
@@ -641,16 +635,19 @@ class _Run:
                     self.probe_queued()
         except DivergenceError as e:
             reason = str(e)
-        pushes = len(self.update_idx)
+        pushes = len(self.pushed)
+        update_idx, sim_time_s, staleness, worker_id = (
+            map(list, zip(*self.pushed)) if pushes else ([] for _ in range(4))
+        )
         columns = {
-            "update_idx": self.update_idx,
-            "sim_time_s": self.sim_time_s,
+            "update_idx": update_idx,
+            "sim_time_s": sim_time_s,
             "pushes": list(range(1, pushes + 1)),
-            "staleness": self.staleness,
-            "loss_probe": list(map(self.version_loss.__getitem__, self.update_idx)),
-            "lr": self.lr,
+            "staleness": staleness,
+            "loss_probe": list(map(self.version_loss.__getitem__, update_idx)),
+            "lr": list(map(self.version_lr.__getitem__, update_idx)),
             "strategy": [self.label] * pushes,
-            "worker_id": self.worker_id,
+            "worker_id": worker_id,
         }
         return RunTrace(
             columns=columns,

@@ -19,7 +19,7 @@ from stalesim.harness import (
     selftest_staleness_table,
 )
 from stalesim.models import dynamic_batcher
-from stalesim.optim import AdamConfig, AdamState, GradStreamStats, adam_direction, adam_step, predicted_efficiency, sgd_step
+from stalesim.optim import AdamConfig, AdamState, adam_direction, adam_step, predicted_efficiency, sgd_step
 from stalesim.simulator import (
     Strategy,
     build_experiment,
@@ -130,13 +130,13 @@ def test_c05_statistical_efficiency(capsys):
             kept += 1
     empirical = (sums[: 6 * width] / kept).reshape(6, width).mean(axis=1)
     cov3 = float(np.mean(sums[6 * width :] / kept))
-    pred_cov3 = predicted_efficiency(GradStreamStats(mean=0.5, variance=2.25, count=1))
+    pred_cov3 = predicted_efficiency(mean=0.5, variance=2.25, count=1)
 
     ok = True
     details = []
     for j, cov in enumerate(covs):
-        pred1 = predicted_efficiency(GradStreamStats(1.0, cov * cov, count=1))
-        pred4 = predicted_efficiency(GradStreamStats(1.0, cov * cov, count=4))
+        pred1 = predicted_efficiency(1.0, cov * cov, count=1)
+        pred4 = predicted_efficiency(1.0, cov * cov, count=4)
         e1, e4 = empirical[j], empirical[j + 3]
         ok &= abs(e1 - pred1) / pred1 < 0.05
         ok &= abs(e4 - pred4) / pred4 < 0.05

@@ -4,6 +4,7 @@ import importlib
 import math
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stalesim
+from stalesim.cli import main
 from stalesim.core import (
     ComputeTimeModel,
     RngStream,
@@ -63,14 +65,31 @@ def test_every_exported_name_resolves():
         assert not missing, f"{mod.__name__}.__all__ names missing: {missing}"
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_library_example_runs(capsys):
     # the README's `## Library` section documents the public API by example
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = _README.read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     (block,) = re.findall(r"```python\n(.*?)```", library, re.S)
     exec(compile(block, "README.md", "exec"), {})
     mean, final_loss = map(float, capsys.readouterr().out.split())
     assert mean > 0 and math.isfinite(final_loss)
+
+
+def test_readme_cli_transcripts_match(tmp_path, monkeypatch, capsys):
+    # the README's config block, saved as noisy.cfg, gives each of its
+    # `$ stalesim ...` transcripts line for line
+    blocks = re.findall(r"```\n(.*?)```", _README.read_text(encoding="utf-8"), re.S)
+    (config,) = [b for b in blocks if "\nobjective.kind = " in b]
+    transcripts = [b.splitlines() for b in blocks if b.startswith("$ stalesim ")]
+    assert len(transcripts) == 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "noisy.cfg").write_text(config, encoding="utf-8")
+    for command, *expected in transcripts:
+        assert main(shlex.split(command)[2:]) == 0, command
+        assert capsys.readouterr().out.splitlines() == expected, command
 
 
 # ---------------------------------------------------------------------------

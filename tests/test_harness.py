@@ -602,13 +602,20 @@ def test_cli_sweep_component_override_refines_a_label(tmp_path):
 def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
     # a second --grid for one key would silently drop the first's values;
     # a grid item with no "=", with no values or with an unknown key is
-    # bad input too, and none of them starts a point
+    # bad input too, and so are two points that would write one directory
+    # (a repeated value, or two values the directory name maps to one);
+    # none of them starts a point
     cfg_path = _write_cfg(tmp_path, budget_updates=20)
     for grid, named in [
         (["seed=1,2", "seed=3"], "seed"),
         (["seed"], "seed"),
         (["seed="], "seed"),
         (["seed=1", "no.such.key=1,2"], "no.such.key"),
+        (
+            ["seed=1,1", "budget.updates=50"],
+            "seed=1__budget.updates=50 and seed=1__budget.updates=50",
+        ),
+        (["out_dir=a/b,a_b"], "out_dir=a/b and out_dir=a_b"),
     ]:
         args = ["sweep", cfg_path, "--out-dir", str(tmp_path / "sw")]
         for item in grid:

@@ -11,7 +11,6 @@ from stalesim.core import RngStream, as_vec
 from stalesim.optim import (
     AdamConfig,
     AdamState,
-    GradStreamStats,
     adam_direction,
     adam_step,
     predicted_efficiency,
@@ -203,29 +202,29 @@ def test_epsilon_breaks_scale_invariance_slightly():
 
 
 def test_predicted_efficiency_noiseless_is_one():
-    assert predicted_efficiency(GradStreamStats(mean=3.0, variance=0.0, count=1)) == 1.0
+    assert predicted_efficiency(mean=3.0, variance=0.0, count=1) == 1.0
 
 
 def test_predicted_efficiency_reference_values():
     # mean 0.5, Var 2.25 -> 1/sqrt(2.25/0.25 + 1) = 1/sqrt(10)
-    e = predicted_efficiency(GradStreamStats(mean=0.5, variance=2.25, count=1))
+    e = predicted_efficiency(mean=0.5, variance=2.25, count=1)
     assert e == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-12)
     # summing 4 unit-variance samples: 1/sqrt(1/4 + 1)
-    e4 = predicted_efficiency(GradStreamStats(mean=1.0, variance=1.0, count=4))
+    e4 = predicted_efficiency(mean=1.0, variance=1.0, count=4)
     assert e4 == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
     assert e4 == pytest.approx(0.894, abs=5e-4)
 
 
 def test_predicted_efficiency_rejects_zero_mean():
     with pytest.raises(ValueError):
-        predicted_efficiency(GradStreamStats(mean=0.0, variance=1.0, count=1))
+        predicted_efficiency(mean=0.0, variance=1.0, count=1)
 
 
-def test_grad_stream_stats_validation():
-    with pytest.raises(ValueError):
-        GradStreamStats(mean=1.0, variance=-0.1, count=1)
-    with pytest.raises(ValueError):
-        GradStreamStats(mean=1.0, variance=1.0, count=0)
+def test_predicted_efficiency_rejects_bad_variance_and_count():
+    with pytest.raises(ValueError, match="variance"):
+        predicted_efficiency(mean=1.0, variance=-0.1, count=1)
+    with pytest.raises(ValueError, match="count"):
+        predicted_efficiency(mean=1.0, variance=1.0, count=0)
 
 
 @given(
@@ -234,8 +233,8 @@ def test_grad_stream_stats_validation():
     count=st.integers(1, 64),
 )
 def test_summing_samples_never_hurts_efficiency(mean, var, count):
-    base = predicted_efficiency(GradStreamStats(mean, var, 1))
-    summed = predicted_efficiency(GradStreamStats(mean, var, count))
+    base = predicted_efficiency(mean, var, 1)
+    summed = predicted_efficiency(mean, var, count)
     assert summed >= base - 1e-15
     assert 0 < summed <= 1.0
 

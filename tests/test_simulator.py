@@ -316,6 +316,16 @@ def test_lr_column_tracks_applied_schedule():
             if r.update_idx > 0:
                 want = base * learning_rate(1.0, 4, "inverse-sqrt", r.update_idx)
             assert r.lr == pytest.approx(want, rel=1e-12)
+    # a probe that goes non-finite inside a block rolls the run back, and
+    # no rate of a rolled-back version reaches a row: over warmup 16,
+    # theta[0] at version v is v(v+1)/32, which passes the wall at version
+    # 13, so each rolled-back rate (13/16 and up) differs from a kept one
+    cfg = replace(_sgd_drift_cfg(40), schedule_warmup=16)
+    trace = run_simulation(cfg, objective=_DriftPastALossWall([1.0], 5.0))
+    assert trace.divergence_reason == "probe loss went non-finite at update 13"
+    assert {r.update_idx for r in trace.rows} == set(range(1, 13))
+    for r in trace.rows:
+        assert r.lr == learning_rate(cfg.adam.alpha, 16, "none", r.update_idx)
 
 
 # ---------------------------------------------------------------------------
