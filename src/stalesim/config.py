@@ -16,11 +16,13 @@ Example:
 Keys use dotted section prefixes but the document is flat: no nesting, one
 key per line, `#` lines are comments. Unknown keys are rejected with their
 line number, as are syntax and type errors and non-finite numbers (nan,
-inf); semantic violations (G < 1, negative sigma, ...) are reported with
-the constraint named. parse and serialize round-trip to an equal config.
+inf); a value outside its key's rule (G < 1, negative sigma, ...) is
+reported with the key, the rule and the value. parse and serialize
+round-trip to an equal config.
 
-The table `_KEYS` is the one list of keys, with each key's field and type:
-parse_config, its assembly step and serialize_config all read it.
+The table `_KEYS` is the one list of keys, with each key's field, type and
+allowed values: parse_config, its assembly step, serialize_config and the
+checks of ObjectiveSpec and ExperimentConfig all read it.
 
 `strategy = LABEL` (e.g. `strategy = combined-2-3`) is shorthand: it is
 expanded into the four strategy.* values as soon as it is read, so a bad
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from functools import partial
+from operator import attrgetter, ge, gt, le, lt
 from typing import NamedTuple
 
 from .core import ComputeTimeModel
@@ -82,23 +85,7 @@ class ObjectiveSpec:
     spread: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("quadratic", "linreg", "mlp"):
-            raise ValueError(f"objective.kind must be quadratic, linreg or mlp, got {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("objective.dim must be >= 1")
-        if self.cond < 1:
-            raise ValueError("objective.cond must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("objective.noise_sigma must be >= 0")
-        if self.samples < 1:
-            raise ValueError("objective.samples must be >= 1")
-        if self.target_noise < 0:
-            raise ValueError("objective.target_noise must be >= 0")
-        for name, low in (("in_dim", 1), ("hidden", 1), ("classes", 2)):
-            if getattr(self, name) < low:
-                raise ValueError(f"objective.{name} must be >= {low}")
-        if self.spread <= 0:
-            raise ValueError("objective.spread must be > 0")
+        _check(self, "objective")
 
 
 @dataclass(frozen=True)
@@ -130,104 +117,114 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.optimizer_kind not in ("adam", "sgd"):
-            raise ValueError(f"optimizer.kind must be adam or sgd, got {self.optimizer_kind!r}")
-        if self.schedule_warmup < 0:
-            raise ValueError("schedule.warmup must be >= 0")
-        if self.schedule_decay not in ("inverse-sqrt", "none"):
-            raise ValueError(f"schedule.decay must be inverse-sqrt or none, got {self.schedule_decay!r}")
-        if self.schedule_batch_scale < 0:
-            raise ValueError("schedule.batch_scale must be >= 0")
-        if self.comm_latency < 0:
-            raise ValueError("comm.latency must be >= 0")
-        if self.combine not in ("mean", "sum"):
-            raise ValueError(f"combine must be mean or sum, got {self.combine!r}")
-        if self.batch_budget < 1:
-            raise ValueError("batch.budget must be >= 1")
-        if self.batch_cost_max < 1:
-            raise ValueError("batch.cost_max must be >= 1")
+        _check(self, "")
         if self.batch_cost_max > self.batch_budget:
             # a sample costlier than the budget fits in no batch
             raise ValueError(
                 f"batch.cost_max ({self.batch_cost_max}) must not exceed "
                 f"batch.budget ({self.batch_budget})"
             )
-        if self.budget_updates < 1:
-            raise ValueError("budget.updates must be >= 1")
-        if self.budget_sim_time < 0:
-            raise ValueError("budget.sim_time must be >= 0 (0 disables it)")
-        for key, seed in (("seed", self.seed), ("probe.seed", self.probe_seed)):
-            if not 0 <= seed < 2**64:
-                raise ValueError(f"{key} must be in [0, 2**64), got {seed}")
-        if self.probe_samples < 1:
-            raise ValueError("probe.samples must be >= 1")
-        if self.parallel_time_scale <= 0:
-            raise ValueError("parallel.time_scale must be > 0")
-        if self.stats_warmup_pushes is not None and self.stats_warmup_pushes < 0:
-            raise ValueError("stats.warmup_pushes must be >= 0")
-        for f_ in self.thresholds:
-            if not 0 < f_ <= 1:
-                raise ValueError("thresholds fractions must be in (0, 1]")
-        for a in self.thresholds_absolute:
-            if not math.isfinite(a):
-                raise ValueError("thresholds.absolute values must be finite")
+        if not all(0 < f <= 1 for f in self.thresholds):
+            raise ValueError("thresholds fractions must be in (0, 1]")
+        if not all(map(math.isfinite, self.thresholds_absolute)):
+            raise ValueError("thresholds.absolute values must be finite")
 
 
 class _Key(NamedTuple):
     key: str  # as written in the document
     path: str  # ExperimentConfig field, "owner.field" inside a sub-object
     tag: str  # int, float, bool, str or float_list
+    # allowed words, or a bound such as ">= 1 and <= 1e12"; "" for a key
+    # that Strategy, AdamConfig or ComputeTimeModel checks, or no rule covers
+    rule: tuple | str = ""
     optional: bool = False  # omitted by serialize_config while unset
 
 
+_SEED = ">= 0 and < 18446744073709551616"  # one 64-bit Philox key word
+
 # The one list of config keys, in serialization order.
 _KEYS = (
-    _Key("objective.kind", "objective.kind", "str"),
-    _Key("objective.dim", "objective.dim", "int"),
-    _Key("objective.cond", "objective.cond", "float"),
-    _Key("objective.noise_sigma", "objective.noise_sigma", "float"),
-    _Key("objective.theta_star_scale", "objective.theta_star_scale", "float"),
-    _Key("objective.samples", "objective.samples", "int"),
-    _Key("objective.target_noise", "objective.target_noise", "float"),
-    _Key("objective.in_dim", "objective.in_dim", "int"),
-    _Key("objective.hidden", "objective.hidden", "int"),
-    _Key("objective.classes", "objective.classes", "int"),
-    _Key("objective.spread", "objective.spread", "float"),
-    _Key("workers", "workers", "int"),
+    _Key("objective.kind", "objective.kind", "str", ("quadratic", "linreg", "mlp")),
+    _Key("objective.dim", "objective.dim", "int", ">= 1"),
+    # above 1e12, rounding can leave Quadratic.random's matrix indefinite
+    _Key("objective.cond", "objective.cond", "float", ">= 1 and <= 1e12"),
+    _Key("objective.noise_sigma", "objective.noise_sigma", "float", ">= 0"),
+    _Key("objective.theta_star_scale", "objective.theta_star_scale", "float", ">= 0"),
+    _Key("objective.samples", "objective.samples", "int", ">= 1"),
+    _Key("objective.target_noise", "objective.target_noise", "float", ">= 0"),
+    _Key("objective.in_dim", "objective.in_dim", "int", ">= 1"),
+    _Key("objective.hidden", "objective.hidden", "int", ">= 1"),
+    _Key("objective.classes", "objective.classes", "int", ">= 2"),
+    _Key("objective.spread", "objective.spread", "float", "> 0"),
+    _Key("workers", "workers", "int", ">= 1"),
     _Key("strategy.kind", "strategy.kind", "str"),
     _Key("strategy.local", "strategy.local", "int"),
     _Key("strategy.global", "strategy.global_count", "int"),
     _Key("strategy.pull_every", "strategy.pull_every", "int"),
-    _Key("optimizer.kind", "optimizer_kind", "str"),
+    _Key("optimizer.kind", "optimizer_kind", "str", ("adam", "sgd")),
     _Key("optimizer.alpha", "adam.alpha", "float"),
     _Key("optimizer.beta1", "adam.beta1", "float"),
     _Key("optimizer.beta2", "adam.beta2", "float"),
     _Key("optimizer.epsilon", "adam.epsilon", "float"),
-    _Key("schedule.warmup", "schedule_warmup", "int"),
-    _Key("schedule.decay", "schedule_decay", "str"),
-    _Key("schedule.batch_scale", "schedule_batch_scale", "float"),
+    _Key("schedule.warmup", "schedule_warmup", "int", ">= 0"),
+    _Key("schedule.decay", "schedule_decay", "str", ("inverse-sqrt", "none")),
+    _Key("schedule.batch_scale", "schedule_batch_scale", "float", ">= 0"),
     _Key("compute.kind", "compute.kind", "str"),
     _Key("compute.mean", "compute.mean", "float"),
     _Key("compute.std", "compute.std", "float"),
-    _Key("comm.latency", "comm_latency", "float"),
-    _Key("combine", "combine", "str"),
-    _Key("batch.budget", "batch_budget", "int"),
-    _Key("batch.cost_max", "batch_cost_max", "int"),
-    _Key("budget.updates", "budget_updates", "int"),
-    _Key("budget.sim_time", "budget_sim_time", "float"),
-    _Key("seed", "seed", "int"),
-    _Key("probe.seed", "probe_seed", "int"),
-    _Key("probe.samples", "probe_samples", "int"),
+    _Key("comm.latency", "comm_latency", "float", ">= 0"),
+    _Key("combine", "combine", "str", ("mean", "sum")),
+    _Key("batch.budget", "batch_budget", "int", ">= 1"),
+    _Key("batch.cost_max", "batch_cost_max", "int", ">= 1"),
+    _Key("budget.updates", "budget_updates", "int", ">= 1"),
+    _Key("budget.sim_time", "budget_sim_time", "float", ">= 0"),
+    _Key("seed", "seed", "int", _SEED),
+    _Key("probe.seed", "probe_seed", "int", _SEED),
+    _Key("probe.samples", "probe_samples", "int", ">= 1"),
     _Key("parallel", "parallel", "bool"),
-    _Key("parallel.time_scale", "parallel_time_scale", "float"),
+    _Key("parallel.time_scale", "parallel_time_scale", "float", "> 0"),
     _Key("thresholds", "thresholds", "float_list"),
     _Key("thresholds.target", "thresholds_target", "float"),
-    _Key("stats.warmup_pushes", "stats_warmup_pushes", "int", optional=True),
+    _Key("stats.warmup_pushes", "stats_warmup_pushes", "int", ">= 0", optional=True),
     _Key("thresholds.absolute", "thresholds_absolute", "float_list", optional=True),
     _Key("out_dir", "out_dir", "str", optional=True),
 )
+# partial(op, bound)(value) is `bound op value`, so each operator is
+# stored with its sides swapped: ">= 1" tests 1 <= value
+_SWAPPED = {">=": le, ">": lt, "<=": ge, "<": gt}
+
+
+def _compile(keys) -> dict[str, list]:
+    """Each rule parsed once, as (field, test, key, text) per clause, under
+    its checker: "" for ExperimentConfig, "objective" for ObjectiveSpec.
+    text is the rule as messages and the README's key table state it."""
+    rules: dict[str, list] = {"": [], "objective": []}
+    for k in filter(attrgetter("rule"), keys):
+        if isinstance(k.rule, str):
+            text = k.rule
+            clauses = (c.split() for c in text.split(" and "))
+            tests = [partial(_SWAPPED[op], int(n) if n.isdigit() else float(n))
+                     for op, n in clauses]
+        else:
+            text = f"{', '.join(k.rule[:-1])} or {k.rule[-1]}"
+            tests = [frozenset(k.rule).__contains__]
+        owner, _, name = k.path.rpartition(".")
+        rules[owner] += [(name, test, k.key, text) for test in tests]
+    return rules
+
+
+_RULES = _compile(_KEYS)
+
+
+def _check(obj, owner: str) -> None:
+    """Raise ValueError naming the first of owner's keys whose value in obj
+    breaks its rule. An unset optional value (None) passes."""
+    for name, test, key, text in _RULES[owner]:
+        value = getattr(obj, name)
+        if value is not None and not test(value):
+            raise ValueError(f"{key} must be {text}, got {value!r}")
+
+
 _TAGS = {k.key: k.tag for k in _KEYS}
 _TAGS["strategy"] = "str"  # label form, e.g. "combined-2-2"; the one key outside _KEYS
 _STRATEGY_KEYS = [k for k in _KEYS if k.path.startswith("strategy.")]

@@ -97,8 +97,8 @@ class ComputeTimeModel:
     """Distribution of per-batch compute durations, in seconds per cost unit,
     e.g. ComputeTimeModel("normal", 1.0, 0.2).
 
-    kind="constant": always `mean`. kind="normal": normal(mean, std)
-    truncated below at mean/10 by rejection so durations stay positive.
+    kind="constant": always `mean`; it takes no std. kind="normal": normal(mean,
+    std) truncated below at mean/10 by rejection so durations stay positive.
     """
 
     kind: str
@@ -112,6 +112,8 @@ class ComputeTimeModel:
             raise ValueError("compute.mean must be > 0")
         if self.std < 0:
             raise ValueError("compute.std must be >= 0")
+        if self.kind == "constant" and self.std != 0:
+            raise ValueError("compute 'constant' does not take compute.std")
 
 
 def sample_compute_time(rng: RngStream, model: ComputeTimeModel) -> float:
@@ -119,7 +121,7 @@ def sample_compute_time(rng: RngStream, model: ComputeTimeModel) -> float:
 
     The constant model returns exactly `mean` and consumes no randomness.
     """
-    if model.kind == "constant" or model.std == 0.0:
+    if model.std == 0.0:
         return model.mean
     floor = model.mean / 10.0
     while True:

@@ -1,5 +1,9 @@
 """Config document parsing, validation, and round-tripping."""
 
+import math
+import re
+from pathlib import Path
+
 import pytest
 
 from stalesim import config
@@ -9,6 +13,7 @@ from stalesim.config import (
     parse_config,
     serialize_config,
 )
+from stalesim.models import Quadratic
 from stalesim.simulator import Strategy
 
 MINIMAL = """
@@ -318,3 +323,67 @@ def test_non_finite_numbers_rejected_with_key_and_line(key, bad):
     assert key in str(e.value)
     with pytest.raises(ConfigError, match="finite"):
         parse_config("workers = 2\n", overrides={key: raw})
+
+
+# the text each rule is stated by, in messages and in the README key table
+_RULE_TEXT = {key: text for rules in config._RULES.values() for _, _, key, text in rules}
+
+
+def _assert_rule_edges(key, tag, rule):
+    """parse_config accepts each allowed word and each inclusive bound, and
+    rejects another word, an exclusive bound and one step past each bound
+    (1 for ints, the next float for floats) with a ConfigError naming key."""
+    if isinstance(rule, tuple):
+        accepted, rejected = list(rule), [rule[0] + "x"]
+    else:
+        accepted, rejected = [], []
+        for op, num in (c.split() for c in rule.split(" and ")):
+            bound = int(num) if tag == "int" else float(num)
+            out = -1 if op[0] == ">" else 1  # the side of the bound that is rejected
+            past, inside = ((bound + out, bound - out) if tag == "int" else
+                            (math.nextafter(bound, out * math.inf),
+                             math.nextafter(bound, -out * math.inf)))
+            accepted.append(bound if op.endswith("=") else inside)
+            rejected.append(past if op.endswith("=") else bound)
+    for value in accepted:
+        parse_config(f"{key} = {value}\n")
+    for value in rejected:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("k", [k for k in config._KEYS if k.rule], ids=lambda k: k.key)
+def test_each_rule_accepts_its_edges_and_rejects_one_step_past(k):
+    _assert_rule_edges(k.key, k.tag, k.rule)
+
+
+def test_quadratic_at_the_cond_ceiling_is_positive_definite():
+    # up to the ceiling, rounding leaves Quadratic.random's matrix positive
+    # definite, which its constructor checks; at 1e17 many builds fail
+    ceiling = float(_RULE_TEXT["objective.cond"].rpartition("<= ")[2])
+    for dim in (1, 2, 3, 5, 8, 20, 50):
+        for seed in range(5):
+            Quadratic.random(dim, seed, ceiling)
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_key_table_matches_the_key_table():
+    # each row: key, type, default, allowed values. Rows of keys that
+    # Strategy, AdamConfig or ComputeTimeModel check state their rule in
+    # the same grammar, and it is held to the same edges
+    rows = re.findall(r"^\| `(\S+)` \| (\S+) \| (.+?) \| (.+?) \|$",
+                      _README.read_text(encoding="utf-8"), re.M)
+    assert [r[0] for r in rows] == [k.key for k in config._KEYS]
+    lines = serialize_config(ExperimentConfig()).splitlines()
+    defaults = dict(line.split(" = ", 1) for line in lines)
+    for k, (key, tag, default, allowed) in zip(config._KEYS, rows):
+        assert tag == k.tag, key
+        assert default == (f"`{defaults[key]}`" if key in defaults else "unset"), key
+        if k.rule:
+            assert allowed == f"`{_RULE_TEXT[key]}`", key
+        elif k.path.partition(".")[0] in ("strategy", "adam", "compute"):
+            text = allowed.strip("`")
+            rule = text if text[0] in "<>" else tuple(re.split(r", | or ", text))
+            _assert_rule_edges(key, k.tag, rule)

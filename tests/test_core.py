@@ -220,6 +220,8 @@ def test_compute_time_model_validation():
         ComputeTimeModel("normal", 1.0, -0.1)
     with pytest.raises(ValueError):
         ComputeTimeModel("normal", -1.0, 0.1)
+    with pytest.raises(ValueError, match="does not take compute.std"):
+        ComputeTimeModel("constant", 1.0, 0.5)
 
 
 @settings(max_examples=25)

@@ -266,6 +266,8 @@ _OUT_OF_RANGE = [
     "objective.kind = cubic",
     "objective.dim = 0",
     "objective.cond = 0.5",
+    "objective.cond = 1e20",  # past the ceiling, where rounding breaks the PD check
+    "objective.theta_star_scale = -1",
     "objective.noise_sigma = -1",
     "objective.samples = 0",
     "objective.target_noise = -0.1",
@@ -290,6 +292,7 @@ _OUT_OF_RANGE = [
     "compute.kind = weird",
     "compute.mean = 0",
     "compute.std = -1",
+    "compute.std = 0.5",  # the default kind, constant, takes no std
     "comm.latency = -0.5",
     "combine = median",
     "batch.budget = 0",
