@@ -141,7 +141,15 @@ def _scan_threshold(trace: RunTrace, kind: str, value: float, level: float) -> T
 def summarize(trace: RunTrace, cfg: ExperimentConfig, initial_loss: float) -> SummaryReport:
     """Reduce a trace to the summary record. initial_loss is the probe
     loss at the initial parameters (before any update); fraction
-    thresholds sit at target + f*(initial - target)."""
+    thresholds sit at target + f*(initial - target). A target above a
+    finite initial loss would put every such level above the start, so
+    it raises a ConfigError while fraction thresholds are set."""
+    target = cfg.thresholds_target
+    if cfg.thresholds and math.isfinite(initial_loss) and target > initial_loss:
+        raise ConfigError(
+            f"thresholds.target must be <= the initial probe loss {initial_loss!r}"
+            f" while fraction thresholds are set, got {target!r}"
+        )
     try:
         mean_st, hist = staleness_summary(trace, cfg.stats_warmup_pushes)
     except ValueError:
@@ -151,7 +159,7 @@ def summarize(trace: RunTrace, cfg: ExperimentConfig, initial_loss: float) -> Su
             trace,
             "fraction",
             f,
-            cfg.thresholds_target + f * (initial_loss - cfg.thresholds_target),
+            target + f * (initial_loss - target),
         )
         for f in cfg.thresholds
     ]

@@ -9,11 +9,23 @@ noise throttles Adam: in the long run the mean update magnitude per
 coordinate approaches 1/sqrt(CoV^2 + 1) where CoV is the coefficient of
 variation of the gradient stream, so averaging independent samples (which
 shrinks CoV as 1/sqrt(N)) speeds Adam up.
+
+Every scalar operand of a step is applied as a 0-d float64 array, not as a
+Python float. Both hold the same float64 value, so each element-wise
+operation rounds to the same bits, but numpy applies the array with less
+call overhead (at d = 20, 0.36 against 0.53 us per operation on a 2-core
+x86-64 host with NumPy 2.4). beta1, 1-beta1, beta2, 1-beta2 and epsilon
+are built once per AdamConfig (AdamConfig.operands); lr and the two bias
+corrections are wrapped once per step. A bias correction 1 - beta**t that
+is exactly 1.0 is not divided by, since x/1.0 is x, bit for bit, for
+every double: for beta1 = 0.9 that holds from t = 356 on, for
+beta2 = 0.98 from t = 1853, and at every t for beta = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +60,18 @@ class AdamConfig:
             raise ValueError("optimizer.beta2 must be in [0, 1)")
         if self.epsilon < 0:
             raise ValueError("optimizer.epsilon must be >= 0")
+
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, ...]:
+        """(beta1, 1-beta1, beta2, 1-beta2, epsilon) as read-only 0-d
+        float64 arrays, built at the first step and shared by every step
+        on this config. Not a field, so equality, hashing and the config
+        echo see only the four hyperparameters."""
+        b1, b2, eps = self.beta1, self.beta2, self.epsilon
+        operands = tuple(np.array(x, np.float64) for x in (b1, 1.0 - b1, b2, 1.0 - b2, eps))
+        for x in operands:
+            x.setflags(write=False)
+        return operands
 
 
 @dataclass
@@ -86,12 +110,19 @@ def adam_step(
             f"dimension mismatch: theta {theta.shape}, g {g.shape}, m {state.m.shape}"
         )
     t_new = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1**t_new)
-    v_hat = v / (1.0 - cfg.beta2**t_new)
-    theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    b1, c1, b2, c2, eps = cfg.operands
+    m = b1 * state.m + c1 * g
+    v = b2 * state.v + c2 * g * g
+    m_hat = _unbias(m, cfg.beta1, t_new)
+    v_hat = _unbias(v, cfg.beta2, t_new)
+    theta_new = theta - np.asarray(lr) * m_hat / (np.sqrt(v_hat) + eps)
     return AdamState(m=m, v=v, t=t_new), theta_new
+
+
+def _unbias(x: Vec, beta: float, t: int) -> Vec:
+    """x / (1 - beta**t), or x itself when that divisor is exactly 1.0."""
+    c = 1.0 - beta**t
+    return x if c == 1.0 else x / np.asarray(c)
 
 
 def sgd_step(theta: Vec, g: Vec, lr: float) -> Vec:
@@ -100,7 +131,7 @@ def sgd_step(theta: Vec, g: Vec, lr: float) -> Vec:
         raise ValueError(f"dimension mismatch: {theta.shape} vs {g.shape}")
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    return theta - lr * g
+    return theta - np.asarray(lr) * g
 
 
 def adam_direction(state: AdamState, cfg: AdamConfig) -> Vec:
@@ -108,9 +139,9 @@ def adam_direction(state: AdamState, cfg: AdamConfig) -> Vec:
     most recent step. Requires at least one completed step."""
     if state.t < 1:
         raise ValueError("adam_direction requires at least one completed step")
-    m_hat = state.m / (1.0 - cfg.beta1**state.t)
-    v_hat = state.v / (1.0 - cfg.beta2**state.t)
-    return m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m_hat = _unbias(state.m, cfg.beta1, state.t)
+    v_hat = _unbias(state.v, cfg.beta2, state.t)
+    return m_hat / (np.sqrt(v_hat) + cfg.operands[4])
 
 
 def predicted_efficiency(mean: float, variance: float, count: int = 1) -> float:

@@ -17,6 +17,10 @@ The three diverging quadratic cases were taken from the engine that
 still probed every version's loss at its update: the probe goes non-finite
 at updates 679, 533 and 400, none on a 64-version boundary, so they pin
 how a run ends when that probe waits in a block of queued versions.
+The 400-update Adam case with beta2 = 0.5 was taken from the optimizer
+that still applied Python-float operands and divided by every bias
+correction: its run passes t = 54 and t = 356, where 1 - beta2**t and
+1 - beta1**t first round to 1.0, so it pins the steps past both.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 
@@ -130,6 +134,11 @@ GOLDEN = {
     "linreg-combined-3-2-sgd": (
         _LINREG + "strategy = combined-3-2\noptimizer.kind = sgd\n",
         "107ecd269e1b43feffa53f7f2351dfcf685302038e81bade4abbf23e7cbf5f2f",
+    ),
+    "quadratic-async-400-beta2-0.5": (
+        _QUAD.replace("budget.updates = 200", "budget.updates = 400")
+        + "strategy = async\noptimizer.beta2 = 0.5\n",
+        "ee405d80cfcd7556ada4e4f0ae7ec6d25ea95dc9d9f4857412483bb700c01864",
     ),
 }
 

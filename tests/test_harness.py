@@ -12,7 +12,7 @@ import pytest
 
 from stalesim import simulator
 from stalesim.cli import main
-from stalesim.config import ExperimentConfig, ObjectiveSpec, serialize_config
+from stalesim.config import ExperimentConfig, ObjectiveSpec, parse_config, serialize_config
 from stalesim.core import ComputeTimeModel
 from stalesim.harness import (
     EXIT_CONFIG_ERROR,
@@ -342,6 +342,28 @@ def test_cli_rejects_cost_max_above_batch_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "batch.cost_max" in err and "batch.budget" in err
+
+
+def test_cli_rejects_a_fraction_target_above_the_initial_loss(tmp_path, capsys):
+    # every fraction level would lie above the start and read as reached
+    # at the first push; the config cannot know the initial loss, so the
+    # summary rejects it, before any file is written
+    text = "thresholds.target = 1e300\nbudget.updates = 10\n"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    initial = run_simulation(parse_config(text)).initial_loss
+    assert "thresholds.target" in err and repr(initial) in err
+    assert not (tmp_path / "out").exists()
+    # without fraction thresholds the target sets no level
+    cfg = parse_config(text + "thresholds =\n")
+    assert summarize(run_simulation(cfg), cfg, initial).thresholds == []
+    # a target equal to the initial loss is allowed: at theta* both are 0
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("objective.theta_star_scale = 0\nbudget.updates = 10\n")
+    assert main(["run", str(ok), "--out-dir", str(tmp_path / "ok")]) == EXIT_OK
 
 
 def test_cli_rejects_missing_file(capsys):

@@ -168,6 +168,65 @@ def test_steps_leave_their_inputs_bit_identical(seed, steps):
         state, theta = new_state, new_theta
 
 
+def _reference_adam(state, cfg, theta, g, lr):
+    """One Adam step with Python-float operands, in adam_step's order of
+    operations: (m, v, theta, unit-rate direction)."""
+    t = state.t + 1
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    direction = m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return m, v, theta - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon), direction
+
+
+@st.composite
+def _adam_streams(draw):
+    # a long stream runs past the t where 1 - beta**t rounds to 1.0
+    # (t = 54 for beta = 0.5), so the step's skipped division is covered
+    long = draw(st.booleans())
+    beta = st.floats(0.0, 0.5) if long else st.floats(0.0, 1.0, exclude_max=True)
+    cfg = AdamConfig(
+        alpha=1.0,
+        beta1=draw(beta),
+        beta2=draw(beta),
+        epsilon=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+    )
+    steps = draw(st.integers(60, 80) if long else st.integers(1, 20))
+    dim = draw(st.integers(1, 8))
+    scale = draw(st.floats(1e-3, 1e3))
+    grads = RngStream(draw(st.integers(0, 2**16)), stream=0).normal(0.0, scale, (steps, dim))
+    if long:
+        assert 1.0 - max(cfg.beta1, cfg.beta2) ** steps == 1.0
+    return cfg, grads, draw(st.floats(1e-6, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_adam_streams())
+def test_steps_match_a_python_float_reference_bit_for_bit(case):
+    # the steps apply 0-d array operands and skip a division by exactly
+    # 1.0; neither may change a bit of m, v, theta or the direction
+    cfg, grads, lr = case
+    state, theta = AdamState.zeros(grads.shape[1]), np.zeros(grads.shape[1])
+    for g in grads:
+        m, v, expected, direction = _reference_adam(state, cfg, theta, g, lr)
+        state, theta_new = adam_step(state, cfg, theta, g, lr)
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert theta_new.tobytes() == expected.tobytes()
+        assert adam_direction(state, cfg).tobytes() == direction.tobytes()
+        assert sgd_step(theta, g, lr).tobytes() == (theta - lr * g).tobytes()
+        theta = theta_new
+
+
+def test_adam_operands_are_not_config_fields():
+    # built once per config and cached, outside equality, hashing and repr
+    a, b = _paper_cfg(), _paper_cfg()
+    assert a.operands is a.operands
+    assert all(x.shape == () and x.dtype == np.float64 and not x.flags.writeable
+               for x in a.operands)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 # ---------------------------------------------------------------------------
 # scale invariance
 

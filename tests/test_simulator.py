@@ -792,6 +792,64 @@ def test_trace_csv_keeps_float_precision(tmp_path):
         assert RunTrace.from_csv(path).rows[0] == row
 
 
+def _per_row_csv(trace: RunTrace) -> bytes:
+    """trace.csv as a writer that joins each row's str cells by commas
+    writes it: the reference for to_csv's chunked formatting."""
+    lines = [
+        "# schema=trace-v1\n",
+        f"# workers={trace.n_workers}\n",
+        f"# strategy={trace.strategy_label}\n",
+        ",".join(TRACE_COLUMNS) + "\n",
+    ]
+    rows = zip(*(trace.columns[c] for c in TRACE_COLUMNS))
+    lines += [",".join(map(str, row)) + "\n" for row in rows]
+    lines.append(f"# diverged={'true' if trace.diverged else 'false'}\n")
+    if trace.divergence_reason:
+        lines.append("# reason=" + trace.divergence_reason.replace("\n", " ") + "\n")
+    return "".join(lines).encode()
+
+
+_EDGE_FLOATS = [
+    -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0000000000000002, 1e300,
+    np.float64(0.1 + 0.2), np.float64(-0.0), np.float64(math.nan), np.float64(-5e-324),
+]
+
+
+@pytest.mark.parametrize(
+    "pushes", [0, 1, 7, simulator._CSV_CHUNK, 2 * simulator._CSV_CHUNK + 3]
+)
+def test_trace_csv_bytes_match_the_per_row_writer(tmp_path, pushes):
+    cell = lambda i: _EDGE_FLOATS[i % len(_EDGE_FLOATS)]  # noqa: E731
+    columns = {
+        "update_idx": [i // 3 for i in range(pushes)],
+        "sim_time_s": [cell(i) for i in range(pushes)],
+        "pushes": list(range(1, pushes + 1)),
+        "staleness": [i % 4 for i in range(pushes)],
+        "loss_probe": [cell(7 * i + 3) for i in range(pushes)],
+        "lr": [cell(3 * i + 1) for i in range(pushes)],
+        "strategy": ["global_accum-4"] * pushes,
+        "worker_id": [i % 5 for i in range(pushes)],
+    }
+    trace = RunTrace(
+        columns=columns,
+        n_workers=5,
+        strategy_label="global_accum-4",
+        diverged=pushes % 2 == 1,
+        divergence_reason="probe loss\nwent non-finite" if pushes % 2 else None,
+    )
+    path = tmp_path / "trace.csv"
+    trace.to_csv(str(path))
+    assert path.read_bytes() == _per_row_csv(trace)
+    back = RunTrace.from_csv(str(path))
+    # compared as str, since nan != nan
+    assert {c: list(map(str, back.columns[c])) for c in TRACE_COLUMNS} == {
+        c: list(map(str, columns[c])) for c in TRACE_COLUMNS
+    }
+    assert back.diverged == trace.diverged
+    if pushes % 2:
+        assert back.divergence_reason == "probe loss went non-finite"
+
+
 def test_trace_csv_rejects_other_schema(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# schema=trace-v0\nupdate_idx\n")
