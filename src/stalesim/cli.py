@@ -59,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="values to sweep for one config key (repeatable; cartesian product)",
     )
     sweep_p.add_argument("--out-dir", help="parent directory for per-point outputs")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="concurrent points")
+    sweep_p.add_argument(
+        "--jobs", type=int, default=1, help="threads for paced points; unpaced ones run in turn"
+    )
     sweep_p.add_argument("--seed", type=int, help="override the config's seed")
 
     self_p = sub.add_parser("selftest", help="reproduce built-in reference tables")

@@ -37,6 +37,7 @@ from .optim import AdamConfig, AdamState, adam_step
 from .simulator import (
     RunTrace,
     Strategy,
+    build_experiment,
     run_simulation,
     staleness_summary,
 )
@@ -138,18 +139,25 @@ def _scan_threshold(trace: RunTrace, kind: str, value: float, level: float) -> T
     return ThresholdResult(kind, value, level, False, None)
 
 
-def summarize(trace: RunTrace, cfg: ExperimentConfig, initial_loss: float) -> SummaryReport:
-    """Reduce a trace to the summary record. initial_loss is the probe
-    loss at the initial parameters (before any update); fraction
-    thresholds sit at target + f*(initial - target). A target above a
-    finite initial loss would put every such level above the start, so
-    it raises a ConfigError while fraction thresholds are set."""
+def _check_target(cfg: ExperimentConfig, initial_loss: float) -> None:
+    """A target above a finite initial loss would put every fraction
+    level above the start, so it raises a ConfigError while fraction
+    thresholds are set."""
     target = cfg.thresholds_target
     if cfg.thresholds and math.isfinite(initial_loss) and target > initial_loss:
         raise ConfigError(
             f"thresholds.target must be <= the initial probe loss {initial_loss!r}"
             f" while fraction thresholds are set, got {target!r}"
         )
+
+
+def summarize(trace: RunTrace, cfg: ExperimentConfig, initial_loss: float) -> SummaryReport:
+    """Reduce a trace to the summary record. initial_loss is the probe
+    loss at the initial parameters (before any update); fraction
+    thresholds sit at target + f*(initial - target), and _check_target
+    rejects a target above the start."""
+    _check_target(cfg, initial_loss)
+    target = cfg.thresholds_target
     try:
         mean_st, hist = staleness_summary(trace, cfg.stats_warmup_pushes)
     except ValueError:
@@ -232,9 +240,18 @@ def sweep(
     overrides. Every point's config is parsed, and its directory named,
     before any point runs, so a bad value anywhere in the grid, or two
     points that would share a directory, raises a ConfigError with nothing
-    written. jobs > 1 runs points concurrently; points are independent,
-    so this is safe, though simulated runs are CPU-bound and mostly
-    serialize on the interpreter lock.
+    written. So does a fraction-threshold target above a point's initial
+    probe loss: each point with fraction thresholds and a target > 0 is
+    built and its initial loss probed first (every loss here is >= 0, so
+    a target <= 0 never lies above it; summarize keeps the check).
+
+    jobs > 1 runs the points on that many threads when any of them is
+    paced (cfg.parallel), so that their sleeps overlap; points are
+    independent, so this is safe. Unpaced points run one after another
+    whatever jobs is: each holds the interpreter lock for its whole run,
+    so a second thread adds no throughput, and with two threads every
+    numpy call that releases the lock, as ndarray.dot in the gradients
+    does, becomes a thread switch.
     """
     keys = list(grid)
     points = {}  # directory -> (label, config)
@@ -247,13 +264,19 @@ def sweep(
                 f"sweep points {points[path][0]} and {label} share the directory {path}"
             )
         points[path] = (label, parse_config(base_text, {**(overrides or {}), **point}))
+    for _, cfg in points.values():
+        if cfg.thresholds and cfg.thresholds_target > 0:
+            objective, _, probe, theta0 = build_experiment(cfg)
+            with np.errstate(over="ignore", invalid="ignore"):  # as the run probes it
+                initial_loss = objective.loss(theta0, probe)
+            _check_target(cfg, initial_loss)
 
     def one(item) -> tuple[str, SummaryReport]:
         path, (label, cfg) = item
         _, report = run_experiment(cfg, path)
         return label, report
 
-    if jobs > 1:
+    if jobs > 1 and any(cfg.parallel for _, cfg in points.values()):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(one, points.items()))
     return [one(p) for p in points.items()]

@@ -15,6 +15,15 @@ integer costs (a token-count analog), one row per sample, all read-only.
 The dynamic batcher fills batches greedily up to a cost budget in dataset
 order and cuts them on demand as read-only row views of the dataset, so the
 data stays in the arrays it was drawn into, from the draw to the gradient.
+
+The gradients run at d <= ~80, where a kernel's time is mostly numpy's
+per-call overhead, not arithmetic. So each 2-D product in a gradient goes
+through ndarray.dot, which calls the same BLAS routine as the @ operator
+without the matmul ufunc's dispatch (tests/test_models.py checks that the
+bits match), and each grad writes its result into one fresh vector. The
+stacked probe (losses) keeps matmul: dot means something else on N-D
+arrays, and one gemm over the stack would round a row differently as the
+stack grows.
 """
 
 from __future__ import annotations
@@ -126,8 +135,11 @@ class Objective:
         return np.array([float(self.loss(t, batch)) for t in thetas])
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
-        """The gradient at theta on batch. The engine keeps the returned
-        array and may step with it as is, so never write to it later."""
+        """The gradient at theta on batch, as a fresh (dim,) array that
+        shares no memory with theta, batch or an earlier return. The
+        engine keeps the returned array and may step with it as is, so
+        never write to it later. The objectives here take every 2-D
+        product through ndarray.dot (see the module docstring)."""
         raise NotImplementedError
 
     def _check_dim(self, theta: Vec) -> None:
@@ -176,7 +188,7 @@ class Quadratic(Objective):
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
-        g = self.a_matrix @ (theta - self.theta_star)
+        g = self.a_matrix.dot(theta - self.theta_star)
         if self.noise_sigma > 0:
             if rng is None:
                 raise ValueError("noisy quadratic gradient requires an RngStream")
@@ -223,9 +235,11 @@ class LinearRegression(Objective):
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
         x = batch.features
-        y = batch.targets
-        r = x @ theta - y
-        return (x.T @ r) / len(batch)
+        r = x.dot(theta)
+        r -= batch.targets
+        g = x.T.dot(r)
+        g /= len(batch)
+        return g
 
 
 def make_linreg_samples(
@@ -250,9 +264,14 @@ class Mlp(Objective):
     """One-hidden-layer tanh network with softmax cross-entropy loss.
 
     Parameter layout in theta: W1 (hidden x in) row-major, b1, W2
-    (classes x hidden) row-major, b2. One forward pass, _forward, serves
-    both the stacked losses and grad. Kept small so the finite-difference
-    oracle can sweep every coordinate quickly.
+    (classes x hidden) row-major, b2. A target is read as the class
+    index int(target), as numpy indexes: -1 is the last class, and a
+    target >= classes raises IndexError in both losses and grad. One
+    forward pass, _forward, serves both the stacked losses and grad:
+    grad's one vector takes its products through ndarray.dot, a stack
+    through matmul. grad writes each block of the gradient into its slice
+    of one fresh vector. Kept small so the finite-difference oracle can
+    sweep every coordinate quickly.
     """
 
     def __init__(self, in_dim: int, hidden: int, classes: int):
@@ -262,6 +281,9 @@ class Mlp(Objective):
         self.hidden = hidden
         self.classes = classes
         self.dim = hidden * in_dim + hidden + classes * hidden + classes
+        # the one-hot rows of the targets: p - 1.0 at the target's class
+        # and p - 0.0, which is p, elsewhere
+        self._one_hot = _read_only(np.eye(classes), np.float64)
 
     def _forward(self, theta: np.ndarray, x: np.ndarray):
         """W2, the hidden activations and the log-probabilities of x's
@@ -275,10 +297,14 @@ class Mlp(Objective):
         b1 = theta[..., None, h * d : i]
         w2 = theta[..., i : i + c * h].reshape(lead + (c, h))
         b2 = theta[..., None, i + c * h :]
-        a = np.tanh(x @ w1.swapaxes(-1, -2) + b1)
-        z = a @ w2.swapaxes(-1, -2) + b2
-        z = z - z.max(axis=-1, keepdims=True)
-        log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        product = np.matmul if lead else np.ndarray.dot
+        a = product(x, w1.swapaxes(-1, -2))
+        a += b1
+        np.tanh(a, out=a)
+        z = product(a, w2.swapaxes(-1, -2))
+        z += b2
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        log_p = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
         return w2, a, log_p
 
     def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
@@ -291,20 +317,21 @@ class Mlp(Objective):
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
+        h, d, c = self.hidden, self.in_dim, self.classes
+        i = h * d + h
         x = batch.features
-        y = batch.targets.astype(np.int64)
-        n = len(batch)
         w2, a, log_p = self._forward(theta, x)
         dz2 = np.exp(log_p)
-        dz2[np.arange(n), y] -= 1.0
-        dz2 /= n
-        dw2 = dz2.T @ a
-        db2 = dz2.sum(axis=0)
-        da = dz2 @ w2
-        dz1 = da * (1.0 - a * a)
-        dw1 = dz1.T @ x
-        db1 = dz1.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        dz2 -= self._one_hot.take(batch.targets.astype(np.int64), axis=0)
+        dz2 /= len(batch)
+        g = np.empty(self.dim)
+        dz2.T.dot(a, out=g[i : i + c * h].reshape(c, h))
+        np.add.reduce(dz2, axis=0, out=g[i + c * h :])
+        dz1 = dz2.dot(w2)
+        dz1 *= 1.0 - a * a
+        dz1.T.dot(x, out=g[: h * d].reshape(h, d))
+        np.add.reduce(dz1, axis=0, out=g[h * d : i])
+        return g
 
     def init_theta(self, rng: RngStream, scale: float = 0.5) -> Vec:
         return rng.normal(0.0, scale, size=self.dim)

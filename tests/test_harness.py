@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from stalesim import simulator
+from stalesim import harness, simulator
 from stalesim.cli import main
 from stalesim.config import ExperimentConfig, ObjectiveSpec, parse_config, serialize_config
 from stalesim.core import ComputeTimeModel
@@ -175,6 +175,28 @@ def test_sweep_runs_cartesian_product(tmp_path):
         assert (point_dir / "trace.csv").exists()
         assert (point_dir / "summary.json").exists()
         assert report.updates == 30
+
+
+def test_sweep_runs_points_on_threads_only_when_one_is_paced(tmp_path, monkeypatch):
+    # an unpaced point holds the interpreter lock for its whole run, so
+    # the points run in turn on the calling thread; paced points sleep,
+    # and run on jobs threads so that the sleeps overlap
+    threads = []
+    run = harness.run_experiment
+
+    def recording(cfg, path):
+        threads.append(threading.current_thread())
+        return run(cfg, path)
+
+    monkeypatch.setattr(harness, "run_experiment", recording)
+    grid = {"seed": ["0", "1", "2"]}
+    base = serialize_config(_fast_cfg(budget_updates=10))
+    sweep(base, grid, out_dir=str(tmp_path / "unpaced"), jobs=2)
+    assert threads == [threading.current_thread()] * 3
+    threads.clear()
+    paced = _fast_cfg(budget_updates=10, parallel=True, parallel_time_scale=1e-4)
+    sweep(serialize_config(paced), grid, out_dir=str(tmp_path / "paced"), jobs=2)
+    assert len(threads) == 3 and threading.current_thread() not in threads
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +674,20 @@ def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
 
 
 def test_cli_sweep_checks_every_point_before_running_any(tmp_path, capsys):
-    # the second point is bad: the sweep exits 2 before the first one runs
+    # the second point is bad: the sweep exits 2 before the first one runs,
+    # whether its config rejects it or its target lies above its initial
+    # probe loss, which only building the point can tell
     cfg_path = _write_cfg(tmp_path, budget_updates=20)
-    args = ["sweep", cfg_path, "--grid", "workers=4,0", "--out-dir", str(tmp_path / "sw")]
-    assert main(args) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "workers" in err
-    assert not (tmp_path / "sw").exists()
+    for grid, named in [
+        ("workers=4,0", "workers"),
+        ("thresholds.target=0,1e300", "initial probe loss"),
+    ]:
+        args = ["sweep", cfg_path, "--grid", grid, "--out-dir", str(tmp_path / "sw")]
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "sw").exists()
 
 
 def test_cli_sweep_and_selftest(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Array-backed batches, objectives, gradient oracles, cost-budget batching."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,90 @@ def test_stacked_losses_match_per_row_loss_bit_for_bit(
     assert got.tobytes() == want.tobytes()
     if kind != "mlp":
         assert not np.isfinite(want[-1])
+
+
+def _reference_grad(obj, theta, batch, rng):
+    """Each gradient as the @ / concatenate formula the kernels replaced."""
+    if isinstance(obj, Quadratic):
+        g = obj.a_matrix @ (theta - obj.theta_star)
+        if obj.noise_sigma > 0:
+            std = obj.noise_sigma / math.sqrt(batch.total_cost)
+            g = g + rng.normal(0.0, std, size=obj.dim)
+        return g
+    x, n = batch.features, len(batch)
+    if isinstance(obj, LinearRegression):
+        return (x.T @ (x @ theta - batch.targets)) / n
+    h, d, c = obj.hidden, obj.in_dim, obj.classes
+    i = h * d + h
+    w1, b1 = theta[: h * d].reshape(h, d), theta[h * d : i]
+    w2, b2 = theta[i : i + c * h].reshape(c, h), theta[i + c * h :]
+    a = np.tanh(x @ w1.T + b1)
+    z = a @ w2.T + b2
+    z = z - z.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    dz2 = np.exp(log_p)
+    dz2[np.arange(n), batch.targets.astype(np.int64)] -= 1.0
+    dz2 /= n
+    dz1 = (dz2 @ w2) * (1.0 - a * a)
+    return np.concatenate(
+        [(dz1.T @ x).ravel(), dz1.sum(axis=0), (dz2.T @ a).ravel(), dz2.sum(axis=0)]
+    )
+
+
+# the kernels take their 2-D products through ndarray.dot and write into
+# slices of one vector; both must leave every bit of the @ formulas
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "noisy", "linreg", "mlp"]),
+    dim=st.integers(1, 80),
+    hidden=st.integers(1, 40),
+    classes=st.integers(2, 8),
+    rows=st.integers(1, 40),
+    top=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_gradients_match_the_matmul_formulas_bit_for_bit(
+    kind, dim, hidden, classes, rows, top, seed
+):
+    gen = np.random.default_rng(seed)
+    if kind in ("quadratic", "noisy"):
+        obj = Quadratic.random(dim, seed, noise_sigma=2.0 if kind == "noisy" else 0.0)
+        batch = Batch.cost_only(gen.integers(1, 5, size=rows))
+    elif kind == "linreg":
+        obj = LinearRegression(dim)
+        batch = Batch(gen.normal(size=(rows, dim)), gen.normal(size=rows), np.ones(rows))
+    else:
+        obj = Mlp(dim, hidden, classes)
+        targets = gen.integers(0, classes, size=rows).astype(np.float64)
+        batch = Batch(gen.normal(size=(rows, dim)) * 3.0, targets, np.ones(rows))
+    theta = gen.normal(size=obj.dim) * 10.0**top
+    got = obj.grad(theta, batch, RngStream(seed, stream=5))
+    want = _reference_grad(obj, theta, batch, RngStream(seed, stream=5))
+    assert got.dtype == np.float64 and got.shape == (obj.dim,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_mlp_reads_a_target_as_a_class_index_in_loss_and_grad():
+    # int(target) indexes the classes: one past the last class is an
+    # error in both paths, never a silent all-zero one-hot row; -1 is the
+    # last class and 1.5 is class 1, in both, so grad stays the gradient
+    # of the loss it is probed with
+    mlp = Mlp(in_dim=2, hidden=3, classes=3)
+    theta = mlp.init_theta(RngStream(0, stream=3))
+    x = RngStream(1, stream=0).normal(size=(2, 2))
+
+    def batch(target):
+        return Batch(x, [0.0, target], [1, 1])
+
+    for bad in (3.0, 7.0, -4.0):
+        with pytest.raises(IndexError):
+            mlp.grad(theta, batch(bad))
+        with pytest.raises(IndexError):
+            mlp.loss(theta, batch(bad))
+    for odd, class_id in ((-1.0, 2.0), (1.5, 1.0)):
+        got, want = mlp.grad(theta, batch(odd)), mlp.grad(theta, batch(class_id))
+        assert got.tobytes() == want.tobytes()
+        assert mlp.loss(theta, batch(odd)) == mlp.loss(theta, batch(class_id))
 
 
 # ---------------------------------------------------------------------------
