@@ -20,9 +20,10 @@ inf); a value outside its key's rule (G < 1, negative sigma, ...) is
 reported with the key, the rule and the value. parse and serialize
 round-trip to an equal config.
 
-The table `_KEYS` is the one list of keys, with each key's field, type and
-allowed values: parse_config, its assembly step, serialize_config and the
-checks of ObjectiveSpec and ExperimentConfig all read it.
+The table `_KEYS` is the one list of keys, with each key's field, type,
+stage and allowed values: parse_config, its assembly step,
+serialize_config, stage_key and the checks of ObjectiveSpec and
+ExperimentConfig all read it.
 
 `strategy = LABEL` (e.g. `strategy = combined-2-3`) is shorthand: it is
 expanded into the four strategy.* values as soon as it is read, so a bad
@@ -49,6 +50,7 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "serialize_config",
+    "stage_key",
 ]
 
 
@@ -134,6 +136,10 @@ class _Key(NamedTuple):
     key: str  # as written in the document
     path: str  # ExperimentConfig field, "owner.field" inside a sub-object
     tag: str  # int, float, bool, str or float_list
+    # what the value decides: "build" the pieces build_experiment makes,
+    # "schedule" the event order and its draws, "step" the optimizer step,
+    # "report" only the summary and where the files go
+    stage: str
     # allowed words, or a bound such as ">= 1 and <= 1e12"; "" for a key
     # that Strategy, AdamConfig or ComputeTimeModel checks, or no rule covers
     rule: tuple | str = ""
@@ -144,50 +150,50 @@ _SEED = ">= 0 and < 18446744073709551616"  # one 64-bit Philox key word
 
 # The one list of config keys, in serialization order.
 _KEYS = (
-    _Key("objective.kind", "objective.kind", "str", ("quadratic", "linreg", "mlp")),
-    _Key("objective.dim", "objective.dim", "int", ">= 1"),
+    _Key("objective.kind", "objective.kind", "str", "build", ("quadratic", "linreg", "mlp")),
+    _Key("objective.dim", "objective.dim", "int", "build", ">= 1"),
     # above 1e12, rounding can leave Quadratic.random's matrix indefinite
-    _Key("objective.cond", "objective.cond", "float", ">= 1 and <= 1e12"),
-    _Key("objective.noise_sigma", "objective.noise_sigma", "float", ">= 0"),
-    _Key("objective.theta_star_scale", "objective.theta_star_scale", "float", ">= 0"),
-    _Key("objective.samples", "objective.samples", "int", ">= 1"),
-    _Key("objective.target_noise", "objective.target_noise", "float", ">= 0"),
-    _Key("objective.in_dim", "objective.in_dim", "int", ">= 1"),
-    _Key("objective.hidden", "objective.hidden", "int", ">= 1"),
-    _Key("objective.classes", "objective.classes", "int", ">= 2"),
-    _Key("objective.spread", "objective.spread", "float", "> 0"),
-    _Key("workers", "workers", "int", ">= 1"),
-    _Key("strategy.kind", "strategy.kind", "str"),
-    _Key("strategy.local", "strategy.local", "int"),
-    _Key("strategy.global", "strategy.global_count", "int"),
-    _Key("strategy.pull_every", "strategy.pull_every", "int"),
-    _Key("optimizer.kind", "optimizer_kind", "str", ("adam", "sgd")),
-    _Key("optimizer.alpha", "adam.alpha", "float"),
-    _Key("optimizer.beta1", "adam.beta1", "float"),
-    _Key("optimizer.beta2", "adam.beta2", "float"),
-    _Key("optimizer.epsilon", "adam.epsilon", "float"),
-    _Key("schedule.warmup", "schedule_warmup", "int", ">= 0"),
-    _Key("schedule.decay", "schedule_decay", "str", ("inverse-sqrt", "none")),
-    _Key("schedule.batch_scale", "schedule_batch_scale", "float", ">= 0"),
-    _Key("compute.kind", "compute.kind", "str"),
-    _Key("compute.mean", "compute.mean", "float"),
-    _Key("compute.std", "compute.std", "float"),
-    _Key("comm.latency", "comm_latency", "float", ">= 0"),
-    _Key("combine", "combine", "str", ("mean", "sum")),
-    _Key("batch.budget", "batch_budget", "int", ">= 1"),
-    _Key("batch.cost_max", "batch_cost_max", "int", ">= 1"),
-    _Key("budget.updates", "budget_updates", "int", ">= 1"),
-    _Key("budget.sim_time", "budget_sim_time", "float", ">= 0"),
-    _Key("seed", "seed", "int", _SEED),
-    _Key("probe.seed", "probe_seed", "int", _SEED),
-    _Key("probe.samples", "probe_samples", "int", ">= 1"),
-    _Key("parallel", "parallel", "bool"),
-    _Key("parallel.time_scale", "parallel_time_scale", "float", "> 0"),
-    _Key("thresholds", "thresholds", "float_list"),
-    _Key("thresholds.target", "thresholds_target", "float"),
-    _Key("stats.warmup_pushes", "stats_warmup_pushes", "int", ">= 0", optional=True),
-    _Key("thresholds.absolute", "thresholds_absolute", "float_list", optional=True),
-    _Key("out_dir", "out_dir", "str", optional=True),
+    _Key("objective.cond", "objective.cond", "float", "build", ">= 1 and <= 1e12"),
+    _Key("objective.noise_sigma", "objective.noise_sigma", "float", "build", ">= 0"),
+    _Key("objective.theta_star_scale", "objective.theta_star_scale", "float", "build", ">= 0"),
+    _Key("objective.samples", "objective.samples", "int", "build", ">= 1"),
+    _Key("objective.target_noise", "objective.target_noise", "float", "build", ">= 0"),
+    _Key("objective.in_dim", "objective.in_dim", "int", "build", ">= 1"),
+    _Key("objective.hidden", "objective.hidden", "int", "build", ">= 1"),
+    _Key("objective.classes", "objective.classes", "int", "build", ">= 2"),
+    _Key("objective.spread", "objective.spread", "float", "build", "> 0"),
+    _Key("workers", "workers", "int", "schedule", ">= 1"),
+    _Key("strategy.kind", "strategy.kind", "str", "schedule"),
+    _Key("strategy.local", "strategy.local", "int", "schedule"),
+    _Key("strategy.global", "strategy.global_count", "int", "schedule"),
+    _Key("strategy.pull_every", "strategy.pull_every", "int", "schedule"),
+    _Key("optimizer.kind", "optimizer_kind", "str", "step", ("adam", "sgd")),
+    _Key("optimizer.alpha", "adam.alpha", "float", "step"),
+    _Key("optimizer.beta1", "adam.beta1", "float", "step"),
+    _Key("optimizer.beta2", "adam.beta2", "float", "step"),
+    _Key("optimizer.epsilon", "adam.epsilon", "float", "step"),
+    _Key("schedule.warmup", "schedule_warmup", "int", "step", ">= 0"),
+    _Key("schedule.decay", "schedule_decay", "str", "step", ("inverse-sqrt", "none")),
+    _Key("schedule.batch_scale", "schedule_batch_scale", "float", "step", ">= 0"),
+    _Key("compute.kind", "compute.kind", "str", "schedule"),
+    _Key("compute.mean", "compute.mean", "float", "schedule"),
+    _Key("compute.std", "compute.std", "float", "schedule"),
+    _Key("comm.latency", "comm_latency", "float", "schedule", ">= 0"),
+    _Key("combine", "combine", "str", "step", ("mean", "sum")),
+    _Key("batch.budget", "batch_budget", "int", "schedule", ">= 1"),
+    _Key("batch.cost_max", "batch_cost_max", "int", "build", ">= 1"),
+    _Key("budget.updates", "budget_updates", "int", "schedule", ">= 1"),
+    _Key("budget.sim_time", "budget_sim_time", "float", "schedule", ">= 0"),
+    _Key("seed", "seed", "int", "build", _SEED),
+    _Key("probe.seed", "probe_seed", "int", "build", _SEED),
+    _Key("probe.samples", "probe_samples", "int", "build", ">= 1"),
+    _Key("parallel", "parallel", "bool", "schedule"),
+    _Key("parallel.time_scale", "parallel_time_scale", "float", "schedule", "> 0"),
+    _Key("thresholds", "thresholds", "float_list", "report"),
+    _Key("thresholds.target", "thresholds_target", "float", "report"),
+    _Key("stats.warmup_pushes", "stats_warmup_pushes", "int", "report", ">= 0", optional=True),
+    _Key("thresholds.absolute", "thresholds_absolute", "float_list", "report", optional=True),
+    _Key("out_dir", "out_dir", "str", "report", optional=True),
 )
 # partial(op, bound)(value) is `bound op value`, so each operator is
 # stored with its sides swapped: ">= 1" tests 1 <= value
@@ -327,6 +333,13 @@ def _format(value) -> str:
     if isinstance(value, tuple):
         return ",".join(repr(float(x)) for x in value)
     return str(value)
+
+
+def stage_key(cfg: ExperimentConfig, stage: str) -> tuple[str, ...]:
+    """cfg's values of the keys in one stage, as serialize_config writes
+    them: two configs with equal build keys build the same pieces bit for
+    bit (0.0 and -0.0 differ here, though the configs compare equal)."""
+    return tuple(_format(attrgetter(k.path)(cfg)) for k in _KEYS if k.stage == stage)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -17,12 +17,18 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+    serialize_config,
+    stage_key,
+)
 from .core import ComputeTimeModel, RngStream
 from .models import (
     Batch,
@@ -198,21 +204,50 @@ def resolve_out_dir(explicit: str | None, cfg: ExperimentConfig) -> str:
     return explicit or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
 
 
+def _make_out_dir(path: str) -> None:
+    """Make the directory path and its parents, or raise a ConfigError
+    naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make the output directory {path}: {e.strerror}") from None
+
+
+def _target_needs_loss(cfg: ExperimentConfig) -> bool:
+    """Whether _check_target could reject cfg. Every loss here is >= 0,
+    so a target <= 0 never lies above the initial one."""
+    return bool(cfg.thresholds) and cfg.thresholds_target > 0
+
+
+def _initial_loss(pieces: tuple) -> float:
+    """The probe loss at the initial parameters of built pieces."""
+    objective, _, probe, theta0 = pieces
+    with np.errstate(over="ignore", invalid="ignore"):  # as the run probes it
+        return objective.loss(theta0, probe)
+
+
 def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | None = None
+    cfg: ExperimentConfig, out_dir: str | None = None, pieces: tuple = ()
 ) -> tuple[RunTrace, SummaryReport]:
     """Run one experiment and write trace.csv + summary.json.
 
-    run_simulation builds the experiment, paces the run on the real
-    clock when cfg.parallel is set, and probes the initial loss; the
-    summary takes it from the trace. The exit status for a CLI
-    wrapper comes from SummaryReport.exit_code(): 0 ok, 3 diverged, 4
-    thresholds unreached.
+    pieces, when given, are the (objective, dataset, probe, theta0) that
+    build_experiment returned for cfg's build keys; otherwise they are
+    built here. Bad input is rejected before the run: a fraction target
+    above the initial probe loss first, then an output directory that
+    cannot be made, which is made before the run. run_simulation paces
+    the run on the real clock when cfg.parallel is set and probes the
+    initial loss; the summary takes it from the trace. The exit status
+    for a CLI wrapper comes from SummaryReport.exit_code(): 0 ok, 3
+    diverged, 4 thresholds unreached.
     """
-    trace = run_simulation(cfg)
-    report = summarize(trace, cfg, trace.initial_loss)
+    if _target_needs_loss(cfg):
+        pieces = build_experiment(cfg, *pieces)
+        _check_target(cfg, _initial_loss(pieces))
     out = resolve_out_dir(out_dir, cfg)
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
+    trace = run_simulation(cfg, *pieces)
+    report = summarize(trace, cfg, trace.initial_loss)
     trace.to_csv(os.path.join(out, "trace.csv"))
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
         f.write(report.to_json())
@@ -237,24 +272,35 @@ def sweep(
     overrides, raw values as for parse_config, apply to every point; the
     grid's values win over them (the CLI's sweep --seed).
     Each point runs in its own subdirectory of out_dir named by its
-    overrides. Every point's config is parsed, and its directory named,
-    before any point runs, so a bad value anywhere in the grid, or two
-    points that would share a directory, raises a ConfigError with nothing
-    written. So does a fraction-threshold target above a point's initial
-    probe loss: each point with fraction thresholds and a target > 0 is
-    built and its initial loss probed first (every loss here is >= 0, so
-    a target <= 0 never lies above it; summarize keeps the check).
+    overrides, and the results come back in grid order.
+
+    Every point is checked before any runs, so bad input anywhere in the
+    grid raises a ConfigError with nothing written: a bad value, two
+    points that would share a directory, two points with the same config
+    (the same experiment twice), and a fraction-threshold target above a
+    point's initial probe loss. Then every point's directory is made, and
+    one that cannot be made raises a ConfigError too.
+
+    Points that agree on every build key (config stage_key "build") share
+    one build_experiment result, which is read-only. So the points run
+    group by group: each group is built once, on the calling thread,
+    before its points start, and its pieces are dropped once its points
+    are done, so memory does not grow with the number of groups. The
+    target check probes each group's initial loss once, from a build of
+    its own, so a group with such a target is built twice.
 
     jobs > 1 runs the points on that many threads when any of them is
-    paced (cfg.parallel), so that their sleeps overlap; points are
-    independent, so this is safe. Unpaced points run one after another
-    whatever jobs is: each holds the interpreter lock for its whole run,
-    so a second thread adds no throughput, and with two threads every
-    numpy call that releases the lock, as ndarray.dot in the gradients
-    does, becomes a thread switch.
+    paced (cfg.parallel), so that their sleeps overlap: the next group is
+    built as soon as a thread is free, so at most jobs + 1 groups' pieces
+    are alive. Unpaced points run one after another whatever jobs is:
+    each holds the interpreter lock for its whole run, so a second thread
+    adds no throughput, and with two threads every numpy call that
+    releases the lock, as ndarray.dot in the gradients does, becomes a
+    thread switch.
     """
     keys = list(grid)
     points = {}  # directory -> (label, config)
+    same = {}  # config echo -> label
     for combo in itertools.product(*(grid[k] for k in keys)):
         point = dict(zip(keys, combo))
         label = "__".join(f"{k}={v}" for k, v in point.items()) or "base"
@@ -263,23 +309,46 @@ def sweep(
             raise ConfigError(
                 f"sweep points {points[path][0]} and {label} share the directory {path}"
             )
-        points[path] = (label, parse_config(base_text, {**(overrides or {}), **point}))
-    for _, cfg in points.values():
-        if cfg.thresholds and cfg.thresholds_target > 0:
-            objective, _, probe, theta0 = build_experiment(cfg)
-            with np.errstate(over="ignore", invalid="ignore"):  # as the run probes it
-                initial_loss = objective.loss(theta0, probe)
-            _check_target(cfg, initial_loss)
+        cfg = parse_config(base_text, {**(overrides or {}), **point})
+        first = same.setdefault(serialize_config(cfg), label)
+        if first != label:
+            raise ConfigError(f"sweep points {first} and {label} have the same config")
+        points[path] = (label, cfg)
+    groups: dict[tuple, list] = {}  # build key -> [(directory, config)]
+    for path, (_, cfg) in points.items():
+        groups.setdefault(stage_key(cfg, "build"), []).append((path, cfg))
+    for members in groups.values():
+        checked = [cfg for _, cfg in members if _target_needs_loss(cfg)]
+        if checked:
+            initial_loss = _initial_loss(build_experiment(checked[0]))
+            for cfg in checked:
+                _check_target(cfg, initial_loss)
+    for path in points:
+        _make_out_dir(path)
 
-    def one(item) -> tuple[str, SummaryReport]:
-        path, (label, cfg) = item
-        _, report = run_experiment(cfg, path)
-        return label, report
+    def one(cfg, path, pieces) -> SummaryReport:
+        return run_experiment(cfg, path, pieces)[1]
 
     if jobs > 1 and any(cfg.parallel for _, cfg in points.values()):
+        futures, running = {}, set()
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, points.items()))
-    return [one(p) for p in points.items()]
+            for members in groups.values():
+                while len(running) >= jobs:  # build the next group once a thread is free
+                    running = wait(running, return_when=FIRST_COMPLETED).not_done
+                pieces = build_experiment(members[0][1])
+                for path, cfg in members:
+                    futures[path] = pool.submit(one, cfg, path, pieces)
+                    running.add(futures[path])
+                del pieces
+        reports = {path: future.result() for path, future in futures.items()}
+    else:
+        reports = {}
+        for members in groups.values():
+            pieces = build_experiment(members[0][1])
+            for path, cfg in members:
+                reports[path] = one(cfg, path, pieces)
+            del pieces
+    return [(label, reports[path]) for path, (label, _) in points.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from stalesim import config
 from stalesim.config import (
     ConfigError,
     ExperimentConfig,
+    ObjectiveSpec,
     parse_config,
     serialize_config,
+    stage_key,
 )
 from stalesim.models import Quadratic
-from stalesim.simulator import Strategy
+from stalesim.simulator import Strategy, build_experiment
 
 MINIMAL = """
 objective.kind = quadratic
@@ -366,20 +368,41 @@ def test_quadratic_at_the_cond_ceiling_is_positive_definite():
             Quadratic.random(dim, seed, ceiling)
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "linreg", "mlp"])
+def test_build_experiment_reads_only_build_stage_keys(kind):
+    # sweep shares one build between points with equal build keys, so a
+    # field that build_experiment reads must hold build keys alone
+    cfg = ExperimentConfig(objective=ObjectiveSpec(kind=kind))
+    other = {k.path.partition(".")[0] for k in config._KEYS if k.stage != "build"}
+    read = set()
+
+    class Recording:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(cfg, name)
+
+    build_experiment(Recording())
+    assert read and not read & other
+    # the key holds each value as written, so values that compare equal
+    # but are written apart, as 0.0 and -0.0, never share a build
+    signed = ExperimentConfig(objective=ObjectiveSpec(kind=kind, noise_sigma=-0.0))
+    assert signed == cfg and stage_key(signed, "build") != stage_key(cfg, "build")
+
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_key_table_matches_the_key_table():
-    # each row: key, type, default, allowed values. Rows of keys that
-    # Strategy, AdamConfig or ComputeTimeModel check state their rule in
-    # the same grammar, and it is held to the same edges
-    rows = re.findall(r"^\| `(\S+)` \| (\S+) \| (.+?) \| (.+?) \|$",
+    # each row: key, type, default, allowed values, stage. Rows of keys
+    # that Strategy, AdamConfig or ComputeTimeModel check state their rule
+    # in the same grammar, and it is held to the same edges
+    rows = re.findall(r"^\| `(\S+)` \| (\S+) \| (.+?) \| (.+?) \| (\S+) \|$",
                       _README.read_text(encoding="utf-8"), re.M)
     assert [r[0] for r in rows] == [k.key for k in config._KEYS]
     lines = serialize_config(ExperimentConfig()).splitlines()
     defaults = dict(line.split(" = ", 1) for line in lines)
-    for k, (key, tag, default, allowed) in zip(config._KEYS, rows):
-        assert tag == k.tag, key
+    for k, (key, tag, default, allowed, stage) in zip(config._KEYS, rows):
+        assert (tag, stage) == (k.tag, k.stage), key
         assert default == (f"`{defaults[key]}`" if key in defaults else "unset"), key
         if k.rule:
             assert allowed == f"`{_RULE_TEXT[key]}`", key

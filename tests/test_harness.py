@@ -184,9 +184,9 @@ def test_sweep_runs_points_on_threads_only_when_one_is_paced(tmp_path, monkeypat
     threads = []
     run = harness.run_experiment
 
-    def recording(cfg, path):
+    def recording(cfg, path, pieces):
         threads.append(threading.current_thread())
-        return run(cfg, path)
+        return run(cfg, path, pieces)
 
     monkeypatch.setattr(harness, "run_experiment", recording)
     grid = {"seed": ["0", "1", "2"]}
@@ -571,20 +571,83 @@ def test_cli_run_non_finite_initial_loss_writes_strict_json(tmp_path, capsys):
     assert all(t["loss_level"] is None for t in doc["thresholds"])
 
 
-def test_run_experiment_builds_the_experiment_once(tmp_path, monkeypatch):
+def _recorded_builds(monkeypatch) -> list:
+    """Record each build_experiment call, wherever a stalesim module holds
+    the function as a global: True when the call was given the pieces,
+    False for a real build."""
     build = simulator.build_experiment
     calls = []
 
-    def counting(cfg, *pieces):
-        calls.append(cfg)
+    def recording(cfg, *pieces):
+        calls.append(any(p is not None for p in pieces))
         return build(cfg, *pieces)
 
-    # counted wherever a stalesim module holds the function as a global
     for name, module in list(sys.modules.items()):
         if name.startswith("stalesim") and vars(module).get("build_experiment") is build:
-            monkeypatch.setattr(module, "build_experiment", counting)
+            monkeypatch.setattr(module, "build_experiment", recording)
+    return calls
+
+
+def test_run_experiment_builds_the_experiment_once(tmp_path, monkeypatch):
+    calls = _recorded_builds(monkeypatch)
     run_experiment(_fast_cfg(budget_updates=10), str(tmp_path))
-    assert len(calls) == 1
+    assert calls == [False]
+
+
+_PACED = dict(parallel=True, parallel_time_scale=1e-4, workers=1)
+
+
+@pytest.mark.parametrize("kw, builds", [
+    ({}, 2),
+    # the target check builds each group once more, for its initial loss
+    ({"thresholds_target": 1e-9}, 4),
+    (_PACED, 2),
+], ids=["unpaced", "target", "paced"])
+def test_sweep_builds_each_group_once_and_writes_what_run_experiment_writes(
+    tmp_path, monkeypatch, kw, builds
+):
+    # two groups, one per seed, of two strategies each
+    base = serialize_config(_fast_cfg(budget_updates=30, **kw))
+    grid = {"strategy": ["async", "global_accum-4"], "seed": ["0", "1"]}
+    calls = _recorded_builds(monkeypatch)
+    results = sweep(base, grid, out_dir=str(tmp_path / "sw"), jobs=2)
+    assert calls.count(False) == builds
+    assert [label for label, _ in results] == [
+        f"strategy={s}__seed={n}" for s in grid["strategy"] for n in grid["seed"]
+    ]
+    _assert_each_point_runs_alone_the_same(base, results, tmp_path)
+
+
+def _assert_each_point_runs_alone_the_same(base, results, tmp_path):
+    """Each sweep point under tmp_path/sw wrote what run_experiment of its
+    config writes in a fresh directory: the same bytes, or for a paced
+    run, which takes its times from the clock, the same trace columns but
+    sim_time_s (they match at N=1)."""
+    for label, _ in results:
+        cfg = parse_config(base, dict(kv.split("=") for kv in label.split("__")))
+        shared, alone = tmp_path / "sw" / label, tmp_path / "alone" / label
+        run_experiment(cfg, str(alone))
+        if not cfg.parallel:
+            for name in ("trace.csv", "summary.json"):
+                assert (shared / name).read_bytes() == (alone / name).read_bytes()
+            continue
+        a, b = (RunTrace.from_csv(str(d / "trace.csv")).columns for d in (shared, alone))
+        del a["sim_time_s"], b["sim_time_s"]
+        assert a == b
+
+
+def test_paced_points_share_one_build_across_threads(tmp_path):
+    # one group of four paced points reading one build on four threads,
+    # which switch as often as the interpreter allows
+    base = serialize_config(_fast_cfg(budget_updates=30, **_PACED))
+    grid = {"optimizer.alpha": ["0.01", "0.02", "0.03", "0.04"]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = sweep(base, grid, out_dir=str(tmp_path / "sw"), jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_each_point_runs_alone_the_same(base, results, tmp_path)
 
 
 def test_cli_sweep_prints_point_diverged_before_first_row(tmp_path, capsys):
@@ -663,6 +726,8 @@ def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
             "seed=1__budget.updates=50 and seed=1__budget.updates=50",
         ),
         (["out_dir=a/b,a_b"], "out_dir=a/b and out_dir=a_b"),
+        # two values that parse to one config run the same experiment twice
+        (["seed=1,01"], "seed=1 and seed=01"),
     ]:
         args = ["sweep", cfg_path, "--out-dir", str(tmp_path / "sw")]
         for item in grid:
@@ -671,6 +736,23 @@ def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
         assert not (tmp_path / "sw").exists()
+
+
+def test_cli_rejects_an_output_directory_it_cannot_make_before_running(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "run_simulation", never)
+    cfg_path = _write_cfg(tmp_path, budget_updates=20)
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    for args in (["run", cfg_path], ["sweep", cfg_path, "--grid", "seed=0,1"]):
+        assert main(args + ["--out-dir", str(blocked / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(blocked / "out") in err
 
 
 def test_cli_sweep_checks_every_point_before_running_any(tmp_path, capsys):
