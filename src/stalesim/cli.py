@@ -59,9 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="values to sweep for one config key (repeatable; cartesian product)",
     )
     sweep_p.add_argument("--out-dir", help="parent directory for per-point outputs")
-    sweep_p.add_argument(
-        "--jobs", type=int, default=1, help="threads for paced points; unpaced ones run in turn"
-    )
+    sweep_p.add_argument("--jobs", type=int, default=1, help=(
+        "threads for paced points, each building its own pieces, so at most JOBS builds"
+        " are alive; unpaced points share their group's build and run in turn (a"
+        " thresholds.target check builds each group once more)"))
     sweep_p.add_argument("--seed", type=int, help="override the config's seed")
 
     self_p = sub.add_parser("selftest", help="reproduce built-in reference tables")

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -281,22 +281,20 @@ def sweep(
     point's initial probe loss. Then every point's directory is made, and
     one that cannot be made raises a ConfigError too.
 
-    Points that agree on every build key (config stage_key "build") share
-    one build_experiment result, which is read-only. So the points run
-    group by group: each group is built once, on the calling thread,
-    before its points start, and its pieces are dropped once its points
-    are done, so memory does not grow with the number of groups. The
-    target check probes each group's initial loss once, from a build of
-    its own, so a group with such a target is built twice.
+    Points that agree on every build key (config stage_key "build") can
+    share one build_experiment result, which is read-only. Unpaced points
+    share their group's build and run in turn on the calling thread, each
+    group built just before its points and dropped after them, whatever
+    jobs is: each holds the interpreter lock for its whole run, so a
+    second thread would add no throughput, only a thread switch at every
+    numpy call that releases the lock (ndarray.dot in the gradients).
 
     jobs > 1 runs the points on that many threads when any of them is
-    paced (cfg.parallel), so that their sleeps overlap: the next group is
-    built as soon as a thread is free, so at most jobs + 1 groups' pieces
-    are alive. Unpaced points run one after another whatever jobs is:
-    each holds the interpreter lock for its whole run, so a second thread
-    adds no throughput, and with two threads every numpy call that
-    releases the lock, as ndarray.dot in the gradients does, becomes a
-    thread switch.
+    paced (cfg.parallel), so that their sleeps overlap; each paced point
+    builds its own pieces on its thread, so at most jobs builds are
+    alive. The target check builds each group once more, on the calling
+    thread, so a paced point whose target is checked builds once for its
+    group's check and once for its run.
     """
     keys = list(grid)
     points = {}  # directory -> (label, config)
@@ -326,27 +324,17 @@ def sweep(
     for path in points:
         _make_out_dir(path)
 
-    def one(cfg, path, pieces) -> SummaryReport:
-        return run_experiment(cfg, path, pieces)[1]
-
     if jobs > 1 and any(cfg.parallel for _, cfg in points.values()):
-        futures, running = {}, set()
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for members in groups.values():
-                while len(running) >= jobs:  # build the next group once a thread is free
-                    running = wait(running, return_when=FIRST_COMPLETED).not_done
-                pieces = build_experiment(members[0][1])
-                for path, cfg in members:
-                    futures[path] = pool.submit(one, cfg, path, pieces)
-                    running.add(futures[path])
-                del pieces
+            futures = {path: pool.submit(lambda c, p: run_experiment(c, p)[1], cfg, path)
+                       for path, (_, cfg) in points.items()}
         reports = {path: future.result() for path, future in futures.items()}
     else:
         reports = {}
         for members in groups.values():
             pieces = build_experiment(members[0][1])
             for path, cfg in members:
-                reports[path] = one(cfg, path, pieces)
+                reports[path] = run_experiment(cfg, path, pieces)[1]
             del pieces
     return [(label, reports[path]) for path, (label, _) in points.items()]
 

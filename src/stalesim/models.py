@@ -213,7 +213,8 @@ class Quadratic(Objective):
         eigs = np.logspace(0.0, np.log10(cond), dim)
         a = q @ np.diag(eigs) @ q.T
         a = 0.5 * (a + a.T)  # kill asymmetry from rounding
-        theta_star = rng.normal(0.0, theta_star_scale, size=dim)
+        # as normal(0.0, scale) draws it, but taking a scale of -0.0 too
+        theta_star = theta_star_scale * rng.standard_normal(dim)
         return cls(a, theta_star, noise_sigma)
 
 

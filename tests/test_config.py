@@ -327,6 +327,14 @@ def test_non_finite_numbers_rejected_with_key_and_line(key, bad):
         parse_config("workers = 2\n", overrides={key: raw})
 
 
+def test_experiment_config_rejects_a_non_finite_absolute_threshold():
+    # parse_config rejects these first, so only direct construction
+    # reaches the config's own check
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="thresholds.absolute values must be finite"):
+            ExperimentConfig(thresholds_absolute=(1.0, bad))
+
+
 # the text each rule is stated by, in messages and in the README key table
 _RULE_TEXT = {key: text for rules in config._RULES.values() for _, _, key, text in rules}
 

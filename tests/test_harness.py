@@ -184,7 +184,7 @@ def test_sweep_runs_points_on_threads_only_when_one_is_paced(tmp_path, monkeypat
     threads = []
     run = harness.run_experiment
 
-    def recording(cfg, path, pieces):
+    def recording(cfg, path, pieces=()):
         threads.append(threading.current_thread())
         return run(cfg, path, pieces)
 
@@ -272,6 +272,21 @@ def test_cli_run_seed_override_changes_trace(tmp_path):
     assert a != b
 
 
+def test_cli_run_builds_a_theta_star_scale_of_minus_zero_as_zero(tmp_path, capsys):
+    # -0.0 passes the key's >= 0 rule; Generator.normal would reject its
+    # sign bit as a scale
+    traces = []
+    for scale in (-0.0, 0.0):
+        objective = ObjectiveSpec(kind="quadratic", dim=6, theta_star_scale=scale)
+        cfg_path = _write_cfg(tmp_path, objective=objective)
+        assert f"objective.theta_star_scale = {scale}\n" in (tmp_path / "exp.cfg").read_text()
+        out = tmp_path / str(scale)
+        code = main(["run", cfg_path, "--out-dir", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("workers = -3\n")
@@ -303,6 +318,7 @@ _OUT_OF_RANGE = [
     "strategy.global = 0",
     "strategy.pull_every = 0",
     "strategy.global = 2",  # the default kind, async, takes no global
+    "strategy = global_accum-0",  # a label, whose Strategy check names it
     "optimizer.kind = rmsprop",
     "optimizer.alpha = 0",
     "optimizer.beta1 = 1",
@@ -573,13 +589,14 @@ def test_cli_run_non_finite_initial_loss_writes_strict_json(tmp_path, capsys):
 
 def _recorded_builds(monkeypatch) -> list:
     """Record each build_experiment call, wherever a stalesim module holds
-    the function as a global: True when the call was given the pieces,
-    False for a real build."""
+    the function as a global: the thread it ran on for a real build, None
+    when the call was given the pieces."""
     build = simulator.build_experiment
     calls = []
 
     def recording(cfg, *pieces):
-        calls.append(any(p is not None for p in pieces))
+        given = any(p is not None for p in pieces)
+        calls.append(None if given else threading.current_thread())
         return build(cfg, *pieces)
 
     for name, module in list(sys.modules.items()):
@@ -591,7 +608,7 @@ def _recorded_builds(monkeypatch) -> list:
 def test_run_experiment_builds_the_experiment_once(tmp_path, monkeypatch):
     calls = _recorded_builds(monkeypatch)
     run_experiment(_fast_cfg(budget_updates=10), str(tmp_path))
-    assert calls == [False]
+    assert calls == [threading.current_thread()]
 
 
 _PACED = dict(parallel=True, parallel_time_scale=1e-4, workers=1)
@@ -601,7 +618,8 @@ _PACED = dict(parallel=True, parallel_time_scale=1e-4, workers=1)
     ({}, 2),
     # the target check builds each group once more, for its initial loss
     ({"thresholds_target": 1e-9}, 4),
-    (_PACED, 2),
+    # a paced point builds its own pieces: one build per point
+    (_PACED, 4),
 ], ids=["unpaced", "target", "paced"])
 def test_sweep_builds_each_group_once_and_writes_what_run_experiment_writes(
     tmp_path, monkeypatch, kw, builds
@@ -611,7 +629,7 @@ def test_sweep_builds_each_group_once_and_writes_what_run_experiment_writes(
     grid = {"strategy": ["async", "global_accum-4"], "seed": ["0", "1"]}
     calls = _recorded_builds(monkeypatch)
     results = sweep(base, grid, out_dir=str(tmp_path / "sw"), jobs=2)
-    assert calls.count(False) == builds
+    assert len(calls) - calls.count(None) == builds
     assert [label for label, _ in results] == [
         f"strategy={s}__seed={n}" for s in grid["strategy"] for n in grid["seed"]
     ]
@@ -636,9 +654,27 @@ def _assert_each_point_runs_alone_the_same(base, results, tmp_path):
         assert a == b
 
 
-def test_paced_points_share_one_build_across_threads(tmp_path):
-    # one group of four paced points reading one build on four threads,
-    # which switch as often as the interpreter allows
+@pytest.mark.parametrize("kw, checks", [
+    ({}, 0),
+    ({"thresholds_target": 1e-9}, 2),  # one initial-loss probe per group
+], ids=["no-target", "target"])
+def test_paced_sweep_builds_on_pool_threads_but_for_the_target_check(
+    tmp_path, monkeypatch, kw, checks
+):
+    base = serialize_config(_fast_cfg(budget_updates=30, **_PACED, **kw))
+    grid = {"strategy": ["async", "global_accum-4"], "seed": ["0", "1"]}
+    calls = _recorded_builds(monkeypatch)
+    sweep(base, grid, out_dir=str(tmp_path / "sw"), jobs=2)
+    here = threading.current_thread()
+    built = [thread for thread in calls if thread is not None]
+    assert built.count(here) == checks
+    on_pool = [thread for thread in built if thread is not here]
+    assert len(on_pool) == 4 and len(set(on_pool)) <= 2
+
+
+def test_paced_points_on_threads_each_write_what_they_write_alone(tmp_path):
+    # one group of four paced points on four threads, which switch as
+    # often as the interpreter allows
     base = serialize_config(_fast_cfg(budget_updates=30, **_PACED))
     grid = {"optimizer.alpha": ["0.01", "0.02", "0.03", "0.04"]}
     interval = sys.getswitchinterval()
