@@ -20,7 +20,11 @@ The gradients run at d <= ~80, where a kernel's time is mostly numpy's
 per-call overhead, not arithmetic. So each 2-D product in a gradient goes
 through ndarray.dot, which calls the same BLAS routine as the @ operator
 without the matmul ufunc's dispatch (tests/test_models.py checks that the
-bits match), and each grad writes its result into one fresh vector. The
+bits match), and each grad writes its result into one fresh vector. One
+case differs: dot takes a one-element operand as a scalar, and a scalar
+times a one-element operand keeps the sign of a -0.0 product, where @ sums
+it from +0.0. A grad whose shapes can make such an operand (a batch of
+one row, or a dimension of one) takes its products through matmul. The
 stacked probe (losses) keeps matmul: dot means something else on N-D
 arrays, and one gemm over the stack would round a row differently as the
 stack grows.
@@ -188,7 +192,9 @@ class Quadratic(Objective):
 
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
-        g = self.a_matrix.dot(theta - self.theta_star)
+        d = theta - self.theta_star
+        # at dim 1 A is one element (see the module docstring)
+        g = self.a_matrix @ d if self.dim == 1 else self.a_matrix.dot(d)
         if self.noise_sigma > 0:
             if rng is None:
                 raise ValueError("noisy quadratic gradient requires an RngStream")
@@ -236,9 +242,12 @@ class LinearRegression(Objective):
     def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
         self._check_dim(theta)
         x = batch.features
-        r = x.dot(theta)
+        # one row or one feature makes a one-element operand (see the
+        # module docstring)
+        product = np.matmul if 1 in x.shape else np.ndarray.dot
+        r = product(x, theta)
         r -= batch.targets
-        g = x.T.dot(r)
+        g = product(x.T, r)
         g /= len(batch)
         return g
 
@@ -269,10 +278,11 @@ class Mlp(Objective):
     index int(target), as numpy indexes: -1 is the last class, and a
     target >= classes raises IndexError in both losses and grad. One
     forward pass, _forward, serves both the stacked losses and grad:
-    grad's one vector takes its products through ndarray.dot, a stack
-    through matmul. grad writes each block of the gradient into its slice
-    of one fresh vector. Kept small so the finite-difference oracle can
-    sweep every coordinate quickly.
+    grad's one vector takes its products through ndarray.dot (matmul when
+    one can have a one-element operand), a stack through matmul. grad
+    writes each block of the gradient into its slice of one fresh vector.
+    Kept small so the finite-difference oracle can sweep every coordinate
+    quickly.
     """
 
     def __init__(self, in_dim: int, hidden: int, classes: int):
@@ -285,12 +295,18 @@ class Mlp(Objective):
         # the one-hot rows of the targets: p - 1.0 at the target's class
         # and p - 0.0, which is p, elsewhere
         self._one_hot = _read_only(np.eye(classes), np.float64)
+        # grad's operands x (n, in_dim), W1 (hidden, in_dim) and the
+        # activations (n, hidden) can have one element only when in_dim or
+        # hidden is 1 (see the module docstring); dz2 and W2 never can, as
+        # classes >= 2
+        self._thin = 1 in (in_dim, hidden)
 
-    def _forward(self, theta: np.ndarray, x: np.ndarray):
+    def _forward(self, theta: np.ndarray, x: np.ndarray, product=np.matmul):
         """W2, the hidden activations and the log-probabilities of x's
         rows, for one parameter vector (dim,) or a stack (K, dim): each
         weight matrix gets theta's leading axes and each bias a broadcast
-        sample axis, so the stack's arrays get a leading K axis."""
+        sample axis, so the stack's arrays get a leading K axis. product
+        takes the two products: matmul, or for one vector ndarray.dot."""
         h, d, c = self.hidden, self.in_dim, self.classes
         lead = theta.shape[:-1]
         i = h * d + h
@@ -298,7 +314,6 @@ class Mlp(Objective):
         b1 = theta[..., None, h * d : i]
         w2 = theta[..., i : i + c * h].reshape(lead + (c, h))
         b2 = theta[..., None, i + c * h :]
-        product = np.matmul if lead else np.ndarray.dot
         a = product(x, w1.swapaxes(-1, -2))
         a += b1
         np.tanh(a, out=a)
@@ -320,17 +335,18 @@ class Mlp(Objective):
         self._check_dim(theta)
         h, d, c = self.hidden, self.in_dim, self.classes
         i = h * d + h
-        x = batch.features
-        w2, a, log_p = self._forward(theta, x)
+        x, n = batch.features, len(batch)
+        product = np.matmul if self._thin and 1 in (n, d * h) else np.ndarray.dot
+        w2, a, log_p = self._forward(theta, x, product)
         dz2 = np.exp(log_p)
         dz2 -= self._one_hot.take(batch.targets.astype(np.int64), axis=0)
-        dz2 /= len(batch)
+        dz2 /= n
         g = np.empty(self.dim)
-        dz2.T.dot(a, out=g[i : i + c * h].reshape(c, h))
+        product(dz2.T, a, out=g[i : i + c * h].reshape(c, h))
         np.add.reduce(dz2, axis=0, out=g[i + c * h :])
         dz1 = dz2.dot(w2)
         dz1 *= 1.0 - a * a
-        dz1.T.dot(x, out=g[: h * d].reshape(h, d))
+        product(dz1.T, x, out=g[: h * d].reshape(h, d))
         np.add.reduce(dz1, axis=0, out=g[h * d : i])
         return g
 

@@ -13,13 +13,18 @@ shrinks CoV as 1/sqrt(N)) speeds Adam up.
 Every scalar operand of a step is applied as a 0-d float64 array, not as a
 Python float. Both hold the same float64 value, so each element-wise
 operation rounds to the same bits, but numpy applies the array with less
-call overhead (at d = 20, 0.36 against 0.53 us per operation on a 2-core
-x86-64 host with NumPy 2.4). beta1, 1-beta1, beta2, 1-beta2 and epsilon
-are built once per AdamConfig (AdamConfig.operands); lr and the two bias
-corrections are wrapped once per step. A bias correction 1 - beta**t that
-is exactly 1.0 is not divided by, since x/1.0 is x, bit for bit, for
-every double: for beta1 = 0.9 that holds from t = 356 on, for
-beta2 = 0.98 from t = 1853, and at every t for beta = 0.
+call overhead (at d = 20, 0.43 against 0.62 us per operation on a shared
+2-core x86-64 host, Python 3.11, NumPy 2.4). beta1, 1-beta1, beta2,
+1-beta2 and epsilon are built once per AdamConfig (AdamConfig.operands);
+lr and the two bias corrections are wrapped once per step (0.19 us a
+wrap, about what it saves). A bias correction 1 - beta**t that is exactly
+1.0 is not divided by, since x/1.0 is x, bit for bit, for every double:
+for beta1 = 0.9 that holds from t = 356 on, for beta2 = 0.98 from
+t = 1853, and at every t for beta = 0.
+
+A step is 11 to 13 element-wise operations and little Python around
+them: on the same host at d = 20, a step at t = 1000 takes 6.4 us, of
+which its 12 operations take 5.1 us.
 """
 
 from __future__ import annotations
@@ -109,14 +114,15 @@ def adam_step(
         raise ValueError(
             f"dimension mismatch: theta {theta.shape}, g {g.shape}, m {state.m.shape}"
         )
-    t_new = state.t + 1
+    t = state.t + 1
     b1, c1, b2, c2, eps = cfg.operands
     m = b1 * state.m + c1 * g
     v = b2 * state.v + c2 * g * g
-    m_hat = _unbias(m, cfg.beta1, t_new)
-    v_hat = _unbias(v, cfg.beta2, t_new)
-    theta_new = theta - np.asarray(lr) * m_hat / (np.sqrt(v_hat) + eps)
-    return AdamState(m=m, v=v, t=t_new), theta_new
+    # _unbias, written out: a call costs more than its arithmetic here
+    d1, d2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+    m_hat = m if d1 == 1.0 else m / np.asarray(d1)
+    v_hat = v if d2 == 1.0 else v / np.asarray(d2)
+    return AdamState(m, v, t), theta - np.asarray(lr) * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def _unbias(x: Vec, beta: float, t: int) -> Vec:

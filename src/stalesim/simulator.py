@@ -37,6 +37,7 @@ numerics, stay the same.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -386,11 +387,12 @@ def build_experiment(
 
 
 # Parameter versions per stacked probe call. A small probe's cost is
-# mostly numpy call overhead, which the stack shares. Per version, with the
-# np.stack, on a 2-core Xeon (Python 3.11, NumPy 2.4), best of 7:
-# Quadratic.losses at d=20 costs 7.7 us at K=1, 1.1 us at K=16 and
-# 0.7-1.0 us at K=64; for the 4-8-3 MLP on 126 probe samples, 38-43, 18-19
-# and 17-24 us. Objective.loss is the K=1 call without the np.stack.
+# mostly numpy call overhead, which the stack shares. Per version, with
+# the stacking, on a 2-core Xeon (Python 3.11, NumPy 2.4), best of 15:
+# Quadratic.losses at d=20 costs 5.6 us at K=1, 0.65 us at K=16 and
+# 0.56 us at K=64 (7.6, 1.1 and 1.1 us stacked by np.stack); for the 4-8-3
+# MLP on 126 probe samples, 37, 16 and 22 us. Objective.loss is the K=1
+# call without the stacking.
 # A larger block saves little more, and a run computes up to K - 1 more
 # versions before it sees a non-finite probe.
 _PROBE_BLOCK = 64
@@ -407,9 +409,15 @@ class _Run:
     (theta, version) pulled last, the sum of the gradients computed since
     the last push with their count and cost, and the batch in flight.
 
-    _Run builds the pieces (build_experiment), computes the base learning
-    rate once and queues the initial parameters as version 0, which execute
-    probes on their own before any worker starts. From then on only update
+    _Run builds the pieces (build_experiment), fixes the rate formula
+    (core.learning_rate) to the run's base rate and schedule once and
+    queues the initial parameters as version 0, which execute probes on
+    their own before any worker starts. It also binds once what a push
+    calls: the objective's grad, the optimizer step, sample_compute_time
+    with the compute model, and the strategy's barrier flag. The step and
+    sample_compute_time are read from this module's globals when _Run is
+    built, so a wrapper swapped into those globals before a run (as
+    perfbench/tracer.py does) sees every call. From then on only update
     changes theta: it applies the optimizer step at the scheduled rate,
     checks the new parameters and Adam's second moment v for finiteness,
     and queues the new version for its probe. A non-finite gradient makes
@@ -452,7 +460,10 @@ class _Run:
         self.mean_global = mean and self.global_count > 1
         # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
         lg, scale = self.local * self.global_count, cfg.schedule_batch_scale
-        self.base_lr = cfg.adam.alpha * scale * lg if scale > 0 else cfg.adam.alpha
+        base_lr = cfg.adam.alpha * scale * lg if scale > 0 else cfg.adam.alpha
+        self.rate = functools.partial(
+            learning_rate, base_lr, cfg.schedule_warmup, cfg.schedule_decay
+        )
         self.theta = theta0.copy()
         self.theta.setflags(write=False)
         self.version = 0
@@ -461,6 +472,11 @@ class _Run:
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
         self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
+        # what a push calls, bound once (see the class docstring)
+        self.grad = self.objective.grad
+        self.step = sgd_step if self.adam is None else adam_step
+        self.sample, self.compute = sample_compute_time, cfg.compute
+        self.barrier, self.latency = cfg.strategy.is_barrier, cfg.comm_latency
         self.total_cost = 0
         # by version: the rate its update applied (0.0 for the initial
         # version) and the probe loss of each version probed so far
@@ -489,7 +505,7 @@ class _Run:
         """Hand worker w the next batch; returns its compute duration in
         simulated seconds (per-cost-unit sample times the batch's cost)."""
         batch = self.in_flight[w] = next(self.batches)
-        return sample_compute_time(self.rngs[w], self.cfg.compute) * batch.total_cost
+        return self.sample(self.rngs[w], self.compute) * batch.total_cost
 
     def probe_queued(self) -> None:
         """Probe every queued version in one stacked losses call and empty
@@ -510,7 +526,9 @@ class _Run:
         first = len(self.version_loss)  # the version of queued[0]
         thetas = [theta for theta, _, _ in queued]
         if isinstance(self.objective, Objective):
-            stack = np.stack(thetas)
+            # the stack np.stack builds, from one concatenate: np.stack
+            # checks and reshapes each of the up to 64 rows on its own
+            stack = np.concatenate(thetas).reshape(len(thetas), -1)
             stack.setflags(write=False)
             losses = self.objective.losses(stack, self.probe).tolist()
         else:
@@ -529,26 +547,24 @@ class _Run:
         next version, and queue it for its probe, probing the queue once it
         holds _PROBE_BLOCK versions. Raises DivergenceError when the new
         parameters or Adam's v, or a probed loss, is not finite."""
-        cfg = self.cfg
-        lr = learning_rate(self.base_lr, cfg.schedule_warmup, cfg.schedule_decay, self.version + 1)
+        version = self.version + 1
+        lr = self.rate(version)
         self.version_lr.append(lr)
         if self.adam is None:
-            self.theta = sgd_step(self.theta, g, lr)
+            theta = self.step(self.theta, g, lr)
         else:
-            self.adam_state, self.theta = adam_step(self.adam_state, self.adam, self.theta, g, lr)
-        self.theta.setflags(write=False)
-        self.version += 1
-        if not all_finite(self.theta, self.zero):
-            raise DivergenceError(f"parameters went non-finite at update {self.version}")
+            self.adam_state, theta = self.step(self.adam_state, self.adam, self.theta, g, lr)
+        theta.setflags(write=False)
+        self.theta, self.version = theta, version
+        if not all_finite(theta, self.zero):
+            raise DivergenceError(f"parameters went non-finite at update {version}")
         if self.adam is not None and not all_finite(self.adam_state.v, self.zero):
-            raise DivergenceError(
-                f"Adam's second moment went non-finite at update {self.version}"
-            )
-        self.queued.append((self.theta, len(self.pushed), self.total_cost))
+            raise DivergenceError(f"Adam's second moment went non-finite at update {version}")
+        self.queued.append((theta, len(self.pushed), self.total_cost))
         if len(self.queued) == _PROBE_BLOCK:
             self.probe_queued()
 
-    def push(self, w: int, t: float) -> tuple[float, list[int] | range]:
+    def push(self, w: int, t: float) -> tuple[float, tuple[int, ...] | range]:
         """Finish worker w's batch at time t, push once its sum holds L
         gradients and update once the server's sum holds G pushes. Returns
         (start, workers): the workers that start their next batch, at
@@ -562,9 +578,8 @@ class _Run:
         re-pulling only when the update count is a multiple of the pull
         period.
         """
-        cfg = self.cfg
         batch = self.in_flight[w]
-        g = self.objective.grad(self.pulled_theta[w], batch, self.rngs[w])
+        g = self.grad(self.pulled_theta[w], batch, self.rngs[w])
         # Starting a sum at its first term, not at +0.0, changes only the
         # sign of exact-zero entries (-0.0 + -0.0 is -0.0, +0.0 + -0.0 is
         # +0.0). Such an entry reaches theta only as theta - (+-0) (Adam's v
@@ -576,7 +591,7 @@ class _Run:
         self.sum_count[w] = n + 1
         self.sum_cost[w] += batch.total_cost
         if n + 1 < self.local:
-            return t, [w]
+            return t, (w,)
         self.total_cost += self.sum_cost[w]
         self.sum_count[w] = self.sum_cost[w] = 0
         x = s / self.local if self.mean_local else s
@@ -586,18 +601,17 @@ class _Run:
         updated = self.accum_count == 0
         if updated:
             self.update(self.accum / self.global_count if self.mean_global else self.accum)
-        self.pushed.append((self.version, t + cfg.comm_latency, staleness, w))
-        if not cfg.strategy.is_barrier:
+        arrived = t + self.latency
+        self.pushed.append((self.version, arrived, staleness, w))
+        if not self.barrier:
             self.pulled_theta[w], self.pulled_version[w] = self.theta, self.version
-            nxt = [w]
-        elif not updated:
-            return t, []  # wait at the barrier for the round to finish
-        else:
-            if self.version % self.pull_every == 0:
-                self.pulled_theta = [self.theta] * cfg.workers
-                self.pulled_version = [self.version] * cfg.workers
-            nxt = self.ids  # next round, batch grab in id order
-        return t + cfg.comm_latency, nxt
+            return arrived, (w,)
+        if not updated:
+            return t, ()  # wait at the barrier for the round to finish
+        if self.version % self.pull_every == 0:
+            self.pulled_theta = [self.theta] * self.cfg.workers
+            self.pulled_version = [self.version] * self.cfg.workers
+        return arrived, self.ids  # next round, batch grab in id order
 
     def execute(self) -> RunTrace:
         """The one event loop; run_simulation says how a paced run differs.
@@ -622,7 +636,9 @@ class _Run:
         """
         cfg = self.cfg
         limit = cfg.budget_sim_time if cfg.budget_sim_time > 0 else math.inf
+        budget, paced = cfg.budget_updates, cfg.parallel
         scale, t0 = cfg.parallel_time_scale, time.monotonic()
+        heappop, heappush, push, start = heapq.heappop, heapq.heappush, self.push, self.start
         reason = None
         try:
             # divergence detection rides on IEEE inf/nan propagation; the
@@ -630,20 +646,20 @@ class _Run:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.probe_queued()  # version 0, before any worker starts
                 try:
-                    heap = [(w / cfg.workers + self.start(w), w) for w in self.ids]
+                    heap = [(w / cfg.workers + start(w), w) for w in self.ids]
                     heapq.heapify(heap)
-                    while self.version < cfg.budget_updates:
-                        t, w = heapq.heappop(heap)
+                    while self.version < budget:
+                        t, w = heappop(heap)
                         if t > limit:
                             break
-                        if cfg.parallel:
+                        if paced:
                             time.sleep(max(0.0, t * scale - (time.monotonic() - t0)))
                             t = (time.monotonic() - t0) / scale
                             if t > limit:
                                 break
-                        start, nxt = self.push(w, t)
+                        at, nxt = push(w, t)
                         for w in nxt:
-                            heapq.heappush(heap, (start + self.start(w), w))
+                            heappush(heap, (at + start(w), w))
                 finally:
                     self.probe_queued()
         except DivergenceError as e:

@@ -1,8 +1,17 @@
-"""Suite-wide guards."""
+"""Suite-wide guards, and the hypothesis profile CI loads."""
 
+import os
 import threading
 
 import pytest
+from hypothesis import settings
+
+# CI (which sets CI) prints, with a falsifying example that random search
+# found, the @reproduce_failure blob that replays it; the example counts
+# and the random draws stay as they are
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(autouse=True)

@@ -272,19 +272,34 @@ def test_cli_run_seed_override_changes_trace(tmp_path):
     assert a != b
 
 
-def test_cli_run_builds_a_theta_star_scale_of_minus_zero_as_zero(tmp_path, capsys):
-    # -0.0 passes the key's >= 0 rule; Generator.normal would reject its
-    # sign bit as a scale
-    traces = []
-    for scale in (-0.0, 0.0):
-        objective = ObjectiveSpec(kind="quadratic", dim=6, theta_star_scale=scale)
-        cfg_path = _write_cfg(tmp_path, objective=objective)
-        assert f"objective.theta_star_scale = {scale}\n" in (tmp_path / "exp.cfg").read_text()
-        out = tmp_path / str(scale)
-        code = main(["run", cfg_path, "--out-dir", str(out)])
-        assert code == EXIT_OK, capsys.readouterr().err
-        traces.append((out / "trace.csv").read_bytes())
-    assert traces[0] == traces[1]
+# every float key that admits 0.0 (its ">= 0" rule, or compute.std's own
+# check) with the config lines that make it reach the run
+_ZERO_KEYS = {
+    "objective.noise_sigma": "",
+    "objective.theta_star_scale": "",
+    "objective.target_noise": "objective.kind = linreg\nobjective.dim = 3\n",
+    "schedule.batch_scale": "",
+    "comm.latency": "",
+    "budget.sim_time": "",
+    "compute.std": "compute.kind = normal\n",
+}
+
+
+@pytest.mark.parametrize("key", _ZERO_KEYS)
+def test_cli_run_reads_a_minus_zero_key_as_zero(tmp_path, capsys, key):
+    # -0.0 passes each rule; it must run as 0.0 does, to the byte, where a
+    # numpy scale (Generator.normal's) would reject its sign bit
+    results = []
+    for value in ("-0.0", "0.0"):
+        cfg_path = tmp_path / f"{value}.cfg"
+        cfg_path.write_text(
+            "budget.updates = 20\nthresholds =\n" + _ZERO_KEYS[key] + f"{key} = {value}\n"
+        )
+        out = tmp_path / value
+        code = main(["run", str(cfg_path), "--out-dir", str(out)])
+        results.append((code, (out / "trace.csv").read_bytes(), capsys.readouterr().err))
+    assert results[0][0] == EXIT_OK, results[0][2]
+    assert results[0][:2] == results[1][:2]
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

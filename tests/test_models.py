@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stalesim.core import RngStream, as_vec
@@ -291,6 +291,9 @@ def _reference_grad(obj, theta, batch, rng):
 # the kernels take their 2-D products through ndarray.dot and write into
 # slices of one vector; both must leave every bit of the @ formulas
 @settings(max_examples=150, deadline=None)
+# one sample, one input and one hidden unit: dot multiplied the
+# one-element (1, 1) operands as scalars, giving -0.0 where @ gives +0.0
+@example(kind="mlp", dim=1, hidden=1, classes=2, rows=1, top=2.0, seed=1)
 @given(
     kind=st.sampled_from(["quadratic", "noisy", "linreg", "mlp"]),
     dim=st.integers(1, 80),
@@ -319,6 +322,23 @@ def test_gradients_match_the_matmul_formulas_bit_for_bit(
     want = _reference_grad(obj, theta, batch, RngStream(seed, stream=5))
     assert got.dtype == np.float64 and got.shape == (obj.dim,)
     assert got.tobytes() == want.tobytes()
+
+
+def test_one_element_products_keep_the_matmul_signed_zero():
+    # a product of one-element operands that is -0.0 is +0.0 under @,
+    # which sums it from +0.0; each gradient must give @'s bits
+    x = [[0.0]]
+    cases = [
+        # A (theta - theta*) = 2 * -0.0
+        (Quadratic([[2.0]], [0.0]), np.array([-0.0]), _unit_batch()),
+        # x theta = 0 * -1.5
+        (LinearRegression(1), np.array([-1.5]), Batch(x, [0.0], [1])),
+        # dz1' x = (negative) * 0, with W1, b1, W2, b2 = -1, 0, (-3, 3), (0, 0)
+        (Mlp(1, 1, 2), np.array([-1.0, 0.0, -3.0, 3.0, 0.0, 0.0]), Batch(x, [1.0], [1])),
+    ]
+    for obj, theta, batch in cases:
+        want = _reference_grad(obj, theta, batch, None)
+        assert obj.grad(theta, batch).tobytes() == want.tobytes(), type(obj).__name__
 
 
 def test_mlp_reads_a_target_as_a_class_index_in_loss_and_grad():

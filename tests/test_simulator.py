@@ -2,9 +2,11 @@
 
 import math
 import os
+import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from stalesim.config import (
     parse_config,
     serialize_config,
 )
-from stalesim.core import ComputeTimeModel, RngStream, learning_rate
+from stalesim.core import ComputeTimeModel, RngStream, learning_rate, sample_compute_time
 from stalesim.harness import EXIT_DIVERGED, run_experiment
 from stalesim.models import Objective, Quadratic, dynamic_batcher
 from stalesim.optim import AdamConfig, AdamState, adam_step, sgd_step
@@ -598,6 +600,30 @@ def test_probe_loss_runs_once_per_version(strategy):
     objective = _CountingObjective()
     trace = run_simulation(_cfg(strategy=strategy), objective=objective)
     assert objective.loss_calls == trace.updates + 1  # versions 0..updates
+
+
+@pytest.mark.parametrize("strategy", [Strategy("global_accum", global_count=2), Strategy("sync")])
+def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strategy):
+    # an outside tracer (perfbench's) swaps a wrapper in for a function in
+    # every stalesim module that holds it as a global, then runs; the run
+    # must call the wrapper for each optimizer step and each duration draw
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "stalesim"]
+    for fn in (adam_step, sample_compute_time):
+
+        def counting(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        for m in modules:
+            if m.__dict__.get(fn.__name__) is fn:
+                monkeypatch.setattr(m, fn.__name__, counting)
+    cfg = _cfg(strategy=strategy, workers=3, compute=ComputeTimeModel("normal", 1.0, 0.2))
+    trace = run_simulation(cfg)
+    assert trace.updates == cfg.budget_updates
+    assert calls["adam_step"] == trace.updates
+    # each worker starts once, then once more after each of its pushes
+    assert calls["sample_compute_time"] == cfg.workers + trace.pushes
 
 
 _FAMILIES = {
