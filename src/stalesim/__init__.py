@@ -8,13 +8,16 @@ real clock.
 """
 
 from .config import (
+    AdamConfig,
+    ComputeTimeModel,
     ConfigError,
     ExperimentConfig,
     ObjectiveSpec,
+    Strategy,
     parse_config,
     serialize_config,
 )
-from .core import ComputeTimeModel, RngStream, learning_rate, sample_compute_time
+from .core import RngStream, learning_rate, sample_compute_time
 from .harness import (
     SummaryReport,
     run_experiment,
@@ -34,7 +37,6 @@ from .models import (
     finite_diff_grad,
 )
 from .optim import (
-    AdamConfig,
     AdamState,
     adam_direction,
     adam_step,
@@ -44,7 +46,6 @@ from .optim import (
 from .simulator import (
     DivergenceError,
     RunTrace,
-    Strategy,
     TraceRow,
     run_simulation,
     staleness_summary,

@@ -1,6 +1,6 @@
 """Shared numeric primitives: dense vectors, seeded RNG streams and the
-stream ids a run draws from, the learning-rate formula, and compute-time
-models.
+stream ids a run draws from, the learning-rate formula, and the sampler of
+compute times.
 
 Parameter vectors are plain 1-D float64 numpy arrays, not wrapped in a class:
 as_vec makes one, and all_finite, one dot product with a zero vector, is the
@@ -12,9 +12,12 @@ id), is ours, so callers draw with the Generator methods themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import ComputeTimeModel
 
 __all__ = [
     "Vec",
@@ -22,7 +25,6 @@ __all__ = [
     "all_finite",
     "RngStream",
     "learning_rate",
-    "ComputeTimeModel",
     "sample_compute_time",
 ]
 
@@ -92,32 +94,9 @@ def learning_rate(base_lr: float, warmup: int, decay: str, t: int) -> float:
     return base_lr * factor
 
 
-@dataclass(frozen=True)
-class ComputeTimeModel:
-    """Distribution of per-batch compute durations, in seconds per cost unit,
-    e.g. ComputeTimeModel("normal", 1.0, 0.2).
-
-    kind="constant": always `mean`; it takes no std. kind="normal": normal(mean,
-    std) truncated below at mean/10 by rejection so durations stay positive.
-    """
-
-    kind: str
-    mean: float
-    std: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "normal"):
-            raise ValueError(f"compute.kind must be constant or normal, got {self.kind!r}")
-        if self.mean <= 0:
-            raise ValueError("compute.mean must be > 0")
-        if self.std < 0:
-            raise ValueError("compute.std must be >= 0")
-        if self.kind == "constant" and self.std != 0:
-            raise ValueError("compute 'constant' does not take compute.std")
-
-
 def sample_compute_time(rng: RngStream, model: ComputeTimeModel) -> float:
-    """Draw one positive compute duration from `model` using `rng`.
+    """Draw one positive compute duration from `model` using `rng`: see
+    config.ComputeTimeModel for the two kinds.
 
     The constant model returns exactly `mean` and consumes no randomness.
     """

@@ -23,13 +23,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .config import (
+    AdamConfig,
+    ComputeTimeModel,
     ConfigError,
     ExperimentConfig,
+    Strategy,
     parse_config,
     serialize_config,
     stage_key,
 )
-from .core import ComputeTimeModel, RngStream
+from .core import RngStream
 from .models import (
     Batch,
     LinearRegression,
@@ -39,10 +42,9 @@ from .models import (
     make_blob_samples,
     make_linreg_samples,
 )
-from .optim import AdamConfig, AdamState, adam_step
+from .optim import AdamState, adam_step
 from .simulator import (
     RunTrace,
-    Strategy,
     build_experiment,
     run_simulation,
     staleness_summary,

@@ -15,7 +15,7 @@ Python float. Both hold the same float64 value, so each element-wise
 operation rounds to the same bits, but numpy applies the array with less
 call overhead (at d = 20, 0.43 against 0.62 us per operation on a shared
 2-core x86-64 host, Python 3.11, NumPy 2.4). beta1, 1-beta1, beta2,
-1-beta2 and epsilon are built once per AdamConfig (AdamConfig.operands);
+1-beta2 and epsilon are built once per config.AdamConfig (its operands);
 lr and the two bias corrections are wrapped once per step (0.19 us a
 wrap, about what it saves). A bias correction 1 - beta**t that is exactly
 1.0 is not divided by, since x/1.0 is x, bit for bit, for every double:
@@ -30,53 +30,22 @@ which its 12 operations take 5.1 us.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Vec
 
+if TYPE_CHECKING:
+    from .config import AdamConfig
+
 __all__ = [
-    "AdamConfig",
     "AdamState",
     "adam_step",
     "sgd_step",
     "adam_direction",
     "predicted_efficiency",
 ]
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    """Adam hyperparameters. epsilon=0 is allowed and makes the update
-    exactly scale invariant."""
-
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("optimizer.alpha must be > 0")
-        if not 0 <= self.beta1 < 1:
-            raise ValueError("optimizer.beta1 must be in [0, 1)")
-        if not 0 <= self.beta2 < 1:
-            raise ValueError("optimizer.beta2 must be in [0, 1)")
-        if self.epsilon < 0:
-            raise ValueError("optimizer.epsilon must be >= 0")
-
-    @cached_property
-    def operands(self) -> tuple[np.ndarray, ...]:
-        """(beta1, 1-beta1, beta2, 1-beta2, epsilon) as read-only 0-d
-        float64 arrays, built at the first step and shared by every step
-        on this config. Not a field, so equality, hashing and the config
-        echo see only the four hyperparameters."""
-        b1, b2, eps = self.beta1, self.beta2, self.epsilon
-        operands = tuple(np.array(x, np.float64) for x in (b1, 1.0 - b1, b2, 1.0 - b2, eps))
-        for x in operands:
-            x.setflags(write=False)
-        return operands
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Parameter-server simulation: strategies, staleness accounting, event loop.
+"""Parameter-server simulation: staleness accounting and the event loop.
 
 One state machine covers all six communication strategies. A strategy
-normalizes to four numbers (local accumulation L, server accumulation G,
-pull period U, barrier flag):
+(config.Strategy) normalizes to four numbers (local accumulation L,
+server accumulation G, pull period U, barrier flag):
 
 * async family (async, local_accum, global_accum, combined): each worker
   re-pulls parameters right after every push; the server applies one
@@ -43,7 +43,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
 import numpy as np
@@ -77,7 +77,6 @@ if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 __all__ = [
-    "Strategy",
     "TraceRow",
     "RunTrace",
     "DivergenceError",
@@ -87,89 +86,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "TRACE_COLUMNS",
 ]
-
-# The Strategy fields each kind takes, in label order; a kind fixes every
-# other field at 1.
-_PARAMS = {
-    "sync": (),
-    "sync_stale": ("pull_every",),
-    "async": (),
-    "local_accum": ("local",),
-    "global_accum": ("global_count",),
-    "combined": ("local", "global_count"),
-}
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Communication strategy, built by the constructor, e.g.
-    Strategy("global_accum", global_count=4), or from its label by parse.
-
-    _PARAMS is the one record of which parameters each kind takes: the
-    constructor's checks, label and parse all read it. The constructor
-    insists that parameters a kind does not take stay at 1, so equal
-    strategies compare equal. A label is the kind followed by its
-    parameters in table order, joined by "-", e.g. "sync_stale-7" or
-    "combined-2-3" (local, then global). Check messages name each field by
-    its config key (strategy.global for global_count).
-
-    Degenerate parameter choices collapse onto each other by construction:
-    local_accum-1, global_accum-1 and combined-1-1 all run exactly the
-    async schedule, and sync_stale-1 runs exactly sync. They stay distinct
-    values here (the trace records what was configured); the simulation
-    engine sees only the normalized numbers.
-    """
-
-    kind: str
-    local: int = 1
-    global_count: int = 1
-    pull_every: int = 1
-
-    def __post_init__(self):
-        if self.kind not in _PARAMS:
-            raise ValueError(
-                f"strategy.kind must be one of {', '.join(_PARAMS)}, got {self.kind!r}"
-            )
-        keys = [(f.name, "strategy." + f.name.removesuffix("_count")) for f in fields(self)[1:]]
-        for name, key in keys:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{key} must be >= 1")
-        for name, key in keys:
-            if name not in _PARAMS[self.kind] and getattr(self, name) != 1:
-                raise ValueError(f"strategy {self.kind!r} does not take {key}")
-
-    @property
-    def is_barrier(self) -> bool:
-        return self.kind in ("sync", "sync_stale")
-
-    def effective(self, n_workers: int) -> tuple[int, int, int]:
-        """(L, G, U) as the engine runs them; barrier strategies aggregate
-        all N workers per update."""
-        if self.is_barrier:
-            return 1, n_workers, self.pull_every
-        return self.local, self.global_count, 1
-
-    @property
-    def label(self) -> str:
-        params = (str(getattr(self, n)) for n in _PARAMS[self.kind])
-        return "-".join([self.kind, *params])
-
-    @classmethod
-    def parse(cls, text: str) -> "Strategy":
-        """Inverse of .label, e.g. "async", "sync_stale-7", "combined-2-2"."""
-        kind, *args = text.strip().split("-")
-        try:
-            nums = [int(a) for a in args]
-        except ValueError:
-            raise ValueError(f"bad strategy parameters in {text!r}") from None
-        names = _PARAMS.get(kind)
-        if names is None or len(nums) != len(names):
-            raise ValueError(f"cannot parse strategy {text!r}")
-        try:
-            return cls(kind, **dict(zip(names, nums)))
-        except ValueError as e:
-            raise ValueError(f"invalid strategy {text!r}: {e}") from None
-
 
 class TraceRow(NamedTuple):
     """One trace.csv row. Its fields, in order, are the file's columns

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from stalesim.config import ExperimentConfig, ObjectiveSpec
-from stalesim.core import ComputeTimeModel, RngStream
+from stalesim.config import AdamConfig, ComputeTimeModel, ExperimentConfig, ObjectiveSpec, Strategy
+from stalesim.core import RngStream
 from stalesim.harness import (
     run_experiment,
     selftest_adam_table,
@@ -19,9 +19,8 @@ from stalesim.harness import (
     selftest_staleness_table,
 )
 from stalesim.models import dynamic_batcher
-from stalesim.optim import AdamConfig, AdamState, adam_direction, adam_step, predicted_efficiency, sgd_step
+from stalesim.optim import AdamState, adam_direction, adam_step, predicted_efficiency, sgd_step
 from stalesim.simulator import (
-    Strategy,
     build_experiment,
     run_simulation,
     staleness_summary,

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,13 @@ from stalesim.config import (
     ConfigError,
     ExperimentConfig,
     ObjectiveSpec,
+    Strategy,
     parse_config,
     serialize_config,
     stage_key,
 )
 from stalesim.models import Quadratic
-from stalesim.simulator import Strategy, build_experiment
+from stalesim.simulator import build_experiment
 
 MINIMAL = """
 objective.kind = quadratic
@@ -339,32 +341,54 @@ def test_experiment_config_rejects_a_non_finite_absolute_threshold():
 _RULE_TEXT = {key: text for rules in config._RULES.values() for _, _, key, text in rules}
 
 
-def _assert_rule_edges(key, tag, rule):
-    """parse_config accepts each allowed word and each inclusive bound, and
-    rejects another word, an exclusive bound and one step past each bound
-    (1 for ints, the next float for floats) with a ConfigError naming key."""
-    if isinstance(rule, tuple):
-        accepted, rejected = list(rule), [rule[0] + "x"]
-    else:
-        accepted, rejected = [], []
-        for op, num in (c.split() for c in rule.split(" and ")):
-            bound = int(num) if tag == "int" else float(num)
-            out = -1 if op[0] == ">" else 1  # the side of the bound that is rejected
-            past, inside = ((bound + out, bound - out) if tag == "int" else
-                            (math.nextafter(bound, out * math.inf),
-                             math.nextafter(bound, -out * math.inf)))
-            accepted.append(bound if op.endswith("=") else inside)
-            rejected.append(past if op.endswith("=") else bound)
-    for value in accepted:
-        parse_config(f"{key} = {value}\n")
-    for value in rejected:
-        with pytest.raises(ConfigError, match=re.escape(key)):
-            parse_config(f"{key} = {value}\n")
+def _rule_edges(k):
+    """(accepted, rejected) values of k's rule: each allowed word and each
+    inclusive bound, then another word, an exclusive bound and one step
+    past each bound (1 for ints, the next float for floats)."""
+    if isinstance(k.rule, tuple):
+        return list(k.rule), [k.rule[0] + "x"]
+    accepted, rejected = [], []
+    for op, num in (c.split() for c in k.rule.split(" and ")):
+        bound = int(num) if k.tag == "int" else float(num)
+        out = -1 if op[0] == ">" else 1  # the side of the bound that is rejected
+        past, inside = ((bound + out, bound - out) if k.tag == "int" else
+                        (math.nextafter(bound, out * math.inf),
+                         math.nextafter(bound, -out * math.inf)))
+        accepted.append(bound if op.endswith("=") else inside)
+        rejected.append(past if op.endswith("=") else bound)
+    return accepted, rejected
 
 
 @pytest.mark.parametrize("k", [k for k in config._KEYS if k.rule], ids=lambda k: k.key)
 def test_each_rule_accepts_its_edges_and_rejects_one_step_past(k):
-    _assert_rule_edges(k.key, k.tag, k.rule)
+    accepted, rejected = _rule_edges(k)
+    for value in accepted:
+        parse_config(f"{k.key} = {value}\n")
+    for value in rejected:
+        with pytest.raises(ConfigError, match=re.escape(k.key)):
+            parse_config(f"{k.key} = {value}\n")
+
+
+def test_every_value_type_lives_in_config_and_checks_its_keys_by_rule():
+    # every key but these has a rule in _KEYS; they are checked per value
+    # (thresholds, thresholds.absolute), at summary time (thresholds.target)
+    # or by their type alone (parallel, out_dir)
+    unruled = {"parallel", "thresholds", "thresholds.target", "thresholds.absolute", "out_dir"}
+    assert {k.key for k in config._KEYS if not k.rule} == unruled
+    defaults = ExperimentConfig()
+    owners = {k.path.partition(".")[0] for k in config._KEYS if "." in k.path}
+    assert owners == {"objective", "strategy", "adam", "compute"}
+    for owner in owners:
+        assert type(getattr(defaults, owner)).__module__ == "stalesim.config", owner
+    # built directly, each type raises the rule's own message for the
+    # first value that rule rejects
+    for k in config._KEYS:
+        owner, _, name = k.path.rpartition(".")
+        if owner and k.rule:
+            value = _rule_edges(k)[1][0]
+            with pytest.raises(ValueError) as e:
+                replace(getattr(defaults, owner), **{name: value})
+            assert str(e.value) == f"{k.key} must be {_RULE_TEXT[k.key]}, got {value!r}"
 
 
 def test_quadratic_at_the_cond_ceiling_is_positive_definite():
@@ -401,9 +425,8 @@ _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_key_table_matches_the_key_table():
-    # each row: key, type, default, allowed values, stage. Rows of keys
-    # that Strategy, AdamConfig or ComputeTimeModel check state their rule
-    # in the same grammar, and it is held to the same edges
+    # each row: key, type, default, allowed values, stage; a key with a
+    # rule states it as messages do
     rows = re.findall(r"^\| `(\S+)` \| (\S+) \| (.+?) \| (.+?) \| (\S+) \|$",
                       _README.read_text(encoding="utf-8"), re.M)
     assert [r[0] for r in rows] == [k.key for k in config._KEYS]
@@ -414,7 +437,3 @@ def test_readme_key_table_matches_the_key_table():
         assert default == (f"`{defaults[key]}`" if key in defaults else "unset"), key
         if k.rule:
             assert allowed == f"`{_RULE_TEXT[key]}`", key
-        elif k.path.partition(".")[0] in ("strategy", "adam", "compute"):
-            text = allowed.strip("`")
-            rule = text if text[0] in "<>" else tuple(re.split(r", | or ", text))
-            _assert_rule_edges(key, k.tag, rule)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import stalesim
 from stalesim.cli import main
+from stalesim.config import ComputeTimeModel
 from stalesim.core import (
-    ComputeTimeModel,
     RngStream,
     all_finite,
     as_vec,
@@ -222,6 +222,13 @@ def test_compute_time_model_validation():
         ComputeTimeModel("normal", -1.0, 0.1)
     with pytest.raises(ValueError, match="does not take compute.std"):
         ComputeTimeModel("constant", 1.0, 0.5)
+    # the sampler's rejection loop never ends at an infinite mean, so a
+    # non-finite value is refused at construction (and never sampled here)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="compute.mean"):
+            ComputeTimeModel("normal", bad, 0.2)
+        with pytest.raises(ValueError, match="compute.std"):
+            ComputeTimeModel("normal", 1.0, bad)
 
 
 @settings(max_examples=25)

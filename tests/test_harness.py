@@ -10,10 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from stalesim import harness, simulator
+from stalesim import config, harness, simulator
 from stalesim.cli import main
-from stalesim.config import ExperimentConfig, ObjectiveSpec, parse_config, serialize_config
-from stalesim.core import ComputeTimeModel
+from stalesim.config import (
+    AdamConfig,
+    ComputeTimeModel,
+    ExperimentConfig,
+    ObjectiveSpec,
+    Strategy,
+    parse_config,
+    serialize_config,
+)
 from stalesim.harness import (
     EXIT_CONFIG_ERROR,
     EXIT_DIVERGED,
@@ -30,8 +37,7 @@ from stalesim.harness import (
     summarize,
     sweep,
 )
-from stalesim.optim import AdamConfig
-from stalesim.simulator import RunTrace, Strategy, run_simulation
+from stalesim.simulator import RunTrace, run_simulation
 
 
 def _fast_cfg(**kw):
@@ -272,15 +278,17 @@ def test_cli_run_seed_override_changes_trace(tmp_path):
     assert a != b
 
 
-# every float key that admits 0.0 (its ">= 0" rule, or compute.std's own
-# check) with the config lines that make it reach the run
-_ZERO_KEYS = {
-    "objective.noise_sigma": "",
-    "objective.theta_star_scale": "",
+# every float key whose rule admits 0.0, and the config lines that some
+# of them need beside them to reach the run
+_ZERO_KEYS = [
+    k.key
+    for k in config._KEYS
+    if k.tag == "float" and k.rule and all(
+        test(0.0) for _, test, key, _ in config._RULES[k.path.rpartition(".")[0]] if key == k.key
+    )
+]
+_ZERO_PREAMBLE = {
     "objective.target_noise": "objective.kind = linreg\nobjective.dim = 3\n",
-    "schedule.batch_scale": "",
-    "comm.latency": "",
-    "budget.sim_time": "",
     "compute.std": "compute.kind = normal\n",
 }
 
@@ -293,7 +301,7 @@ def test_cli_run_reads_a_minus_zero_key_as_zero(tmp_path, capsys, key):
     for value in ("-0.0", "0.0"):
         cfg_path = tmp_path / f"{value}.cfg"
         cfg_path.write_text(
-            "budget.updates = 20\nthresholds =\n" + _ZERO_KEYS[key] + f"{key} = {value}\n"
+            "budget.updates = 20\nthresholds =\n" + _ZERO_PREAMBLE.get(key, "") + f"{key} = {value}\n"
         )
         out = tmp_path / value
         code = main(["run", str(cfg_path), "--out-dir", str(out)])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stalesim.config import AdamConfig
 from stalesim.core import RngStream, as_vec
 from stalesim.optim import (
-    AdamConfig,
     AdamState,
     adam_direction,
     adam_step,
@@ -135,6 +135,8 @@ def test_adam_config_validation():
         dict(beta1=-0.1),
         dict(beta2=1.0),
         dict(epsilon=-1e-9),
+        dict(alpha=math.nan),  # nan fails every bound
+        dict(epsilon=math.nan),
     ):
         with pytest.raises(ValueError):
             _paper_cfg(**bad)

@@ -15,22 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stalesim import simulator
+from stalesim import config, simulator
 from stalesim.config import (
+    AdamConfig,
+    ComputeTimeModel,
     ExperimentConfig,
     ObjectiveSpec,
+    Strategy,
     parse_config,
     serialize_config,
 )
-from stalesim.core import ComputeTimeModel, RngStream, learning_rate, sample_compute_time
+from stalesim.core import RngStream, learning_rate, sample_compute_time
 from stalesim.harness import EXIT_DIVERGED, run_experiment
 from stalesim.models import Objective, Quadratic, dynamic_batcher
-from stalesim.optim import AdamConfig, AdamState, adam_step, sgd_step
+from stalesim.optim import AdamState, adam_step, sgd_step
 from stalesim.simulator import (
     TRACE_COLUMNS,
     DivergenceError,
     RunTrace,
-    Strategy,
     TraceRow,
     build_experiment,
     run_simulation,
@@ -57,13 +59,13 @@ def _cfg(**kw):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(simulator._PARAMS)),
+    kind=st.sampled_from(sorted(config._PARAMS)),
     a=st.integers(1, 9),
     b=st.integers(1, 9),
 )
 def test_strategy_labels_round_trip(kind, a, b):
     # the kind takes the first len(_PARAMS[kind]) of (a, b), in label order
-    s = Strategy(kind, **dict(zip(simulator._PARAMS[kind], (a, b))))
+    s = Strategy(kind, **dict(zip(config._PARAMS[kind], (a, b))))
     assert Strategy.parse(s.label) == s
     # the label form is shorthand for the four strategy.* lines
     components = "".join(
