@@ -3,10 +3,9 @@ stream ids a run draws from, the learning-rate formula, and the sampler of
 compute times.
 
 Parameter vectors are plain 1-D float64 numpy arrays, not wrapped in a class:
-as_vec makes one, and all_finite, one dot product with a zero vector, is the
-finiteness check a run makes on every update. An RngStream is likewise a
-plain numpy Generator; only its constructor, which keys it on (seed, stream
-id), is ours, so callers draw with the Generator methods themselves.
+as_vec makes one. An RngStream is likewise a plain numpy Generator; only
+its constructor, which keys it on (seed, stream id), is ours, so callers
+draw with the Generator methods themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Vec",
     "as_vec",
-    "all_finite",
     "RngStream",
     "learning_rate",
     "sample_compute_time",
@@ -38,13 +36,6 @@ def as_vec(values) -> Vec:
     if v.ndim != 1:
         raise ValueError(f"parameter vector must be 1-D, got shape {v.shape}")
     return v
-
-
-def all_finite(x: Vec, zero: Vec) -> bool:
-    """Whether x holds no inf or nan, given zeros of its length: x.zero is
-    nan exactly then, as 0*inf and 0*nan are nan and 0*finite is 0. Call it
-    under np.errstate(invalid="ignore"): 0*inf sets numpy's invalid flag."""
-    return not math.isnan(x.dot(zero))
 
 
 class RngStream(np.random.Generator):

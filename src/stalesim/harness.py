@@ -117,8 +117,8 @@ class SummaryReport:
     def to_json(self) -> str:
         """summary.json: the fields, with `config_echo` written as `config`,
         plus `schema` and each threshold's `sim_hours`, keys sorted. A
-        non-finite number (an initial loss that overflowed, and the
-        fraction levels built on it) is written as null."""
+        non-finite number (an initial loss that overflowed or was never
+        probed, and the fraction levels built on it) is written as null."""
         doc = asdict(self)
         doc["schema"] = SUMMARY_SCHEMA
         doc["config"] = doc.pop("config_echo")

@@ -2,13 +2,14 @@
 
 Adam and plain SGD are implemented as pure functions over explicit state
 and an explicit learning rate: the engine (simulator._Run.update) owns the
-Adam state, passes the scheduled rate to every step and checks the results
-for finiteness, so these functions leave values unchecked. The analysis
-half (`adam_direction`, `predicted_efficiency`) quantifies how gradient
-noise throttles Adam: in the long run the mean update magnitude per
-coordinate approaches 1/sqrt(CoV^2 + 1) where CoV is the coefficient of
-variation of the gradient stream, so averaging independent samples (which
-shrinks CoV as 1/sqrt(N)) speeds Adam up.
+Adam state and passes the scheduled rate to every step, and
+simulator._Run.probe_queued checks the results for finiteness, so these
+functions leave values unchecked. The analysis half (`adam_direction`,
+`predicted_efficiency`) quantifies how gradient noise throttles Adam: in
+the long run the mean update magnitude per coordinate approaches
+1/sqrt(CoV^2 + 1) where CoV is the coefficient of variation of the
+gradient stream, so averaging independent samples (which shrinks CoV as
+1/sqrt(N)) speeds Adam up.
 
 Every scalar operand of a step is applied as a 0-d float64 array, not as a
 Python float. Both hold the same float64 value, so each element-wise

@@ -22,8 +22,8 @@ for their probe, each version's rate and loss and one record per push,
 and each worker's stream, pulled snapshot, gradient sum and batch in
 flight, in lists by worker id. Its push method is the whole push step,
 from the worker's gradient to the push's record; its update method alone
-changes the parameters, and queues each version for a probe that runs in
-blocks (probe_queued).
+changes the parameters, and queues each version for the one divergence
+check and its probe, which run in blocks (probe_queued).
 
 run_simulation is the one entry point. It runs one event loop,
 _Run.execute, on the calling thread; the loop keeps the one event source, a
@@ -56,7 +56,6 @@ from .core import (
     STREAM_WORKER_BASE,
     RngStream,
     Vec,
-    all_finite,
     learning_rate,
     sample_compute_time,
 )
@@ -112,10 +111,10 @@ _CSV_CHUNK = 256
 
 
 class DivergenceError(RuntimeError):
-    """Raised by _Run when the parameters, Adam's second moment or the
-    probe loss, the initial one included, stop being finite. _Run.execute
-    converts it into a diverged trace that keeps the rows recorded before
-    the version it names."""
+    """Raised by _Run.probe_queued alone, at the earliest version whose
+    parameters, Adam's second moment or probe loss is not finite, the
+    initial version included. _Run.execute converts it into a diverged
+    trace that keeps the rows recorded before the version it names."""
 
 
 @dataclass
@@ -126,7 +125,8 @@ class RunTrace:
     update it completed), and its loss_probe is the probe loss of the
     version it left. rows gives the same trace as TraceRows.
     initial_loss is the probe loss of the initial parameters (version 0),
-    non-finite when that probe ended the run.
+    non-finite when that probe ended the run, and nan when the initial
+    parameters are not finite, so they were never probed.
     """
 
     columns: dict
@@ -310,7 +310,7 @@ def build_experiment(
 # MLP on 126 probe samples, 37, 16 and 22 us. Objective.loss is the K=1
 # call without the stacking.
 # A larger block saves little more, and a run computes up to K - 1 more
-# versions before it sees a non-finite probe.
+# versions before it sees non-finite parameters, Adam's v or probe loss.
 _PROBE_BLOCK = 64
 
 
@@ -334,24 +334,24 @@ class _Run:
     sample_compute_time are read from this module's globals when _Run is
     built, so a wrapper swapped into those globals before a run (as
     perfbench/tracer.py does) sees every call. From then on only update
-    changes theta: it applies the optimizer step at the scheduled rate,
-    checks the new parameters and Adam's second moment v for finiteness,
-    and queues the new version for its probe. A non-finite gradient makes
-    the SGD parameters or Adam's v non-finite at the update that applies
-    it; so does a finite one above ~1e154, whose g*g overflows v and would
-    freeze its coordinate.
+    changes theta: it applies the optimizer step at the scheduled rate and
+    queues the new version with Adam's second moment v, unchecked. A
+    non-finite gradient makes the SGD parameters or Adam's v non-finite at
+    the update that applies it; so does a finite one above ~1e154, whose
+    g*g overflows v and would freeze its coordinate.
 
-    Queued versions are probed in blocks, one objective.losses call on
-    their stack (see probe_queued): every _PROBE_BLOCK versions, at the
-    end of the run and before any exception leaves execute. A push
-    appends one record, (the version it left, sim time, staleness, worker
-    id); execute transposes the records into the trace columns once and
-    fills each row's lr and loss_probe, facts of its version, from
-    version_lr and version_loss. There is one probe per version, so with
-    G > 1 (and for the barrier strategies) one per G pushes. A probe that
-    goes non-finite at version v rolls the run back to v, so the run ends
-    as if it had been seen at once: the earliest divergence wins, and at
-    one version the parameter and Adam checks come before the probe.
+    Queued versions are checked and probed in blocks (see probe_queued):
+    every _PROBE_BLOCK versions, at the end of the run and before any
+    exception leaves execute. That is the one place a run is found to
+    diverge. A push appends one record, (the version it left, sim time,
+    staleness, worker id); execute transposes the records into the trace
+    columns once and fills each row's lr and loss_probe, facts of its
+    version, from version_lr and version_loss. There is one probe per
+    version, so with G > 1 (and for the barrier strategies) one per G
+    pushes. The earliest version v whose parameters, v or probe loss is
+    not finite rolls the run back to v, so the run ends as if each version
+    had been checked at its update: the earliest failure wins, and at one
+    version the parameters come before Adam's v and v before the probe.
 
     No array is written after it is made. A sum is rebound, not added into
     a zeroed buffer, so with L = G = 1 the optimizer steps with the array
@@ -383,7 +383,6 @@ class _Run:
         self.theta = theta0.copy()
         self.theta.setflags(write=False)
         self.version = 0
-        self.zero = np.zeros_like(self.theta)  # for all_finite
         self.accum, self.accum_count = None, 0
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
@@ -398,9 +397,11 @@ class _Run:
         # version) and the probe loss of each version probed so far
         self.version_lr = [0.0]
         self.version_loss: list[float] = []
-        # per version waiting for its probe: (theta, pushes recorded
-        # before it, total_cost at it); version 0 is the initial theta
-        self.queued: list[tuple[Vec, int, int]] = [(self.theta, 0, 0)]
+        # per version waiting for its check and probe: (theta, Adam's v or
+        # None, pushes recorded before it, total_cost at it); version 0 is
+        # the initial theta
+        v0 = None if self.adam is None else self.adam_state.v
+        self.queued: list[tuple[Vec, Vec | None, int, int]] = [(self.theta, v0, 0, 0)]
         # one record per push, in push order:
         # (version it left, sim time, staleness, worker id)
         self.pushed: list[tuple[int, float, int, int]] = []
@@ -424,13 +425,18 @@ class _Run:
         return self.sample(self.rngs[w], self.compute) * batch.total_cost
 
     def probe_queued(self) -> None:
-        """Probe every queued version in one stacked losses call and empty
-        the queue. When one is not finite, the earliest of them, v, rolls
-        the run back to it: the push records keep only the pushes recorded
-        before v, theta becomes theta_v and total_cost its value at v, and
-        the losses kept end with v's own (no kept row reads it, but the
-        initial loss is version 0's); then it raises DivergenceError, as an
-        immediate probe would have.
+        """Check and probe every queued version, then empty the queue: the
+        one place a run is found to diverge. One np.isfinite pass over the
+        block's stacked parameters and Adam v's finds the earliest version
+        whose parameters or v are not finite, and one stacked losses call
+        probes only the versions before it, so no probe sees a non-finite
+        row. The earliest failure, a non-finite probe or else that version
+        (its parameters named before its v), rolls the run back to its
+        version: the push records keep only the pushes recorded before it,
+        theta becomes its theta and total_cost its value there, and the
+        losses kept end with the probed ones up to it (no kept row reads
+        the failed version's, but the initial loss is version 0's); then it
+        raises DivergenceError, as a check at each update would have.
 
         An objective that is not an Objective, such as a wrapper that times
         or counts loss calls, is probed by Objective's default losses on the
@@ -439,44 +445,45 @@ class _Run:
         if not self.queued:
             return
         queued, self.queued = self.queued, []
-        first = len(self.version_loss)  # the version of queued[0]
-        thetas = [theta for theta, _, _ in queued]
-        if isinstance(self.objective, Objective):
-            # the stack np.stack builds, from one concatenate: np.stack
-            # checks and reshapes each of the up to 64 rows on its own
-            stack = np.concatenate(thetas).reshape(len(thetas), -1)
-            stack.setflags(write=False)
-            losses = self.objective.losses(stack, self.probe).tolist()
-        else:
-            losses = Objective.losses(self.objective, thetas, self.probe).tolist()
-        if all(map(math.isfinite, losses)):
-            self.version_loss += losses
+        first, n = len(self.version_loss), len(queued)  # first: queued[0]'s version
+        thetas = [q[0] for q in queued]
+        # the n parameter rows, then, under Adam, the n rows of v
+        stack = np.concatenate(thetas + [q[1] for q in queued if q[1] is not None])
+        stack = stack.reshape(-1, len(self.theta))
+        stack.setflags(write=False)
+        row_ok = np.isfinite(stack).all(axis=1)
+        # the earliest version whose parameters or v failed, else n
+        k = n if row_ok.all() else int(row_ok.reshape(-1, n).all(axis=0).argmin())
+        losses = []
+        if k and isinstance(self.objective, Objective):
+            losses = self.objective.losses(stack[:k], self.probe).tolist()
+        elif k:
+            losses = Objective.losses(self.objective, thetas[:k], self.probe).tolist()
+        # the earliest non-finite probe, else k
+        j = next((i for i, loss in enumerate(losses) if not math.isfinite(loss)), k)
+        self.version_loss += losses[: j + 1]
+        if j == n:
             return
-        k = next(k for k, loss in enumerate(losses) if not math.isfinite(loss))
-        self.version_loss += losses[: k + 1]
-        self.theta, pushes, self.total_cost = queued[k]
+        what = "probe loss" if j < k else "Adam's second moment" if row_ok[j] else "parameters"
+        self.theta, _, pushes, self.total_cost = queued[j]
         del self.pushed[pushes:]
-        raise DivergenceError(f"probe loss went non-finite at update {first + k}")
+        raise DivergenceError(f"{what} went non-finite at update {first + j}")
 
     def update(self, g: Vec) -> None:
         """Apply one optimizer step with the combined gradient g, making the
-        next version, and queue it for its probe, probing the queue once it
-        holds _PROBE_BLOCK versions. Raises DivergenceError when the new
-        parameters or Adam's v, or a probed loss, is not finite."""
+        next version, and queue it with Adam's v for its check and probe,
+        which run once the queue holds _PROBE_BLOCK versions."""
         version = self.version + 1
         lr = self.rate(version)
         self.version_lr.append(lr)
         if self.adam is None:
-            theta = self.step(self.theta, g, lr)
+            theta, v = self.step(self.theta, g, lr), None
         else:
             self.adam_state, theta = self.step(self.adam_state, self.adam, self.theta, g, lr)
+            v = self.adam_state.v
         theta.setflags(write=False)
         self.theta, self.version = theta, version
-        if not all_finite(theta, self.zero):
-            raise DivergenceError(f"parameters went non-finite at update {version}")
-        if self.adam is not None and not all_finite(self.adam_state.v, self.zero):
-            raise DivergenceError(f"Adam's second moment went non-finite at update {version}")
-        self.queued.append((theta, len(self.pushed), self.total_cost))
+        self.queued.append((theta, v, len(self.pushed), self.total_cost))
         if len(self.queued) == _PROBE_BLOCK:
             self.probe_queued()
 
@@ -484,7 +491,8 @@ class _Run:
         """Finish worker w's batch at time t, push once its sum holds L
         gradients and update once the server's sum holds G pushes. Returns
         (start, workers): the workers that start their next batch, at
-        simulated time `start`. Raises DivergenceError on non-finite values.
+        simulated time `start`. Raises DivergenceError when it completes a
+        block of versions and one of them diverged (see probe_queued).
 
         The whole local sum was computed against one pulled snapshot, since
         re-pulls only happen at push time, so the push's staleness is the
@@ -545,10 +553,11 @@ class _Run:
         any sleep and on t after it; or on divergence: a DivergenceError
         ends the run with a diverged trace that keeps every row recorded
         before it. However the loop ends, the versions still queued are
-        probed first, so a non-finite probe among them ends the run at its
-        version, even when a later exception was leaving the loop. Any
-        other exception, a sleep too long for the clock's range included,
-        then propagates.
+        checked and probed first, so a diverged version among them ends the
+        run at that version, even when a later exception was leaving the
+        loop. Any other exception, a sleep too long for the clock's range
+        included, then propagates. initial_loss is nan when version 0 was
+        never probed, as its parameters were not finite.
         """
         cfg = self.cfg
         limit = cfg.budget_sim_time if cfg.budget_sim_time > 0 else math.inf
@@ -602,7 +611,7 @@ class _Run:
             divergence_reason=reason,
             final_theta=self.theta.copy(),
             total_cost=self.total_cost,
-            initial_loss=self.version_loss[0],
+            initial_loss=self.version_loss[0] if self.version_loss else math.nan,
         )
 
 

@@ -14,24 +14,63 @@ from hypothesis import strategies as st
 
 import stalesim
 from stalesim.cli import main
-from stalesim.config import ComputeTimeModel
+from stalesim.config import AdamConfig, ComputeTimeModel, ExperimentConfig, ObjectiveSpec
 from stalesim.core import (
     RngStream,
-    all_finite,
     as_vec,
     learning_rate,
     sample_compute_time,
 )
+from stalesim.models import Objective
+from stalesim.simulator import run_simulation
 
 
 # ---------------------------------------------------------------------------
 # vectors
 
 
+class _Steps(Objective):
+    """Under SGD at lr 1 from theta 0, update v adds steps[v - 1] to theta:
+    the gradient is the next step's negation, whatever theta is."""
+
+    def __init__(self, steps):
+        self.steps = [np.asarray(s, dtype=float) for s in steps]
+        self.dim = len(self.steps[0])
+        self.calls = 0
+
+    def loss(self, theta, batch):
+        return 0.0
+
+    def grad(self, theta, batch, rng=None):
+        self.calls += 1
+        return -self.steps[min(self.calls, len(self.steps)) - 1]
+
+
+def _run_steps(steps, updates):
+    # one worker, so push v makes update v and leaves a row at version v
+    cfg = ExperimentConfig(
+        objective=ObjectiveSpec(kind="quadratic", dim=1, samples=8),
+        workers=1,
+        optimizer_kind="sgd",
+        adam=AdamConfig(alpha=1.0),
+        schedule_decay="none",
+        budget_updates=updates,
+    )
+    return run_simulation(cfg, objective=_Steps(steps))
+
+
 def _finite(x) -> bool:
-    # 0*inf raises numpy's invalid flag; the engine runs under this errstate
-    with np.errstate(invalid="ignore"):
-        return all_finite(x, np.zeros_like(x))
+    """Whether the run's one divergence check passes parameters x: a run
+    whose first update makes theta = x ends at its budget, or at that
+    update with no row."""
+    trace = _run_steps([x], 1)
+    if not trace.diverged:
+        assert trace.pushes == 1
+        np.testing.assert_array_equal(trace.final_theta, x)
+        return True
+    assert trace.divergence_reason == "parameters went non-finite at update 1"
+    assert trace.pushes == 0
+    return False
 
 
 def test_finiteness_detection():
@@ -52,6 +91,21 @@ def test_finiteness_check_is_exact(n):
     assert _finite(np.resize([1.7e308, 1.7e308, -1.7e308], n))
     for tiny in (5e-324, -2.5e-310, 2.2250738585072e-308):  # denormals
         assert _finite(np.full(n, tiny))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_finiteness_check_finds_a_bad_version_mid_block(bad):
+    # versions are checked 64 at a time: the bad one, 30, sits mid-block
+    # among finite versions that hold a denormal and whose sums overflow,
+    # and the run ends there with the rows of versions 1-29
+    x = np.resize([5e306, 5e306, -5e306, 1e-310], 7)
+    for i in range(7):
+        steps = [x] * 29 + [np.where(np.arange(7) == i, bad, x)] + [x] * 40
+        trace = _run_steps(steps, 100)
+        assert trace.divergence_reason == "parameters went non-finite at update 30", (bad, i)
+        assert trace.columns["update_idx"] == list(range(1, 30))
+        clean = _run_steps([x], 29)
+        assert trace.rows == clean.rows and not clean.diverged
 
 
 def test_every_exported_name_resolves():

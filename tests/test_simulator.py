@@ -1,5 +1,6 @@
 """Event loop, strategies, staleness accounting, traces, paced runs."""
 
+import json
 import math
 import os
 import sys
@@ -26,7 +27,7 @@ from stalesim.config import (
     serialize_config,
 )
 from stalesim.core import RngStream, learning_rate, sample_compute_time
-from stalesim.harness import EXIT_DIVERGED, run_experiment
+from stalesim.harness import EXIT_DIVERGED, run_experiment, summarize
 from stalesim.models import Objective, Quadratic, dynamic_batcher
 from stalesim.optim import AdamState, adam_step, sgd_step
 from stalesim.simulator import (
@@ -548,6 +549,86 @@ def test_queued_non_finite_probe_wins_over_a_later_parameter_overflow():
     assert overflow.divergence_reason == "parameters went non-finite at update 18"
 
 
+class _AdamClimb(_HugeGradient):
+    """Gradient -1 on both coordinates, so Adam at alpha 1 moves theta[0]
+    up by ~1 per update; gradient call `at` puts `spike` on theta[1]. The
+    probe loss is inf once theta[0] reaches `wall`."""
+
+    def __init__(self, at=None, spike=0.0, wall=math.inf):
+        self.at, self.spike, self.wall = at, spike, wall
+        self.calls = 0
+
+    def loss(self, theta, batch):
+        return math.inf if theta[0] >= self.wall else 0.0
+
+    def grad(self, theta, batch, rng=None):
+        self.calls += 1
+        return np.array([-1.0, self.spike if self.calls == self.at else -1.0])
+
+
+def _adam_climb_cfg(updates):
+    return replace(_sgd_drift_cfg(updates), optimizer_kind="adam")
+
+
+def test_adam_overflow_wins_over_a_later_probe_in_its_block():
+    # g = 1e200 overflows v[1] at version 9 while theta stays finite (the
+    # step divides m by sqrt(inf)); the loss wall at version ~20 sits in
+    # the same 64-version block, so the earliest failure, v's, ends the run
+    trace = run_simulation(
+        _adam_climb_cfg(40), objective=_AdamClimb(at=9, spike=1e200, wall=19.5)
+    )
+    assert trace.divergence_reason == "Adam's second moment went non-finite at update 9"
+    assert np.isfinite(trace.final_theta).all()
+    reference = run_simulation(_adam_climb_cfg(8), objective=_AdamClimb())
+    assert trace.rows == reference.rows  # every row with update_idx < 9
+    assert trace.total_cost == reference.total_cost + 1  # one batch per push
+    wall = run_simulation(_adam_climb_cfg(40), objective=_AdamClimb(wall=19.5))
+    assert wall.divergence_reason == "probe loss went non-finite at update 20"
+
+
+def test_parameters_come_before_adam_at_one_version():
+    # a nan gradient makes theta and v non-finite at the same update
+    trace = run_simulation(_adam_climb_cfg(40), objective=_AdamClimb(at=9, spike=math.nan))
+    assert trace.divergence_reason == "parameters went non-finite at update 9"
+    assert trace.pushes == 8
+
+
+class _DriftLossRejectsNonFinite(_Drift):
+    """_Drift whose loss raises on parameters that are not finite."""
+
+    def loss(self, theta, batch):
+        if not np.isfinite(theta).all():
+            raise AssertionError(f"probed non-finite parameters {theta}")
+        return 0.0
+
+
+def test_versions_past_a_parameter_overflow_are_never_probed():
+    # theta[1] overflows at version 18 of the first block; only versions
+    # 0-17 are probed, so the loss never sees a non-finite row
+    trace = run_simulation(
+        _sgd_drift_cfg(40), objective=_DriftLossRejectsNonFinite([1.0, 1e307])
+    )
+    assert trace.divergence_reason == "parameters went non-finite at update 18"
+    assert trace.updates == 17
+
+
+def test_non_finite_initial_parameters_diverge_at_update_0():
+    cfg = _cfg()
+    objective, dataset, probe, theta0 = build_experiment(cfg)
+    theta0 = theta0.copy()
+    theta0[2] = math.nan
+    trace = run_simulation(cfg, objective, dataset, probe, theta0)
+    assert trace.diverged and trace.rows == []
+    assert trace.divergence_reason == "parameters went non-finite at update 0"
+    assert math.isnan(trace.initial_loss)
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    doc = json.loads(summarize(trace, cfg, trace.initial_loss).to_json(), parse_constant=reject)
+    assert doc["initial_loss"] is None and doc["diverged"] is True
+
+
 # ---------------------------------------------------------------------------
 # pulled snapshots are shared, read-only arrays
 
@@ -1015,26 +1096,28 @@ def test_parallel_stops_before_sleeping_past_the_sim_time_budget():
 
 
 class _SlowGradient(_CountingObjective):
-    """Takes 30 ms of real time per gradient."""
+    """Takes 100 ms of real time per gradient."""
 
     def grad(self, theta, batch, rng=None):
-        time.sleep(0.03)
+        time.sleep(0.1)
         return super().grad(theta, batch, rng)
 
 
 def test_parallel_stops_when_a_push_step_runs_past_the_sim_time_budget():
     # the second completion falls due at ~2 simulated seconds, inside the
-    # 5 s budget, but the first push step takes 30 simulated seconds: the
-    # run observes it past the budget and stops without another row
+    # 50 s budget, but the first push step takes 100 simulated seconds:
+    # the run observes it past the budget and stops without another row.
+    # The first completion falls due at 1 s (1 ms of real time); a sleep
+    # that overshoots still observes it well inside the budget
     cfg = _cfg(
         workers=1,
-        budget_sim_time=5.0,
+        budget_sim_time=50.0,
         parallel=True,
         parallel_time_scale=0.001,
     )
     trace = _finishes(lambda: run_simulation(cfg, objective=_SlowGradient()))["trace"]
     assert len(trace.rows) == 1
-    assert all(r.sim_time_s <= 5.0 for r in trace.rows)
+    assert all(r.sim_time_s <= 50.0 for r in trace.rows)
 
 
 class _ThreadCountingObjective(_CountingObjective):
