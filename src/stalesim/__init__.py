@@ -5,6 +5,11 @@ and local/global gradient accumulation on toy objectives. One entry
 point, run_simulation, runs a reproducible discrete-event scheduler, or,
 when the config sets parallel, plays the same event loop back against a
 real clock.
+
+The package root exports the run layer alone, from config, core, models,
+optim and simulator, and importing it loads no other stalesim module.
+The experiment harness (run_experiment, summarize, sweep, SummaryReport
+and the selftests) is imported from stalesim.harness.
 """
 
 from .config import (
@@ -18,15 +23,6 @@ from .config import (
     serialize_config,
 )
 from .core import RngStream, learning_rate, sample_compute_time
-from .harness import (
-    SummaryReport,
-    run_experiment,
-    selftest_adam_table,
-    selftest_gradients,
-    selftest_staleness_table,
-    summarize,
-    sweep,
-)
 from .models import (
     Batch,
     LinearRegression,
@@ -69,7 +65,6 @@ __all__ = [
     "RngStream",
     "RunTrace",
     "Strategy",
-    "SummaryReport",
     "TraceRow",
     "adam_direction",
     "adam_step",
@@ -78,16 +73,10 @@ __all__ = [
     "learning_rate",
     "parse_config",
     "predicted_efficiency",
-    "run_experiment",
     "run_simulation",
     "sample_compute_time",
-    "selftest_adam_table",
-    "selftest_gradients",
-    "selftest_staleness_table",
     "serialize_config",
     "sgd_step",
     "staleness_summary",
-    "summarize",
-    "sweep",
     "__version__",
 ]

@@ -279,9 +279,11 @@ def sweep(
     Every point is checked before any runs, so bad input anywhere in the
     grid raises a ConfigError with nothing written: a bad value, two
     points that would share a directory, two points with the same config
-    (the same experiment twice), and a fraction-threshold target above a
-    point's initial probe loss. Then every point's directory is made, and
-    one that cannot be made raises a ConfigError too.
+    (the same experiment twice), a grid over out_dir (each point writes
+    under the sweep's out_dir, never under its own) and a
+    fraction-threshold target above a point's initial probe loss. Then
+    every point's directory is made, and one that cannot be made raises a
+    ConfigError too.
 
     Points that agree on every build key (config stage_key "build") can
     share one build_experiment result, which is read-only. Unpaced points
@@ -314,6 +316,8 @@ def sweep(
         if first != label:
             raise ConfigError(f"sweep points {first} and {label} have the same config")
         points[path] = (label, cfg)
+    if "out_dir" in grid:
+        raise ConfigError(f"sweep cannot grid over out_dir: every point writes under {out_dir}")
     groups: dict[tuple, list] = {}  # build key -> [(directory, config)]
     for path, (_, cfg) in points.items():
         groups.setdefault(stage_key(cfg, "build"), []).append((path, cfg))

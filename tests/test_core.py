@@ -2,9 +2,12 @@
 
 import importlib
 import math
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +133,29 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     mean, final_loss = map(float, capsys.readouterr().out.split())
     assert mean > 0 and math.isfinite(final_loss)
+
+
+def test_importing_the_package_root_loads_only_the_run_layer():
+    # a cold `import stalesim`, and the README library example's import,
+    # load config, core, models, optim and simulator; the harness, the CLI
+    # and the modules only they use stay unloaded
+    library = _README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    (imports,) = re.findall(r"^from stalesim import \(.*?\)$", library, re.S | re.M)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\nimport stalesim\n" + imports + "\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('stalesim')"
+        " or m in ('json', 'concurrent.futures')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "stalesim", "stalesim.config", "stalesim.core", "stalesim.models",
+        "stalesim.optim", "stalesim.simulator",
+    ]
 
 
 def test_readme_cli_transcripts_match(tmp_path, monkeypatch, capsys):

@@ -797,6 +797,20 @@ def test_cli_sweep_rejects_a_repeated_grid_key(tmp_path, capsys):
         assert not (tmp_path / "sw").exists()
 
 
+def test_cli_sweep_rejects_a_grid_over_out_dir(tmp_path, capsys):
+    # every point writes under the sweep's directory, so a grid over
+    # out_dir would run one experiment per value and echo an out_dir in
+    # each summary that was never written to
+    cfg_path = _write_cfg(tmp_path, budget_updates=20)
+    for values in ("x,y", "x"):
+        args = ["sweep", cfg_path, "--grid", f"out_dir={values}"]
+        assert main(args + ["--out-dir", str(tmp_path / "sw")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "out_dir" in err
+        assert not (tmp_path / "sw").exists()
+
+
 def test_cli_rejects_an_output_directory_it_cannot_make_before_running(
     tmp_path, capsys, monkeypatch
 ):
