@@ -239,9 +239,12 @@ def run_experiment(
     above the initial probe loss first, then an output directory that
     cannot be made, which is made before the run. run_simulation paces
     the run on the real clock when cfg.parallel is set and probes the
-    initial loss; the summary takes it from the trace. The exit status
-    for a CLI wrapper comes from SummaryReport.exit_code(): 0 ok, 3
-    diverged, 4 thresholds unreached.
+    initial loss; the summary takes it from the trace. The summary's
+    config echo names the directory written to when cfg sets out_dir,
+    since the out_dir argument (the CLI's --out-dir, a sweep point's
+    subdirectory) sends the files elsewhere; a cfg without out_dir is
+    echoed as it is. The exit status for a CLI wrapper comes from
+    SummaryReport.exit_code(): 0 ok, 3 diverged, 4 thresholds unreached.
     """
     if _target_needs_loss(cfg):
         pieces = build_experiment(cfg, *pieces)
@@ -249,7 +252,8 @@ def run_experiment(
     out = resolve_out_dir(out_dir, cfg)
     _make_out_dir(out)
     trace = run_simulation(cfg, *pieces)
-    report = summarize(trace, cfg, trace.initial_loss)
+    echo = replace(cfg, out_dir=out) if cfg.out_dir else cfg
+    report = summarize(trace, echo, trace.initial_loss)
     trace.to_csv(os.path.join(out, "trace.csv"))
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
         f.write(report.to_json())

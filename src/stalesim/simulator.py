@@ -108,6 +108,22 @@ _CSV_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\n"
 # rows formatted per write: 1,024 wrote a 2,000-row trace only ~0.1 ms
 # faster, but raised the peak RSS of a 2-thread sweep by ~1 MB
 _CSV_CHUNK = 256
+# the columns that hold a fact of the row's version, one object per version
+# (see _Run): to_csv formats each run of one object in them once
+_VERSION_COLUMNS = ("update_idx", "lr", "loss_probe")
+_NOTHING = object()
+
+
+def _str_runs(cells: list) -> list:
+    """The str of each cell, computed once per run of one object. The runs
+    are of identity, not of value: a value-keyed cache would write -0.0 as
+    0.0 after it, and a nan never equals the one before it."""
+    out, last = [], _NOTHING
+    for x in cells:
+        if x is not last:
+            last, text = x, str(x)
+        out.append(text)
+    return out
 
 
 class DivergenceError(RuntimeError):
@@ -175,8 +191,12 @@ class RunTrace:
         shortest round-trip repr, for NumPy floats too) and a footer.
         Rows are formatted _CSV_CHUNK at a time, the chunk's cells
         interleaved into one tuple for one repeated "%s,...,%s" row
-        template (%s is str) and one write, so memory stays flat."""
+        template (%s is str) and one write, so memory stays flat. In the
+        _VERSION_COLUMNS, where the rows of one version hold the same
+        object, each run of one object in a chunk is formatted once
+        (_str_runs); a float's str costs far more than the identity test."""
         columns = [self.columns[c] for c in TRACE_COLUMNS]
+        by_runs = [c in _VERSION_COLUMNS for c in TRACE_COLUMNS]
         k, n = len(columns), self.pushes
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# schema={TRACE_SCHEMA}\n")
@@ -187,7 +207,8 @@ class RunTrace:
                 rows = min(_CSV_CHUNK, n - start)
                 cells = [None] * (k * rows)
                 for j, column in enumerate(columns):
-                    cells[j::k] = column[start : start + rows]
+                    chunk = column[start : start + rows]
+                    cells[j::k] = _str_runs(chunk) if by_runs[j] else chunk
                 f.write(_CSV_ROW * rows % tuple(cells))
             f.write(f"# diverged={'true' if self.diverged else 'false'}\n")
             if self.divergence_reason:
@@ -415,7 +436,9 @@ class _Run:
         self.sum_cost = [0] * n
         self.in_flight: list[Batch | None] = [None] * n
         # round-robin over the batches in dataset order; cycle keeps each
-        # batch as it is cut and replays them once the dataset is used up
+        # batch as the dataset's cut hands it over (every run on this
+        # dataset and budget gets the same views) and replays them once
+        # the dataset is used up
         self.batches = itertools.cycle(dynamic_batcher(dataset, cfg.batch_budget))
 
     def start(self, w: int) -> float:

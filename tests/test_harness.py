@@ -247,6 +247,44 @@ def test_cli_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert "updates" in out
 
 
+def _echo(out_dir) -> str:
+    """The config document a run's summary.json echoes."""
+    return json.loads((out_dir / "summary.json").read_text())["config"]
+
+
+def test_cli_run_echoes_the_directory_it_wrote_to(tmp_path, capsys):
+    # --out-dir wins over the config's out_dir, and the echo names it
+    cfg_path = _write_cfg(tmp_path, budget_updates=5, thresholds=(), out_dir=str(tmp_path / "foo"))
+    out = tmp_path / "bar"
+    assert main(["run", cfg_path, "--out-dir", str(out)]) == EXIT_OK
+    assert not (tmp_path / "foo").exists()
+    assert parse_config(_echo(out)) == _fast_cfg(budget_updates=5, thresholds=(), out_dir=str(out))
+    # a config without out_dir is echoed as it is
+    cfg_path = _write_cfg(tmp_path, budget_updates=5, thresholds=())
+    assert main(["run", cfg_path, "--out-dir", str(out)]) == EXIT_OK
+    assert _echo(out) == serialize_config(_fast_cfg(budget_updates=5, thresholds=()))
+
+
+def test_cli_sweep_echoes_each_points_directory(tmp_path, capsys):
+    # the points write under the config's out_dir, each into its own
+    # subdirectory, and each echo names that subdirectory: the echo, run
+    # again, writes the same files where the point did
+    base = tmp_path / "foo"
+    cfg_path = _write_cfg(tmp_path, budget_updates=5, thresholds=(), out_dir=str(base))
+    assert main(["sweep", cfg_path, "--grid", "seed=0,1"]) == EXIT_OK
+    for seed in (0, 1):
+        point = base / f"seed={seed}"
+        echo = _echo(point)
+        assert parse_config(echo) == _fast_cfg(
+            budget_updates=5, thresholds=(), seed=seed, out_dir=str(point)
+        )
+        written = [(point / name).read_bytes() for name in ("trace.csv", "summary.json")]
+        again = tmp_path / f"again-{seed}.cfg"
+        again.write_text(echo)
+        assert main(["run", str(again)]) == EXIT_OK
+        assert [(point / name).read_bytes() for name in ("trace.csv", "summary.json")] == written
+
+
 def test_cli_run_decayed_lr_column_reads_back(tmp_path, capsys):
     # past the warmup the inverse-sqrt rate must be written as a plain
     # decimal, not as a numpy scalar repr that from_csv cannot parse

@@ -324,6 +324,70 @@ def test_gradients_match_the_matmul_formulas_bit_for_bit(
     assert got.tobytes() == want.tobytes()
 
 
+class _ReduceMaxMlp(Mlp):
+    """Mlp whose forward pass takes the largest logit with one
+    np.maximum.reduce over the class axis: the oracle for the column loop."""
+
+    def _forward(self, theta, x, product=np.matmul):
+        h, d, c = self.hidden, self.in_dim, self.classes
+        lead = theta.shape[:-1]
+        i = h * d + h
+        w1 = theta[..., : h * d].reshape(lead + (h, d))
+        b1 = theta[..., None, h * d : i]
+        w2 = theta[..., i : i + c * h].reshape(lead + (c, h))
+        b2 = theta[..., None, i + c * h :]
+        a = product(x, w1.swapaxes(-1, -2))
+        a += b1
+        np.tanh(a, out=a)
+        z = product(a, w2.swapaxes(-1, -2))
+        z += b2
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        log_p = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+        return w2, a, log_p
+
+
+# output weights and biases from a few values, so that logits tie, are
+# 0.0 (zero weights plus a +-0.0 bias), +-inf, or so far below the largest
+# that their exp is 0. No logit is -0.0: the products sum from +0.0, and
+# +0.0 + -0.0 is +0.0. Only there, from 9 classes up, could numpy's reduce
+# keep another zero than the column loop
+_LOGIT_WEIGHTS = [0.0, -0.0, 1.0, -1.0, 0.5]
+_LOGIT_BIASES = [0.0, -0.0, 1.0, -1.0, 2.5, -1000.0, math.inf, -math.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    classes=st.integers(2, 12),
+    in_dim=st.integers(1, 3),
+    hidden=st.integers(1, 3),
+    rows=st.integers(1, 6),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_mlp_column_max_matches_the_reduce_bit_for_bit(classes, in_dim, hidden, rows, k, data):
+    mlp, oracle = Mlp(in_dim, hidden, classes), _ReduceMaxMlp(in_dim, hidden, classes)
+    head = hidden * in_dim + hidden
+    thetas = np.array([
+        data.draw(st.lists(st.floats(-3.0, 3.0), min_size=head, max_size=head))
+        + data.draw(st.lists(
+            st.sampled_from(_LOGIT_WEIGHTS), min_size=classes * hidden, max_size=classes * hidden
+        ))
+        + data.draw(st.lists(st.sampled_from(_LOGIT_BIASES), min_size=classes, max_size=classes))
+        for _ in range(k)
+    ])
+    x = np.array(data.draw(st.lists(
+        st.lists(st.floats(-3.0, 3.0), min_size=in_dim, max_size=in_dim),
+        min_size=rows, max_size=rows,
+    )))
+    targets = data.draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
+    batch = Batch(x, np.array(targets, dtype=np.float64), np.ones(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert mlp.losses(thetas, batch).tobytes() == oracle.losses(thetas, batch).tobytes()
+        for theta in thetas:
+            got, want = mlp.grad(theta, batch), oracle.grad(theta, batch)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_one_element_products_keep_the_matmul_signed_zero():
     # a product of one-element operands that is -0.0 is +0.0 under @,
     # which sums it from +0.0; each gradient must give @'s bits
@@ -493,6 +557,41 @@ def test_batches_are_read_only_views_of_the_dataset():
             assert np.shares_memory(arr, whole)
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def test_batcher_cuts_once_per_dataset_and_budget():
+    dataset = _costed_dataset([1, 2, 3, 1, 2, 3, 1])
+    # an iterator cuts only the views it reaches, and a later one replays them
+    first = next(dynamic_batcher(dataset, 4))
+    views = list(dynamic_batcher(dataset, 4))
+    assert views[0] is first
+    again = list(dynamic_batcher(dataset, 4))
+    assert len(again) == len(views) and all(a is b for a, b in zip(again, views))
+    # a second budget gets its own cut, and the first stays as it was
+    other = list(dynamic_batcher(dataset, 5))
+    assert [b.total_cost for b in views] == [3, 4, 2, 4]
+    assert [b.total_cost for b in other] == [3, 4, 5, 1]
+    assert not {id(b) for b in other} & {id(b) for b in views}
+    assert [b.total_cost for b in dynamic_batcher(dataset, 6)] == [6, 6, 1]
+    assert all(a is b for a, b in zip(dynamic_batcher(dataset, 4), views))
+    # each call is its own iterator, so two can be open at once
+    a, b = dynamic_batcher(dataset, 4), dynamic_batcher(dataset, 4)
+    assert [next(a), next(a), next(b)] == [views[0], views[1], views[0]]
+
+
+def test_batcher_checks_every_call_with_or_without_a_cut():
+    costs = np.array([1, 2, 3, 1])
+    dataset = Batch.cost_only(costs)  # a view of the caller's writeable costs
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sample cost 3 exceeds batch budget 2"):
+            dynamic_batcher(dataset, 2)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            dynamic_batcher(dataset, 0)
+    assert [len(b) for b in dynamic_batcher(dataset, 3)] == [2, 1, 1]
+    # the cut at budget 3 is kept, but the costs are checked again at each call
+    costs[1] = 4
+    with pytest.raises(ValueError, match="sample cost 4 exceeds batch budget 3"):
+        dynamic_batcher(dataset, 3)
 
 
 def test_cost_stream_bounds():

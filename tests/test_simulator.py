@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -865,6 +866,127 @@ def test_parallel_probe_cache_holds_when_paced():
 
 
 # ---------------------------------------------------------------------------
+# runs that share a dataset's cut
+
+
+def _csv(trace: RunTrace) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "trace.csv")
+        trace.to_csv(path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def _record_batches(objective, seen: list) -> None:
+    """Make objective's grad append each batch it is given to seen."""
+    grad = objective.grad
+
+    def recording(theta, batch, rng=None):
+        seen.append(batch)
+        return grad(theta, batch, rng)
+
+    objective.grad = recording
+
+
+_SHARED_STRATEGIES = [Strategy("sync"), Strategy("async"), Strategy("global_accum", global_count=2)]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linreg", "mlp"])
+def test_runs_on_shared_pieces_replay_one_cut_and_write_the_bytes_of_fresh_pieces(kind):
+    cfgs = [
+        _cfg(
+            objective=ObjectiveSpec(kind=kind, dim=4, samples=48, noise_sigma=1.0),
+            strategy=s,
+            batch_budget=5,
+            batch_cost_max=3,
+            compute=ComputeTimeModel("normal", 1.0, 0.2),
+            budget_updates=30,
+        )
+        for s in _SHARED_STRATEGIES
+    ]
+    pieces = build_experiment(cfgs[0])
+    seen = []
+    _record_batches(pieces[0], seen)
+    shared = [_csv(run_simulation(cfg, *pieces)) for cfg in cfgs]
+    assert shared == [_csv(run_simulation(cfg)) for cfg in cfgs]
+    views = list(dynamic_batcher(pieces[1], 5))
+    assert len(seen) > 2 * len(views)  # every run wrapped
+    assert {id(b) for b in seen} == {id(b) for b in views}
+
+
+def test_threads_on_one_set_of_pieces_write_the_serial_bytes():
+    # four threads, each running its own strategy on the same fresh
+    # pieces, so that they race to scan and to cut
+    strategies = _SHARED_STRATEGIES + [Strategy("combined", local=2, global_count=2)]
+    cfgs = [
+        _cfg(
+            objective=ObjectiveSpec(kind="linreg", dim=6, samples=200),
+            strategy=s,
+            batch_budget=4,
+            batch_cost_max=3,
+            compute=ComputeTimeModel("normal", 1.0, 0.2),
+            budget_updates=60,
+        )
+        for s in strategies
+    ]
+    serial = [_csv(run_simulation(cfg)) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-cut included
+    try:
+        for _ in range(3):
+            pieces = build_experiment(cfgs[0])
+            barrier = threading.Barrier(len(cfgs), timeout=60)
+
+            def run(cfg):
+                barrier.wait()
+                return run_simulation(cfg, *pieces)
+
+            with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
+                futures = [pool.submit(run, cfg) for cfg in cfgs]
+                traces = [f.result(timeout=60) for f in futures]
+            assert [_csv(t) for t in traces] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# the benchmark's quad-async workload at seed 1: 89 batches of budget 8
+_QUAD_ASYNC = """\
+objective.kind = quadratic
+objective.dim = 20
+objective.noise_sigma = 2.0
+workers = 16
+strategy = async
+batch.budget = 8
+batch.cost_max = 4
+compute.kind = normal
+compute.mean = 1.0
+compute.std = 0.2
+optimizer.alpha = 0.01
+budget.updates = 200
+seed = 1
+"""
+
+
+def test_a_run_past_one_pass_wraps_to_the_first_batch():
+    cfg = parse_config(_QUAD_ASYNC)
+    pieces = build_experiment(cfg)
+    views = list(dynamic_batcher(pieces[1], cfg.batch_budget))
+    assert len(views) == 89
+    # one worker takes the batches in the order the run hands them out
+    one = replace(cfg, workers=1)
+    seen = []
+    _record_batches(pieces[0], seen)
+    for _ in range(2):
+        seen.clear()
+        run_simulation(one, *pieces)
+        assert len(seen) == 200
+        assert all(b is views[i % 89] for i, b in enumerate(seen))
+    # sixteen workers: the same bytes on the shared cut as on fresh pieces
+    fresh = _csv(run_simulation(cfg))
+    assert _csv(run_simulation(cfg, *pieces)) == _csv(run_simulation(cfg, *pieces)) == fresh
+
+
+# ---------------------------------------------------------------------------
 # trace csv round trip
 
 
@@ -957,6 +1079,37 @@ def test_trace_csv_bytes_match_the_per_row_writer(tmp_path, pushes):
     assert back.diverged == trace.diverged
     if pushes % 2:
         assert back.divergence_reason == "probe loss went non-finite"
+
+
+def test_trace_csv_formats_runs_of_one_object_not_of_one_value(tmp_path):
+    # the version columns hold one object per version, which to_csv
+    # formats once per run; equal values that are distinct objects must
+    # each be written as their own str
+    nan_a, nan_b = float("nan"), float("nan")
+    one_a, one_b = float("1.5"), float("1.5")
+    big_a, big_b = int("1000"), int("1000")
+    assert one_a is not one_b and big_a is not big_b
+    repeated = 0.1 + 0.2
+    floats = [0.0, -0.0, 0.0, nan_a, nan_b, nan_a, one_a, one_b, -0.0, -0.0] + [repeated] * 5
+    ints = [big_a, big_b, big_b, 7, big_a] + [big_b] * 10
+    # past a chunk boundary, runs of one object continue across it
+    floats = floats * 20 + [-0.0] * (simulator._CSV_CHUNK + 9)
+    ints = ints * 20 + [big_a] * (simulator._CSV_CHUNK + 9)
+    n = len(floats)
+    columns = {
+        "update_idx": ints,
+        "sim_time_s": floats[::-1],
+        "pushes": list(range(1, n + 1)),
+        "staleness": ints[::-1],
+        "loss_probe": floats,
+        "lr": floats[3:] + floats[:3],
+        "strategy": ["async"] * n,
+        "worker_id": [0] * n,
+    }
+    trace = RunTrace(columns=columns, n_workers=1, strategy_label="async")
+    path = tmp_path / "trace.csv"
+    trace.to_csv(str(path))
+    assert path.read_bytes() == _per_row_csv(trace)
 
 
 def test_trace_csv_rejects_other_schema(tmp_path):
