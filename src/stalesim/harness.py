@@ -240,10 +240,8 @@ def run_experiment(
     cannot be made, which is made before the run. run_simulation paces
     the run on the real clock when cfg.parallel is set and probes the
     initial loss; the summary takes it from the trace. The summary's
-    config echo names the directory written to when cfg sets out_dir,
-    since the out_dir argument (the CLI's --out-dir, a sweep point's
-    subdirectory) sends the files elsewhere; a cfg without out_dir is
-    echoed as it is. The exit status for a CLI wrapper comes from
+    config echo never names a directory the files were not written to
+    (_echo). The exit status for a CLI wrapper comes from
     SummaryReport.exit_code(): 0 ok, 3 diverged, 4 thresholds unreached.
     """
     if _target_needs_loss(cfg):
@@ -252,12 +250,24 @@ def run_experiment(
     out = resolve_out_dir(out_dir, cfg)
     _make_out_dir(out)
     trace = run_simulation(cfg, *pieces)
-    echo = replace(cfg, out_dir=out) if cfg.out_dir else cfg
-    report = summarize(trace, echo, trace.initial_loss)
+    report = summarize(trace, _echo(cfg, out), trace.initial_loss)
     trace.to_csv(os.path.join(out, "trace.csv"))
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
         f.write(report.to_json())
     return trace, report
+
+
+def _echo(cfg: ExperimentConfig, out: str) -> ExperimentConfig:
+    """cfg as summary.json echoes it, for files written to the directory
+    out. A cfg without out_dir is echoed as it is. Otherwise out_dir is
+    out, which the out_dir argument (the CLI's --out-dir, a sweep point's
+    subdirectory) may have taken elsewhere, so that running the echo again
+    writes where this run did. A line of config text cannot hold an out
+    with a line break or with space at either end (parse_config splits
+    lines and strips values), so such an out is left out of the echo."""
+    if not cfg.out_dir:
+        return cfg
+    return replace(cfg, out_dir=out if out.splitlines() == [out.strip()] else "")
 
 
 def _sanitize(label: str) -> str:

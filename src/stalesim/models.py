@@ -14,10 +14,10 @@ A dataset is one array-backed Batch: a feature matrix, a target vector and
 integer costs (a token-count analog), one row per sample, all read-only.
 The dynamic batcher fills batches greedily up to a cost budget in dataset
 order, as read-only row views of the dataset, so the data stays in the
-arrays it was drawn into, from the draw to the gradient. It finds a
-dataset's batch bounds once per budget and keeps this cut on the dataset;
-each view is made the first time a run reaches it, and every later run on
-the same dataset and budget (a sweep group's points, a benchmark's run
+arrays it was drawn into, from the draw to the gradient. It keeps its cut
+on the dataset, one per budget, and cuts on demand: each batch is found
+and its view made the first time any run reaches it, and every later run
+on the same dataset and budget (a sweep group's points, a benchmark's run
 loop) replays the same views.
 
 The gradients run at d <= ~80, where a kernel's time is mostly numpy's
@@ -37,7 +37,7 @@ stack grows.
 from __future__ import annotations
 
 import math
-from array import array
+import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -75,9 +75,9 @@ class Batch:
     footprint. total_cost is their sum as a Python int. Nothing is copied:
     the batches dynamic_batcher yields are row views of the dataset, made
     once per dataset and budget and kept in the dataset's _cuts (budget ->
-    cut). Like total_cost, a cut is taken from the arrays as they are
-    then, and never recomputed. Objectives that see only the cost (the
-    quadratic) use d = 0.
+    _Cut; None until the first call, and on every view). Like total_cost,
+    a cut is taken from the arrays as they are then, and never recomputed.
+    Objectives that see only the cost (the quadratic) use d = 0.
     """
 
     __slots__ = ("features", "targets", "costs", "total_cost", "_cuts")
@@ -97,7 +97,7 @@ class Batch:
             raise ValueError("sample cost must be >= 1")
         self.features, self.targets, self.costs = x, y, c
         self.total_cost = int(c.sum())
-        self._cuts = {}
+        self._cuts = None
 
     @classmethod
     def cost_only(cls, costs) -> "Batch":
@@ -112,7 +112,7 @@ class Batch:
         b.targets = self.targets[start:stop]
         b.costs = self.costs[start:stop]
         b.total_cost = total_cost
-        b._cuts = {}
+        b._cuts = None
         return b
 
     def __len__(self) -> int:
@@ -329,16 +329,7 @@ class Mlp(Objective):
         np.tanh(a, out=a)
         z = product(a, w2.swapaxes(-1, -2))
         z += b2
-        # the largest logit, column by column: numpy's reduce over a short
-        # last axis costs ~55 ns a row. Where 0.0 ties with -0.0 this may
-        # keep another zero than the reduce (no logit is -0.0 here, as
-        # the products sum from +0.0), and still no output bit changes: the
-        # tied logits shift to +-0.0, whose exp is 1, so their
-        # log-probability is -log(sum) with sum >= 2
-        m = np.maximum(z[..., :1], z[..., 1:2])
-        for j in range(2, self.classes):
-            np.maximum(m, z[..., j : j + 1], out=m)
-        z -= m
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
         log_p = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
         return w2, a, log_p
 
@@ -418,14 +409,12 @@ def dynamic_batcher(dataset: Batch, budget: int) -> Iterator[Batch]:
     A sample joins the open batch iff it fits the budget, otherwise a new
     batch starts. The batches are read-only row views of the dataset, not
     copies, and concatenate back to it exactly. The budget and every cost
-    are checked at every call. The first call for a dataset and budget
-    finds all its batch bounds in one O(samples) scan and keeps them on
-    the dataset (Batch._cuts); each view is cut when an iterator first
-    reaches it and kept there too, so every later iterator replays the
-    same view objects, and a run that uses a few batches of a large
-    dataset cuts only those. Each call returns its own iterator, so
-    threads may iterate over one dataset at once: two that reach a
-    batch together each cut it, and the views are equal.
+    are checked at every call. The cut is kept on the dataset, one per
+    budget (Batch._cuts): each batch is found and its view cut when an
+    iterator first reaches it, so a run that uses a few batches of a large
+    dataset scans and cuts only those, and every later iterator replays
+    the same view objects. Each call returns its own iterator, so threads
+    may iterate over one dataset at once; the cut grows under its lock.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -433,36 +422,62 @@ def dynamic_batcher(dataset: Batch, budget: int) -> Iterator[Batch]:
     if len(over):
         cost = dataset.costs[over[0]]
         raise ValueError(f"sample cost {cost} exceeds batch budget {budget}")
-    cut = dataset._cuts.get(budget)
-    if cut is None:
-        # two threads may both scan; setdefault keeps one cut for both
-        cut = dataset._cuts.setdefault(budget, _cut_bounds(dataset.costs, budget))
-    return _replay(dataset, *cut)
+    with _CUTS_LOCK:
+        if dataset._cuts is None:
+            dataset._cuts = {}
+        cut = dataset._cuts.get(budget)
+        if cut is None:
+            cut = dataset._cuts[budget] = _Cut(dataset.costs, budget)
+    return cut.replay(dataset)
 
 
-def _cut_bounds(costs: np.ndarray, budget: int) -> tuple[array, array, list]:
-    """The greedy batches of costs: the first row of each batch and then the
-    row count, the total cost of each batch, and one None per batch to hold
-    its view. The bounds are int64 arrays, ~16 bytes a batch."""
-    starts, totals = array("q", [0]), array("q")
-    current_cost = 0
+# guards the first cut of each dataset and budget, so threads share it
+_CUTS_LOCK = threading.Lock()
+
+
+class _Cut:
+    """One dataset's greedy batches at one budget, as far as any iterator
+    has reached: views holds the batches cut so far, in dataset order, and
+    bounds is the scan that finds the next one.
+    It holds no reference to the dataset Batch that holds it, so a dataset
+    is freed as soon as its last run ends."""
+
+    __slots__ = ("views", "bounds", "lock")
+
+    def __init__(self, costs: np.ndarray, budget: int):
+        self.views: list[Batch] = []
+        self.bounds = _greedy_bounds(costs, budget)
+        self.lock = threading.Lock()
+
+    def replay(self, dataset: Batch) -> Iterator[Batch]:
+        views = self.views
+        i = 0
+        while i < len(views) or self._cut_next(dataset, i):
+            yield views[i]
+            i += 1
+
+    def _cut_next(self, dataset: Batch, i: int) -> bool:
+        # cut batch i unless another iterator has; False past the last one.
+        # The scan is a generator, which two threads must not run at once
+        with self.lock:
+            if i < len(self.views):
+                return True
+            bound = next(self.bounds, None)  # a spent scan gives None again
+            if bound is None:
+                return False
+            self.views.append(dataset._rows(*bound))
+            return True
+
+
+def _greedy_bounds(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int, int]]:
+    # (start, stop, total cost) of each batch, found as they are asked for
+    start = current_cost = 0
     for i, cost in enumerate(costs.tolist()):
         if current_cost + cost > budget:
-            starts.append(i)
-            totals.append(current_cost)
-            current_cost = 0
+            yield start, i, current_cost
+            start, current_cost = i, 0
         current_cost += cost
-    starts.append(len(costs))
-    totals.append(current_cost)
-    return starts, totals, [None] * len(totals)
-
-
-def _replay(dataset: Batch, starts: array, totals: array, views: list) -> Iterator[Batch]:
-    # each batch's view, cut into views the first time any iterator needs it
-    for i, view in enumerate(views):
-        if view is None:
-            view = views[i] = dataset._rows(starts[i], starts[i + 1], totals[i])
-        yield view
+    yield start, len(costs), current_cost
 
 
 def make_cost_stream(rng: RngStream, n: int, cost_max: int = 50) -> np.ndarray:

@@ -265,6 +265,18 @@ def test_cli_run_echoes_the_directory_it_wrote_to(tmp_path, capsys):
     assert _echo(out) == serialize_config(_fast_cfg(budget_updates=5, thresholds=()))
 
 
+@pytest.mark.parametrize("name", ["bar ", "bar\t", "bar\nseed = 7", "bar\rbaz"])
+def test_cli_run_echoes_no_directory_that_config_text_cannot_hold(tmp_path, capsys, name):
+    # parse_config strips each value and splits lines, so an echo naming
+    # this directory would name another one when run again, or set another
+    # key; the echo leaves out_dir out instead
+    cfg_path = _write_cfg(tmp_path, budget_updates=5, thresholds=(), out_dir=str(tmp_path / "foo"))
+    out = tmp_path / name
+    assert main(["run", cfg_path, "--out-dir", str(out)]) == EXIT_OK
+    assert (out / "trace.csv").exists()
+    assert _echo(out) == serialize_config(_fast_cfg(budget_updates=5, thresholds=()))
+
+
 def test_cli_sweep_echoes_each_points_directory(tmp_path, capsys):
     # the points write under the config's out_dir, each into its own
     # subdirectory, and each echo names that subdirectory: the echo, run

@@ -1,6 +1,9 @@
 """Array-backed batches, objectives, gradient oracles, cost-budget batching."""
 
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -324,70 +327,6 @@ def test_gradients_match_the_matmul_formulas_bit_for_bit(
     assert got.tobytes() == want.tobytes()
 
 
-class _ReduceMaxMlp(Mlp):
-    """Mlp whose forward pass takes the largest logit with one
-    np.maximum.reduce over the class axis: the oracle for the column loop."""
-
-    def _forward(self, theta, x, product=np.matmul):
-        h, d, c = self.hidden, self.in_dim, self.classes
-        lead = theta.shape[:-1]
-        i = h * d + h
-        w1 = theta[..., : h * d].reshape(lead + (h, d))
-        b1 = theta[..., None, h * d : i]
-        w2 = theta[..., i : i + c * h].reshape(lead + (c, h))
-        b2 = theta[..., None, i + c * h :]
-        a = product(x, w1.swapaxes(-1, -2))
-        a += b1
-        np.tanh(a, out=a)
-        z = product(a, w2.swapaxes(-1, -2))
-        z += b2
-        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-        log_p = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
-        return w2, a, log_p
-
-
-# output weights and biases from a few values, so that logits tie, are
-# 0.0 (zero weights plus a +-0.0 bias), +-inf, or so far below the largest
-# that their exp is 0. No logit is -0.0: the products sum from +0.0, and
-# +0.0 + -0.0 is +0.0. Only there, from 9 classes up, could numpy's reduce
-# keep another zero than the column loop
-_LOGIT_WEIGHTS = [0.0, -0.0, 1.0, -1.0, 0.5]
-_LOGIT_BIASES = [0.0, -0.0, 1.0, -1.0, 2.5, -1000.0, math.inf, -math.inf]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    classes=st.integers(2, 12),
-    in_dim=st.integers(1, 3),
-    hidden=st.integers(1, 3),
-    rows=st.integers(1, 6),
-    k=st.integers(1, 4),
-    data=st.data(),
-)
-def test_mlp_column_max_matches_the_reduce_bit_for_bit(classes, in_dim, hidden, rows, k, data):
-    mlp, oracle = Mlp(in_dim, hidden, classes), _ReduceMaxMlp(in_dim, hidden, classes)
-    head = hidden * in_dim + hidden
-    thetas = np.array([
-        data.draw(st.lists(st.floats(-3.0, 3.0), min_size=head, max_size=head))
-        + data.draw(st.lists(
-            st.sampled_from(_LOGIT_WEIGHTS), min_size=classes * hidden, max_size=classes * hidden
-        ))
-        + data.draw(st.lists(st.sampled_from(_LOGIT_BIASES), min_size=classes, max_size=classes))
-        for _ in range(k)
-    ])
-    x = np.array(data.draw(st.lists(
-        st.lists(st.floats(-3.0, 3.0), min_size=in_dim, max_size=in_dim),
-        min_size=rows, max_size=rows,
-    )))
-    targets = data.draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
-    batch = Batch(x, np.array(targets, dtype=np.float64), np.ones(rows))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert mlp.losses(thetas, batch).tobytes() == oracle.losses(thetas, batch).tobytes()
-        for theta in thetas:
-            got, want = mlp.grad(theta, batch), oracle.grad(theta, batch)
-            assert got.tobytes() == want.tobytes()
-
-
 def test_one_element_products_keep_the_matmul_signed_zero():
     # a product of one-element operands that is -0.0 is +0.0 under @,
     # which sums it from +0.0; each gradient must give @'s bits
@@ -561,8 +500,12 @@ def test_batches_are_read_only_views_of_the_dataset():
 
 def test_batcher_cuts_once_per_dataset_and_budget():
     dataset = _costed_dataset([1, 2, 3, 1, 2, 3, 1])
-    # an iterator cuts only the views it reaches, and a later one replays them
+    # an iterator scans and cuts only the batches it reaches, and a later
+    # one replays them
     first = next(dynamic_batcher(dataset, 4))
+    cut = dataset._cuts[4]
+    assert len(cut.views) == 1
+    assert inspect.getgeneratorlocals(cut.bounds)["i"] == 2  # read rows 0-2 only
     views = list(dynamic_batcher(dataset, 4))
     assert views[0] is first
     again = list(dynamic_batcher(dataset, 4))
@@ -577,6 +520,30 @@ def test_batcher_cuts_once_per_dataset_and_budget():
     # each call is its own iterator, so two can be open at once
     a, b = dynamic_batcher(dataset, 4), dynamic_batcher(dataset, 4)
     assert [next(a), next(a), next(b)] == [views[0], views[1], views[0]]
+
+
+def test_threads_on_one_dataset_share_one_cut():
+    # threads that race through a fresh cut all get the same view objects
+    dataset = _costed_dataset(np.arange(2000) % 3 + 1)
+    barrier = threading.Barrier(4, timeout=60)
+    seen = [None] * 4
+
+    def walk(t):
+        barrier.wait()
+        seen[t] = list(dynamic_batcher(dataset, 5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=walk, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen[0]) == 1000
+    assert all(len(s) == 1000 and all(a is b for a, b in zip(s, seen[0])) for s in seen)
 
 
 def test_batcher_checks_every_call_with_or_without_a_cut():
