@@ -40,7 +40,6 @@ from .optim import (
     sgd_step,
 )
 from .simulator import (
-    DivergenceError,
     RunTrace,
     TraceRow,
     run_simulation,
@@ -55,7 +54,6 @@ __all__ = [
     "Batch",
     "ComputeTimeModel",
     "ConfigError",
-    "DivergenceError",
     "ExperimentConfig",
     "LinearRegression",
     "Mlp",

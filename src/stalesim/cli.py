@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is skipped
             return f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
@@ -92,8 +92,8 @@ def _cmd_run(args) -> int:
     if args.parallel:
         overrides["parallel"] = "true"
     cfg = parse_config(_read(args.config), overrides)
-    trace, report = run_experiment(cfg, args.out_dir)
     out = resolve_out_dir(args.out_dir, cfg)
+    trace, report = run_experiment(cfg, out)
     print(f"strategy={report.strategy} workers={report.workers} seed={cfg.seed}")
     print(
         f"updates={report.updates} pushes={report.pushes} "

@@ -385,7 +385,8 @@ def _convert(key: str, raw: str, line: int | None):
         else:
             nums = tuple(float(x) for x in raw.split(",")) if raw else ()
     except (ValueError, KeyError):
-        raise ConfigError(f"{key} expects a {tag} value, got {raw!r}", line) from None
+        article = "an" if tag == "int" else "a"
+        raise ConfigError(f"{key} expects {article} {tag} value, got {raw!r}", line) from None
     if not all(map(math.isfinite, nums)):
         raise ConfigError(f"{key} must be finite, got {raw!r}", line)
     return nums[0] if tag == "float" else nums

@@ -203,6 +203,12 @@ def summarize(trace: RunTrace, cfg: ExperimentConfig, initial_loss: float) -> Su
 
 
 def resolve_out_dir(explicit: str | None, cfg: ExperimentConfig) -> str:
+    """explicit (the CLI's --out-dir), else cfg's out_dir, else
+    $STALESIM_OUT, else the working directory. An empty out_dir or
+    $STALESIM_OUT is unset, but an explicit empty directory is a
+    ConfigError."""
+    if explicit == "":
+        raise ConfigError("--out-dir must not be empty")
     return explicit or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "."
 
 
@@ -215,17 +221,16 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"cannot make the output directory {path}: {e.strerror}") from None
 
 
-def _target_needs_loss(cfg: ExperimentConfig) -> bool:
-    """Whether _check_target could reject cfg. Every loss here is >= 0,
-    so a target <= 0 never lies above the initial one."""
-    return bool(cfg.thresholds) and cfg.thresholds_target > 0
-
-
-def _initial_loss(pieces: tuple) -> float:
-    """The probe loss at the initial parameters of built pieces."""
-    objective, _, probe, theta0 = pieces
-    with np.errstate(over="ignore", invalid="ignore"):  # as the run probes it
-        return objective.loss(theta0, probe)
+def _checked_pieces(cfg: ExperimentConfig, pieces: tuple = ()) -> tuple:
+    """The pieces to run cfg on, once _check_target has passed cfg. Only
+    fraction thresholds with a target above 0 need the initial probe loss
+    (every loss here is >= 0): then the pieces are built unless given,
+    probed as the run probes them, and returned."""
+    if cfg.thresholds and cfg.thresholds_target > 0:
+        pieces = objective, _, probe, theta0 = build_experiment(cfg, *pieces)
+        with np.errstate(over="ignore", invalid="ignore"):  # as the run probes it
+            _check_target(cfg, objective.loss(theta0, probe))
+    return pieces
 
 
 def run_experiment(
@@ -236,17 +241,16 @@ def run_experiment(
     pieces, when given, are the (objective, dataset, probe, theta0) that
     build_experiment returned for cfg's build keys; otherwise they are
     built here. Bad input is rejected before the run: a fraction target
-    above the initial probe loss first, then an output directory that
-    cannot be made, which is made before the run. run_simulation paces
+    above the initial probe loss first (_checked_pieces, which builds the
+    pieces to probe it and the run then runs on), then an output directory
+    that cannot be made, which is made before the run. run_simulation paces
     the run on the real clock when cfg.parallel is set and probes the
     initial loss; the summary takes it from the trace. The summary's
     config echo never names a directory the files were not written to
     (_echo). The exit status for a CLI wrapper comes from
     SummaryReport.exit_code(): 0 ok, 3 diverged, 4 thresholds unreached.
     """
-    if _target_needs_loss(cfg):
-        pieces = build_experiment(cfg, *pieces)
-        _check_target(cfg, _initial_loss(pieces))
+    pieces = _checked_pieces(cfg, pieces)
     out = resolve_out_dir(out_dir, cfg)
     _make_out_dir(out)
     trace = run_simulation(cfg, *pieces)
@@ -310,9 +314,11 @@ def sweep(
     jobs > 1 runs the points on that many threads when any of them is
     paced (cfg.parallel), so that their sleeps overlap; each paced point
     builds its own pieces on its thread, so at most jobs builds are
-    alive. The target check builds each group once more, on the calling
-    thread, so a paced point whose target is checked builds once for its
-    group's check and once for its run.
+    alive. The target check (_checked_pieces) builds each group once more,
+    on the calling thread, and passes that build along the group's points,
+    so a paced point whose target is checked builds once for its group's
+    check and once for its run; the check's builds are dropped before any
+    point runs.
     """
     keys = list(grid)
     points = {}  # directory -> (label, config)
@@ -336,11 +342,10 @@ def sweep(
     for path, (_, cfg) in points.items():
         groups.setdefault(stage_key(cfg, "build"), []).append((path, cfg))
     for members in groups.values():
-        checked = [cfg for _, cfg in members if _target_needs_loss(cfg)]
-        if checked:
-            initial_loss = _initial_loss(build_experiment(checked[0]))
-            for cfg in checked:
-                _check_target(cfg, initial_loss)
+        pieces = ()
+        for _, cfg in members:
+            pieces = _checked_pieces(cfg, pieces)
+        del pieces  # no check's build lives on into the runs
     for path in points:
         _make_out_dir(path)
 
@@ -367,7 +372,11 @@ def sweep(
 # gradient streams sharing the same scale but not the same variance. Cells
 # are quoted at 3 decimals; a computed value matches a cell when it rounds
 # to it half-away-from-zero, i.e. |computed - cell| <= 0.0005 (plus a small
-# float guard for exact ties like m_3 = 0.2255 in the scaled stream).
+# float guard for exact ties like m_3 = 0.2255 in the scaled stream). A
+# zero cell, printed as 0.000 or -0.000, also carries a sign the magnitude
+# test alone cannot: 0.0 requires the value >= 0 and -0.0 requires it < 0.
+# The -0.000 theta at step 6 of different_sign is the "takes 6 steps
+# before the parameter has the correct sign" event.
 _ADAM_TABLE = {
     "constant": {
         "g": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
@@ -393,15 +402,6 @@ _ADAM_TABLE = {
         "v_hat": (1.0, 2.515, 2.0, 2.515, 2.2, 2.515),
         "theta": (0.001, 0.001, 0.001, 0.0, 0.0, -0.0),
     },
-}
-
-# theta cells printed as 0.000/-0.000: the magnitude test alone cannot
-# carry the sign, so it is asserted separately. The -0.000 at step 6 is
-# the "takes 6 steps before the parameter has the correct sign" event.
-_ADAM_SIGNS = {
-    ("different_sign", "theta", 4): "nonneg",
-    ("different_sign", "theta", 5): "nonneg",
-    ("different_sign", "theta", 6): "neg",
 }
 
 CELL_TOL = 0.0005 + 1e-9
@@ -430,10 +430,7 @@ def selftest_adam_table() -> tuple[bool, list[str]]:
                 expected = table[quantity][t - 1]
                 diff = abs(actual - expected)
                 cell_ok = diff <= CELL_TOL
-                sign = _ADAM_SIGNS.get((stream, quantity, t))
-                if sign == "neg" and not actual < 0:
-                    cell_ok = False
-                if sign == "nonneg" and not actual >= 0:
+                if expected == 0 and (actual < 0) != (math.copysign(1.0, expected) < 0):
                     cell_ok = False
                 ok &= cell_ok
                 lines.append(

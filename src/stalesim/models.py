@@ -15,10 +15,11 @@ integer costs (a token-count analog), one row per sample, all read-only.
 The dynamic batcher fills batches greedily up to a cost budget in dataset
 order, as read-only row views of the dataset, so the data stays in the
 arrays it was drawn into, from the draw to the gradient. It keeps its cut
-on the dataset, one per budget, and cuts on demand: each batch is found
-and its view made the first time any run reaches it, and every later run
-on the same dataset and budget (a sweep group's points, a benchmark's run
-loop) replays the same views.
+on the dataset, one per budget, as the list of views cut so far and the
+scan that finds the next, and cuts on demand: each batch is found and its
+view made the first time any run reaches it, under the one lock that
+guards every cut, and every later run on the same dataset and budget (a
+sweep group's points, a benchmark's run loop) replays the same views.
 
 The gradients run at d <= ~80, where a kernel's time is mostly numpy's
 per-call overhead, not arithmetic. So each 2-D product in a gradient goes
@@ -75,8 +76,11 @@ class Batch:
     footprint. total_cost is their sum as a Python int. Nothing is copied:
     the batches dynamic_batcher yields are row views of the dataset, made
     once per dataset and budget and kept in the dataset's _cuts (budget ->
-    _Cut; None until the first call, and on every view). Like total_cost,
-    a cut is taken from the arrays as they are then, and never recomputed.
+    (views, scan): the views cut so far and the scan of the costs that
+    finds the next; None until the first call, and on every view). The
+    pair holds the costs array, not the dataset, so a dataset is freed as
+    soon as its last run ends. Like total_cost, a cut is taken from the
+    arrays as they are then, and never recomputed.
     Objectives that see only the cost (the quadratic) use d = 0.
     """
 
@@ -414,7 +418,8 @@ def dynamic_batcher(dataset: Batch, budget: int) -> Iterator[Batch]:
     iterator first reaches it, so a run that uses a few batches of a large
     dataset scans and cuts only those, and every later iterator replays
     the same view objects. Each call returns its own iterator, so threads
-    may iterate over one dataset at once; the cut grows under its lock.
+    may iterate over one dataset at once; every cut grows under one lock,
+    _CUTS_LOCK, held for one batch at a time.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -427,46 +432,30 @@ def dynamic_batcher(dataset: Batch, budget: int) -> Iterator[Batch]:
             dataset._cuts = {}
         cut = dataset._cuts.get(budget)
         if cut is None:
-            cut = dataset._cuts[budget] = _Cut(dataset.costs, budget)
-    return cut.replay(dataset)
+            cut = dataset._cuts[budget] = ([], _greedy_bounds(dataset.costs, budget))
+    return _replay(dataset, *cut)
 
 
-# guards the first cut of each dataset and budget, so threads share it
+# guards every cut: the first of each dataset and budget, so threads share
+# it, and each batch cut after it, as the scan is a generator that two
+# threads must not run at once. It is held for one batch's scan and view
 _CUTS_LOCK = threading.Lock()
 
 
-class _Cut:
-    """One dataset's greedy batches at one budget, as far as any iterator
-    has reached: views holds the batches cut so far, in dataset order, and
-    bounds is the scan that finds the next one.
-    It holds no reference to the dataset Batch that holds it, so a dataset
-    is freed as soon as its last run ends."""
-
-    __slots__ = ("views", "bounds", "lock")
-
-    def __init__(self, costs: np.ndarray, budget: int):
-        self.views: list[Batch] = []
-        self.bounds = _greedy_bounds(costs, budget)
-        self.lock = threading.Lock()
-
-    def replay(self, dataset: Batch) -> Iterator[Batch]:
-        views = self.views
-        i = 0
-        while i < len(views) or self._cut_next(dataset, i):
+def _replay(dataset: Batch, views: list, bounds: Iterator) -> Iterator[Batch]:
+    # yields the views cut so far, then cuts each next one unless another
+    # iterator has; views and bounds are dataset._cuts[budget]
+    i = 0
+    while True:
+        while i < len(views):
             yield views[i]
             i += 1
-
-    def _cut_next(self, dataset: Batch, i: int) -> bool:
-        # cut batch i unless another iterator has; False past the last one.
-        # The scan is a generator, which two threads must not run at once
-        with self.lock:
-            if i < len(self.views):
-                return True
-            bound = next(self.bounds, None)  # a spent scan gives None again
-            if bound is None:
-                return False
-            self.views.append(dataset._rows(*bound))
-            return True
+        with _CUTS_LOCK:
+            if i == len(views):
+                bound = next(bounds, None)  # a spent scan gives None again
+                if bound is None:
+                    return
+                views.append(dataset._rows(*bound))
 
 
 def _greedy_bounds(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int, int]]:

@@ -78,7 +78,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TraceRow",
     "RunTrace",
-    "DivergenceError",
     "run_simulation",
     "staleness_summary",
     "build_experiment",

@@ -15,6 +15,7 @@ from stalesim.cli import main
 from stalesim.config import (
     AdamConfig,
     ComputeTimeModel,
+    ConfigError,
     ExperimentConfig,
     ObjectiveSpec,
     Strategy,
@@ -159,6 +160,12 @@ def test_out_dir_resolution_order(tmp_path, monkeypatch):
     assert resolve_out_dir(None, _fast_cfg()) == str(tmp_path)
     monkeypatch.delenv(OUT_DIR_ENV)
     assert resolve_out_dir(None, _fast_cfg()) == "."
+    # an empty $STALESIM_OUT is unset, but an explicit empty directory is
+    # bad input, not a directory to fall back from
+    monkeypatch.setenv(OUT_DIR_ENV, "")
+    assert resolve_out_dir(None, _fast_cfg()) == "."
+    with pytest.raises(ConfigError, match="--out-dir must not be empty"):
+        resolve_out_dir("", _fast_cfg(out_dir="cfgdir"))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +482,35 @@ def test_cli_rejects_a_fraction_target_above_the_initial_loss(tmp_path, capsys):
     ok = tmp_path / "ok.cfg"
     ok.write_text("objective.theta_star_scale = 0\nbudget.updates = 10\n")
     assert main(["run", str(ok), "--out-dir", str(tmp_path / "ok")]) == EXIT_OK
+
+
+def test_cli_reads_a_config_with_a_byte_order_mark_and_crlf_line_ends(tmp_path, capsys):
+    # some editors start a UTF-8 file with a byte-order mark and end its
+    # lines with CRLF; the run writes the plain file's bytes
+    cfg_path = _write_cfg(tmp_path, budget_updates=20, thresholds=())
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "exp.cfg").read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["run", cfg_path, "--out-dir", str(tmp_path / "plain")]) == EXIT_OK
+    assert main(["run", str(marked), "--out-dir", str(tmp_path / "bom")]) == EXIT_OK
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "seed=0,1"]])
+def test_cli_rejects_an_empty_out_dir_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # an empty --out-dir is not absent: it neither falls back to the
+    # config's out_dir nor writes into the working directory
+    cfg_path = _write_cfg(tmp_path, budget_updates=20, out_dir=str(tmp_path / "cfgdir"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+    verb, *flags = command
+    assert main([verb, cfg_path, *flags, "--out-dir", ""]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err == "config error: --out-dir must not be empty\n"
+    assert list(cwd.iterdir()) == []
+    assert not (tmp_path / "cfgdir").exists()
 
 
 def test_cli_rejects_missing_file(capsys):

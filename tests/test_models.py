@@ -503,9 +503,9 @@ def test_batcher_cuts_once_per_dataset_and_budget():
     # an iterator scans and cuts only the batches it reaches, and a later
     # one replays them
     first = next(dynamic_batcher(dataset, 4))
-    cut = dataset._cuts[4]
-    assert len(cut.views) == 1
-    assert inspect.getgeneratorlocals(cut.bounds)["i"] == 2  # read rows 0-2 only
+    cut, scan = dataset._cuts[4]
+    assert len(cut) == 1
+    assert inspect.getgeneratorlocals(scan)["i"] == 2  # read rows 0-2 only
     views = list(dynamic_batcher(dataset, 4))
     assert views[0] is first
     again = list(dynamic_batcher(dataset, 4))

@@ -1,5 +1,6 @@
 """Event loop, strategies, staleness accounting, traces, paced runs."""
 
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -33,7 +35,6 @@ from stalesim.models import Objective, Quadratic, dynamic_batcher
 from stalesim.optim import AdamState, adam_step, sgd_step
 from stalesim.simulator import (
     TRACE_COLUMNS,
-    DivergenceError,
     RunTrace,
     TraceRow,
     build_experiment,
@@ -912,6 +913,29 @@ def test_runs_on_shared_pieces_replay_one_cut_and_write_the_bytes_of_fresh_piece
     views = list(dynamic_batcher(pieces[1], 5))
     assert len(seen) > 2 * len(views)  # every run wrapped
     assert {id(b) for b in seen} == {id(b) for b in views}
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linreg", "mlp"])
+def test_a_shared_dataset_leaves_no_reference_cycle(kind):
+    # the cut a dataset keeps holds its costs, not the dataset, so the
+    # dataset goes with its last reference, without the cycle collector
+    cfg = _cfg(
+        objective=ObjectiveSpec(kind=kind, dim=4, samples=48),
+        batch_budget=5,
+        batch_cost_max=3,
+        budget_updates=30,
+    )
+    gc.disable()
+    try:
+        pieces = build_experiment(cfg)
+        costs = weakref.ref(pieces[1].costs)
+        for _ in range(2):
+            run_simulation(cfg, *pieces)
+        assert 5 in pieces[1]._cuts  # the runs share a cut
+        del pieces
+        assert costs() is None
+    finally:
+        gc.enable()
 
 
 def test_threads_on_one_set_of_pieces_write_the_serial_bytes():
