@@ -295,10 +295,11 @@ def sweep(
     overrides, and the results come back in grid order.
 
     Every point is checked before any runs, so bad input anywhere in the
-    grid raises a ConfigError with nothing written: a bad value, two
-    points that would share a directory, two points with the same config
-    (the same experiment twice), a grid over out_dir (each point writes
-    under the sweep's out_dir, never under its own) and a
+    grid raises a ConfigError with nothing written: an empty out_dir
+    (the points' directories would land in the working directory), a bad
+    value, two points that would share a directory, two points with the
+    same config (the same experiment twice), a grid over out_dir (each
+    point writes under the sweep's out_dir, never under its own) and a
     fraction-threshold target above a point's initial probe loss. Then
     every point's directory is made, and one that cannot be made raises a
     ConfigError too.
@@ -320,6 +321,8 @@ def sweep(
     check and once for its run; the check's builds are dropped before any
     point runs.
     """
+    if not out_dir:
+        raise ConfigError("sweep's out_dir argument must not be empty")
     keys = list(grid)
     points = {}  # directory -> (label, config)
     same = {}  # config echo -> label

@@ -20,6 +20,9 @@ scan that finds the next, and cuts on demand: each batch is found and its
 view made the first time any run reaches it, under the one lock that
 guards every cut, and every later run on the same dataset and budget (a
 sweep group's points, a benchmark's run loop) replays the same views.
+Each view also keeps the one-hot rows of its targets that the MLP
+gradient subtracts, made by the first gradient on it, so the runs that
+replay a cut make them once per view.
 
 The gradients run at d <= ~80, where a kernel's time is mostly numpy's
 per-call overhead, not arithmetic. So each 2-D product in a gradient goes
@@ -81,10 +84,16 @@ class Batch:
     pair holds the costs array, not the dataset, so a dataset is freed as
     soon as its last run ends. Like total_cost, a cut is taken from the
     arrays as they are then, and never recomputed.
+    _labels is None until the first Mlp.grad on the batch stores the
+    one-hot rows of its targets there, read-only, (n, classes) float64:
+    n * classes * 8 bytes per batch, so a cut's views hold dataset rows *
+    classes * 8 bytes once each has been graded. Their width is the class
+    count they were made for, and an Mlp with another count makes and
+    stores its own. They too are taken from the targets as they are then.
     Objectives that see only the cost (the quadratic) use d = 0.
     """
 
-    __slots__ = ("features", "targets", "costs", "total_cost", "_cuts")
+    __slots__ = ("features", "targets", "costs", "total_cost", "_cuts", "_labels")
 
     def __init__(self, features, targets, costs):
         x = _read_only(features, np.float64)
@@ -101,7 +110,7 @@ class Batch:
             raise ValueError("sample cost must be >= 1")
         self.features, self.targets, self.costs = x, y, c
         self.total_cost = int(c.sum())
-        self._cuts = None
+        self._cuts = self._labels = None
 
     @classmethod
     def cost_only(cls, costs) -> "Batch":
@@ -116,7 +125,7 @@ class Batch:
         b.targets = self.targets[start:stop]
         b.costs = self.costs[start:stop]
         b.total_cost = total_cost
-        b._cuts = None
+        b._cuts = b._labels = None
         return b
 
     def __len__(self) -> int:
@@ -128,7 +137,11 @@ class Objective:
 
     loss/losses/grad take a Batch; grad additionally takes the caller's
     RngStream so concurrent workers never share sampler state. Objectives
-    themselves are immutable and safe to share.
+    themselves are immutable and safe to share across runs and threads.
+    Mlp keeps two memos, both filled by grad and both only ever replaced
+    whole, so a thread race at worst makes one twice: the weight views of
+    the last theta it was given, and each batch's one-hot label rows (see
+    Batch).
 
     losses is the probe: the engine evaluates the probe loss of up to 64
     parameter versions in one call to it, and loss is its one-row case. A
@@ -290,11 +303,20 @@ class Mlp(Objective):
     Parameter layout in theta: W1 (hidden x in) row-major, b1, W2
     (classes x hidden) row-major, b2. A target is read as the class
     index int(target), as numpy indexes: -1 is the last class, and a
-    target >= classes raises IndexError in both losses and grad. One
-    forward pass, _forward, serves both the stacked losses and grad:
-    grad's one vector takes its products through ndarray.dot (matmul when
-    one can have a one-element operand), a stack through matmul. grad
-    writes each block of the gradient into its slice of one fresh vector.
+    target >= classes raises IndexError in both losses and grad. _weights
+    alone reads the layout, and one forward pass, _forward, on its views
+    serves both the stacked losses and grad: grad's one vector takes its
+    products through ndarray.dot (matmul when one can have a one-element
+    operand), a stack through matmul. grad writes each block of the
+    gradient into its slice of one fresh vector.
+
+    grad takes what a push's batch or pulled version already fixed once:
+    it stores each batch's one-hot label rows on the batch (Batch._labels),
+    and keeps the weight views of the last theta it was given, matched by
+    identity. Under global accumulation several pushes pull one version,
+    and a run replays its batches. The memo holds views, never copies, so
+    a caller that writes into its theta in place still gets its current
+    values; it keeps that one theta alive until another replaces it.
     Kept small so the finite-difference oracle can sweep every coordinate
     quickly.
     """
@@ -314,31 +336,41 @@ class Mlp(Objective):
         # hidden is 1 (see the module docstring); dz2 and W2 never can, as
         # classes >= 2
         self._thin = 1 in (in_dim, hidden)
+        # (theta, _weights(theta)) for the last theta grad was given
+        self._last = None
 
-    def _forward(self, theta: np.ndarray, x: np.ndarray, product=np.matmul):
-        """W2, the hidden activations and the log-probabilities of x's
-        rows, for one parameter vector (dim,) or a stack (K, dim): each
-        weight matrix gets theta's leading axes and each bias a broadcast
-        sample axis, so the stack's arrays get a leading K axis. product
-        takes the two products: matmul, or for one vector ndarray.dot."""
+    def _weights(self, theta: np.ndarray) -> tuple:
+        """W1', b1, W2, W2' and b2 as views of one parameter vector (dim,)
+        or a stack (K, dim): each weight matrix gets theta's leading axes
+        and each bias a broadcast sample axis."""
         h, d, c = self.hidden, self.in_dim, self.classes
         lead = theta.shape[:-1]
         i = h * d + h
-        w1 = theta[..., : h * d].reshape(lead + (h, d))
-        b1 = theta[..., None, h * d : i]
         w2 = theta[..., i : i + c * h].reshape(lead + (c, h))
-        b2 = theta[..., None, i + c * h :]
-        a = product(x, w1.swapaxes(-1, -2))
+        return (
+            theta[..., : h * d].reshape(lead + (h, d)).swapaxes(-1, -2),
+            theta[..., None, h * d : i],
+            w2,
+            w2.swapaxes(-1, -2),
+            theta[..., None, i + c * h :],
+        )
+
+    def _forward(self, weights: tuple, x: np.ndarray, product=np.matmul):
+        """The hidden activations and the log-probabilities of x's rows
+        under _weights' views; a stack's arrays get its leading K axis.
+        product takes the two products: matmul, or for one vector
+        ndarray.dot."""
+        w1t, b1, _, w2t, b2 = weights
+        a = product(x, w1t)
         a += b1
         np.tanh(a, out=a)
-        z = product(a, w2.swapaxes(-1, -2))
+        z = product(a, w2t)
         z += b2
         z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-        log_p = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
-        return w2, a, log_p
+        return a, z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
     def losses(self, thetas: np.ndarray, batch: Batch) -> np.ndarray:
-        _, _, log_p = self._forward(thetas, batch.features)
+        _, log_p = self._forward(self._weights(thetas), batch.features)
         n = len(batch)
         # the gathered values as contiguous rows, so that each row is summed
         # in the same order whatever K is
@@ -351,14 +383,23 @@ class Mlp(Objective):
         i = h * d + h
         x, n = batch.features, len(batch)
         product = np.matmul if self._thin and 1 in (n, d * h) else np.ndarray.dot
-        w2, a, log_p = self._forward(theta, x, product)
+        last = self._last
+        if last is None or last[0] is not theta:
+            last = self._last = (theta, self._weights(theta))
+        weights = last[1]
+        a, log_p = self._forward(weights, x, product)
+        labels = batch._labels
+        if labels is None or labels.shape[1] != c:
+            labels = batch._labels = _read_only(
+                self._one_hot.take(batch.targets.astype(np.int64), axis=0), np.float64
+            )
         dz2 = np.exp(log_p)
-        dz2 -= self._one_hot.take(batch.targets.astype(np.int64), axis=0)
+        dz2 -= labels
         dz2 /= n
         g = np.empty(self.dim)
         product(dz2.T, a, out=g[i : i + c * h].reshape(c, h))
         np.add.reduce(dz2, axis=0, out=g[i + c * h :])
-        dz1 = dz2.dot(w2)
+        dz1 = dz2.dot(weights[2])
         dz1 *= 1.0 - a * a
         product(dz1.T, x, out=g[: h * d].reshape(h, d))
         np.add.reduce(dz1, axis=0, out=g[h * d : i])

@@ -21,6 +21,9 @@ The 400-update Adam case with beta2 = 0.5 was taken from the optimizer
 that still applied Python-float operands and divided by every bias
 correction: its run passes t = 54 and t = 356, where 1 - beta2**t and
 1 - beta1**t first round to 1.0, so it pins the steps past both.
+The ten-class sync MLP case was taken from the gradient that still built
+each push's one-hot label rows and unpacked each pulled version's weights
+at every push.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 
@@ -134,6 +137,13 @@ GOLDEN = {
     "linreg-combined-3-2-sgd": (
         _LINREG + "strategy = combined-3-2\noptimizer.kind = sgd\n",
         "107ecd269e1b43feffa53f7f2351dfcf685302038e81bade4abbf23e7cbf5f2f",
+    ),
+    # ten classes, so numpy sums each class axis pairwise; under sync
+    # every worker pulls each version
+    "mlp-sync-classes-10": (
+        _MLP.replace("objective.classes = 3", "objective.classes = 10")
+        + "strategy = sync\n",
+        "58b02ef10161ee562d399996874e052f199fe3c8117691407e76f6bb61deb5e1",
     ),
     "quadratic-async-400-beta2-0.5": (
         _QUAD.replace("budget.updates = 200", "budget.updates = 400")

@@ -190,6 +190,15 @@ def test_sweep_runs_cartesian_product(tmp_path):
         assert report.updates == 30
 
 
+def test_library_sweep_rejects_an_empty_out_dir_and_writes_nothing(tmp_path, monkeypatch):
+    # os.path.join("", label) would put each point in the working directory
+    monkeypatch.chdir(tmp_path)
+    base = serialize_config(_fast_cfg(budget_updates=20))
+    with pytest.raises(ConfigError, match="^sweep's out_dir argument must not be empty$"):
+        sweep(base, {"seed": ["0", "1"]}, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_runs_points_on_threads_only_when_one_is_paced(tmp_path, monkeypatch):
     # an unpaced point holds the interpreter lock for its whole run, so
     # the points run in turn on the calling thread; paced points sleep,

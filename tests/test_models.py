@@ -4,6 +4,7 @@ import inspect
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -365,6 +366,103 @@ def test_mlp_reads_a_target_as_a_class_index_in_loss_and_grad():
         got, want = mlp.grad(theta, batch(odd)), mlp.grad(theta, batch(class_id))
         assert got.tobytes() == want.tobytes()
         assert mlp.loss(theta, batch(odd)) == mlp.loss(theta, batch(class_id))
+
+
+# Mlp.grad keeps each batch's one-hot label rows on the batch and the
+# weight views of the last theta it was given; neither may change a bit
+
+
+def _mlp_cut(classes=3, seed=0):
+    # a blob dataset of classes ids cut into 5-sample batches
+    centers = RngStream(seed, stream=2).normal(size=(classes, 4))
+    dataset = make_blob_samples(RngStream(seed, stream=0), 8, centers)
+    return list(dynamic_batcher(dataset, 5))
+
+
+def _assert_reference_grad(mlp, theta, batch):
+    want = _reference_grad(mlp, theta, batch, None)
+    assert mlp.grad(theta, batch).tobytes() == want.tobytes()
+
+
+def test_mlp_grad_caches_keep_every_bit_cold_warm_and_after_another_theta():
+    mlp = Mlp(in_dim=4, hidden=8, classes=3)
+    view = _mlp_cut()[1]
+    # a list keeps each theta one object; indexing a 2-D array makes a new one
+    thetas = list(RngStream(4, stream=3).normal(size=(2, mlp.dim)))
+    assert view._labels is None
+    _assert_reference_grad(mlp, thetas[0], view)  # both caches cold
+    rows = view._labels
+    assert rows.shape == (len(view), 3) and not rows.flags.writeable
+    _assert_reference_grad(mlp, thetas[0], view)  # both warm
+    _assert_reference_grad(mlp, thetas[1], view)  # another theta, warm rows
+    _assert_reference_grad(mlp, thetas[0], view)
+    assert view._labels is rows  # made once
+
+
+def test_mlp_grad_label_rows_follow_the_class_count():
+    # targets 0-2 are classes of both networks, whose one-hot rows differ
+    # in width; each must subtract its own
+    view = _mlp_cut()[0]
+    narrow, wide = Mlp(4, 8, 3), Mlp(4, 8, 5)
+    gen = np.random.default_rng(7)
+    for mlp in (narrow, wide, narrow, wide):
+        _assert_reference_grad(mlp, gen.normal(size=mlp.dim), view)
+        assert view._labels.shape == (len(view), mlp.classes)
+
+
+def test_mlp_grad_reads_a_theta_written_in_place():
+    # the weight memo holds views of theta, matched by identity: a theta
+    # written in place is read afresh, and an equal copy of it is not
+    # answered with the views of the original
+    mlp = Mlp(in_dim=4, hidden=8, classes=3)
+    view = _mlp_cut()[2]
+    theta = RngStream(5, stream=3).normal(size=mlp.dim)
+    _assert_reference_grad(mlp, theta, view)
+    theta *= -0.5
+    _assert_reference_grad(mlp, theta, view)
+    copy = theta.copy()
+    theta += 1.0
+    _assert_reference_grad(mlp, copy, view)
+    _assert_reference_grad(mlp, theta, view)
+
+
+def test_threads_grade_through_one_mlp_and_one_shared_cut():
+    # as the engine's workers do, the threads pull the same versions: each
+    # takes the thetas in its own order, so the weight memo changes hands
+    mlp = Mlp(in_dim=4, hidden=8, classes=3)
+    batches = _mlp_cut(seed=1)
+    thetas = list(RngStream(6, stream=3).normal(size=(3, mlp.dim)))
+    want = [[_reference_grad(mlp, t, b, None).tobytes() for b in batches] for t in thetas]
+
+    def yielding(theta):
+        # hand the interpreter lock over while the memo is being replaced
+        time.sleep(0)
+        return Mlp._weights(mlp, theta)
+
+    mlp._weights = yielding
+    barrier = threading.Barrier(4, timeout=60)
+    bad = ["unfinished"] * 4  # a thread that raises stays unfinished
+
+    def grade(w):
+        barrier.wait()
+        for i in range(200):
+            k, j = (i + w) % len(thetas), (i // 3 + w) % len(batches)
+            if mlp.grad(thetas[k], batches[j]).tobytes() != want[k][j]:
+                bad[w] = (k, j)
+                return
+        bad[w] = None
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grade, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == [None] * 4
 
 
 # ---------------------------------------------------------------------------
