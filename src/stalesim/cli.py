@@ -60,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--out-dir", help="parent directory for per-point outputs")
     sweep_p.add_argument("--jobs", type=int, default=1, help=(
-        "threads for paced points, each building its own pieces, so at most JOBS builds"
-        " are alive; unpaced points share their group's build and run in turn (a"
+        "paced points run on JOBS threads, each building its own pieces; unpaced points"
+        " share their group's build and run in turn on the calling thread (a"
         " thresholds.target check builds each group once more)"))
     sweep_p.add_argument("--seed", type=int, help="override the config's seed")
 

@@ -240,16 +240,19 @@ def run_experiment(
 
     pieces, when given, are the (objective, dataset, probe, theta0) that
     build_experiment returned for cfg's build keys; otherwise they are
-    built here. Bad input is rejected before the run: a fraction target
-    above the initial probe loss first (_checked_pieces, which builds the
-    pieces to probe it and the run then runs on), then an output directory
-    that cannot be made, which is made before the run. run_simulation paces
+    built here. Bad input is rejected before the run: an empty out_dir
+    first, then a fraction target above the initial probe loss
+    (_checked_pieces, which builds the pieces to probe it and the run then
+    runs on), then an output directory that cannot be made, which is made
+    before the run. run_simulation paces
     the run on the real clock when cfg.parallel is set and probes the
     initial loss; the summary takes it from the trace. The summary's
     config echo never names a directory the files were not written to
     (_echo). The exit status for a CLI wrapper comes from
     SummaryReport.exit_code(): 0 ok, 3 diverged, 4 thresholds unreached.
     """
+    if out_dir == "":
+        raise ConfigError("run_experiment's out_dir argument must not be empty")
     pieces = _checked_pieces(cfg, pieces)
     out = resolve_out_dir(out_dir, cfg)
     _make_out_dir(out)
@@ -305,24 +308,22 @@ def sweep(
     ConfigError too.
 
     Points that agree on every build key (config stage_key "build") can
-    share one build_experiment result, which is read-only. Unpaced points
-    share their group's build and run in turn on the calling thread, each
-    group built just before its points and dropped after them, whatever
-    jobs is: each holds the interpreter lock for its whole run, so a
-    second thread would add no throughput, only a thread switch at every
-    numpy call that releases the lock (ndarray.dot in the gradients).
-
-    jobs > 1 runs the points on that many threads when any of them is
-    paced (cfg.parallel), so that their sleeps overlap; each paced point
-    builds its own pieces on its thread, so at most jobs builds are
-    alive. The target check (_checked_pieces) builds each group once more,
-    on the calling thread, and passes that build along the group's points,
-    so a paced point whose target is checked builds once for its group's
-    check and once for its run; the check's builds are dropped before any
-    point runs.
+    share one build_experiment result, which is read-only. Paced points
+    (cfg.parallel) run on jobs threads, each building its own pieces;
+    unpaced points share their group's build and run in turn on the
+    calling thread, while the paced points sleep. An unpaced point holds
+    the interpreter lock for its whole run, so a second thread would add
+    no throughput, only a thread switch at every numpy call that releases
+    the lock (ndarray.dot in the gradients). So at most jobs paced builds
+    and one unpaced group build are alive. The target check
+    (_checked_pieces) builds each group once more, on the calling thread,
+    and passes that build along the group's points; the check's builds
+    are dropped before any point runs.
     """
     if not out_dir:
         raise ConfigError("sweep's out_dir argument must not be empty")
+    if jobs < 1:
+        raise ConfigError(f"sweep's jobs argument must be >= 1, got {jobs}")
     keys = list(grid)
     points = {}  # directory -> (label, config)
     same = {}  # config echo -> label
@@ -352,18 +353,18 @@ def sweep(
     for path in points:
         _make_out_dir(path)
 
-    if jobs > 1 and any(cfg.parallel for _, cfg in points.values()):
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {path: pool.submit(lambda c, p: run_experiment(c, p)[1], cfg, path)
-                       for path, (_, cfg) in points.items()}
-        reports = {path: future.result() for path, future in futures.items()}
-    else:
-        reports = {}
+    reports = {}
+    with ThreadPoolExecutor(max_workers=jobs) as pool:  # its exit waits for every paced point
+        paced = {path: pool.submit(lambda c, p: run_experiment(c, p)[1], cfg, path)
+                 for path, (_, cfg) in points.items() if cfg.parallel}
         for members in groups.values():
-            pieces = build_experiment(members[0][1])
+            pieces = ()
             for path, cfg in members:
-                reports[path] = run_experiment(cfg, path, pieces)[1]
+                if not cfg.parallel:
+                    pieces = pieces or build_experiment(cfg)
+                    reports[path] = run_experiment(cfg, path, pieces)[1]
             del pieces
+    reports.update((path, future.result()) for path, future in paced.items())
     return [(label, reports[path]) for path, (label, _) in points.items()]
 
 

@@ -350,10 +350,13 @@ class _Run:
     queues the initial parameters as version 0, which execute probes on
     their own before any worker starts. It also binds once what a push
     calls: the objective's grad, the optimizer step, sample_compute_time
-    with the compute model, and the strategy's barrier flag. The step and
-    sample_compute_time are read from this module's globals when _Run is
-    built, so a wrapper swapped into those globals before a run (as
-    perfbench/tracer.py does) sees every call. From then on only update
+    with the compute model, and the strategy's barrier flag; and what a
+    probe calls, the objective's losses (for an object that is not an
+    Objective, such as a wrapper that times loss calls, Objective's
+    default losses: one loss call per read-only row of the block). The
+    step and sample_compute_time are read from this module's globals when
+    _Run is built, so a wrapper swapped into those globals before a run
+    (as perfbench/tracer.py does) sees every call. From then on only update
     changes theta: it applies the optimizer step at the scheduled rate and
     queues the new version with Adam's second moment v, unchecked. A
     non-finite gradient makes the SGD parameters or Adam's v non-finite at
@@ -407,8 +410,10 @@ class _Run:
         # None runs plain SGD, which keeps no state
         self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
         self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
-        # what a push calls, bound once (see the class docstring)
+        # what a push and a probe call, bound once (see the class docstring)
         self.grad = self.objective.grad
+        self.losses = (self.objective.losses if isinstance(self.objective, Objective)
+                       else functools.partial(Objective.losses, self.objective))
         self.step = sgd_step if self.adam is None else adam_step
         self.sample, self.compute = sample_compute_time, cfg.compute
         self.barrier, self.latency = cfg.strategy.is_barrier, cfg.comm_latency
@@ -458,29 +463,19 @@ class _Run:
         theta becomes its theta and total_cost its value there, and the
         losses kept end with the probed ones up to it (no kept row reads
         the failed version's, but the initial loss is version 0's); then it
-        raises DivergenceError, as a check at each update would have.
-
-        An objective that is not an Objective, such as a wrapper that times
-        or counts loss calls, is probed by Objective's default losses on the
-        queued arrays themselves: one loss call per version, on the same
-        read-only theta an immediate probe would have passed."""
+        raises DivergenceError, as a check at each update would have."""
         if not self.queued:
             return
         queued, self.queued = self.queued, []
         first, n = len(self.version_loss), len(queued)  # first: queued[0]'s version
-        thetas = [q[0] for q in queued]
         # the n parameter rows, then, under Adam, the n rows of v
-        stack = np.concatenate(thetas + [q[1] for q in queued if q[1] is not None])
+        stack = np.concatenate([q[0] for q in queued] + [q[1] for q in queued if q[1] is not None])
         stack = stack.reshape(-1, len(self.theta))
         stack.setflags(write=False)
         row_ok = np.isfinite(stack).all(axis=1)
         # the earliest version whose parameters or v failed, else n
         k = n if row_ok.all() else int(row_ok.reshape(-1, n).all(axis=0).argmin())
-        losses = []
-        if k and isinstance(self.objective, Objective):
-            losses = self.objective.losses(stack[:k], self.probe).tolist()
-        elif k:
-            losses = Objective.losses(self.objective, thetas[:k], self.probe).tolist()
+        losses = self.losses(stack[:k], self.probe).tolist() if k else []
         # the earliest non-finite probe, else k
         j = next((i for i, loss in enumerate(losses) if not math.isfinite(loss)), k)
         self.version_loss += losses[: j + 1]

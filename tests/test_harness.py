@@ -199,6 +199,30 @@ def test_library_sweep_rejects_an_empty_out_dir_and_writes_nothing(tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_library_sweep_rejects_a_jobs_argument_below_1_and_writes_nothing(
+    tmp_path, monkeypatch, jobs
+):
+    monkeypatch.chdir(tmp_path)
+    base = serialize_config(_fast_cfg(budget_updates=20))
+    with pytest.raises(ConfigError, match=f"^sweep's jobs argument must be >= 1, got {jobs}$"):
+        sweep(base, {"seed": ["0", "1"]}, "sw", jobs=jobs)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_library_run_experiment_rejects_an_empty_out_dir_and_writes_nothing(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+    cfg = _fast_cfg(budget_updates=20, out_dir="cfgdir")
+    with pytest.raises(
+        ConfigError, match="^run_experiment's out_dir argument must not be empty$"
+    ):
+        run_experiment(cfg, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_runs_points_on_threads_only_when_one_is_paced(tmp_path, monkeypatch):
     # an unpaced point holds the interpreter lock for its whole run, so
     # the points run in turn on the calling thread; paced points sleep,
@@ -772,22 +796,52 @@ def _assert_each_point_runs_alone_the_same(base, results, tmp_path):
         assert a == b
 
 
-@pytest.mark.parametrize("kw, checks", [
-    ({}, 0),
-    ({"thresholds_target": 1e-9}, 2),  # one initial-loss probe per group
-], ids=["no-target", "target"])
+@pytest.mark.parametrize("kw, checks, jobs", [
+    ({}, 0, 2),
+    ({"thresholds_target": 1e-9}, 2, 2),  # one initial-loss probe per group
+    # jobs 1 is a pool of one thread, not the calling thread
+    ({}, 0, 1),
+], ids=["no-target", "target", "jobs-1"])
 def test_paced_sweep_builds_on_pool_threads_but_for_the_target_check(
-    tmp_path, monkeypatch, kw, checks
+    tmp_path, monkeypatch, kw, checks, jobs
 ):
     base = serialize_config(_fast_cfg(budget_updates=30, **_PACED, **kw))
     grid = {"strategy": ["async", "global_accum-4"], "seed": ["0", "1"]}
     calls = _recorded_builds(monkeypatch)
-    sweep(base, grid, out_dir=str(tmp_path / "sw"), jobs=2)
+    sweep(base, grid, out_dir=str(tmp_path / "sw"), jobs=jobs)
     here = threading.current_thread()
     built = [thread for thread in calls if thread is not None]
     assert built.count(here) == checks
     on_pool = [thread for thread in built if thread is not here]
-    assert len(on_pool) == 4 and len(set(on_pool)) <= 2
+    assert len(on_pool) == 4 and len(set(on_pool)) <= jobs
+
+
+def test_mixed_sweep_runs_unpaced_points_here_on_one_build_and_paced_points_on_the_pool(
+    tmp_path, monkeypatch
+):
+    # one build group: two unpaced and two paced points
+    base = serialize_config(_fast_cfg(budget_updates=30, parallel_time_scale=1e-4, workers=1))
+    grid = {"parallel": ["false", "true"], "strategy": ["async", "sync"]}
+    calls = _recorded_builds(monkeypatch)
+    runs = []  # (thread, paced, pieces)
+    run = harness.run_experiment
+
+    def recording(cfg, path, pieces=()):
+        runs.append((threading.current_thread(), cfg.parallel, pieces))
+        return run(cfg, path, pieces)
+
+    monkeypatch.setattr(harness, "run_experiment", recording)
+    results = sweep(base, grid, out_dir=str(tmp_path / "sw"), jobs=2)
+    here = threading.current_thread()
+    unpaced = [(thread, pieces) for thread, paced, pieces in runs if not paced]
+    assert [thread for thread, _ in unpaced] == [here, here]
+    (_, first), (_, second) = unpaced
+    assert first and all(a is b for a, b in zip(first, second))
+    paced = [(thread, pieces) for thread, paced, pieces in runs if paced]
+    assert len(paced) == 2 and all(thread is not here and not p for thread, p in paced)
+    built = [thread for thread in calls if thread is not None]
+    assert built.count(here) == 1 and len(built) == 3  # and one per paced point
+    _assert_each_point_runs_alone_the_same(base, results, tmp_path)
 
 
 def test_paced_points_on_threads_each_write_what_they_write_alone(tmp_path):

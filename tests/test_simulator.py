@@ -866,6 +866,69 @@ def test_parallel_probe_cache_holds_when_paced():
     assert 0 <= trace.pushes - trace.updates * 4 < 4
 
 
+class _ProbeRecorder:
+    """Stands in for an Objective as a tracer's wrapper does: loss and grad
+    are instance attributes, anything else is the wrapped objective's.
+    Keeps each array it is probed on."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.grad = inner.grad
+        self.probed = []
+
+        def loss(theta, batch):
+            self.probed.append(theta)
+            return inner.loss(theta, batch)
+
+        self.loss = loss
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+def test_a_wrapper_that_is_not_an_objective_is_probed_once_per_version_on_its_rows(
+    tmp_path, monkeypatch, kind
+):
+    # 150 updates: version 0 alone, then blocks of 64, 64 and 22 versions
+    cfg = _cfg(objective=ObjectiveSpec(kind=kind, samples=32), budget_updates=150)
+    objective, *rest = build_experiment(cfg)
+    versions = [rest[-1]]  # theta0, then each update's parameters
+    step = simulator.adam_step
+
+    def recording(*args):
+        state, theta = step(*args)
+        versions.append(theta)
+        return state, theta
+
+    monkeypatch.setattr(simulator, "adam_step", recording)
+    wrapper = _ProbeRecorder(objective)
+    run_simulation(cfg, wrapper, *rest).to_csv(str(tmp_path / "wrapped.csv"))
+    assert len(wrapper.probed) == len(versions) == 151
+    for probed, theta in zip(wrapper.probed, versions):
+        assert not probed.flags.writeable
+        assert probed.tobytes() == theta.tobytes()
+    run_simulation(cfg, objective, *rest).to_csv(str(tmp_path / "plain.csv"))
+    assert (tmp_path / "wrapped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_a_wrapper_that_is_not_an_objective_rolls_back_as_the_objective_does():
+    # the probe goes inf at version 5, mid-block (see
+    # test_queued_non_finite_probe_wins_over_a_later_parameter_overflow)
+    step = [1.0, 1e307]
+    runs = [
+        run_simulation(_sgd_drift_cfg(40), objective=objective)
+        for objective in (_DriftPastALossWall(step, 5.0),
+                          _ProbeRecorder(_DriftPastALossWall(step, 5.0)))
+    ]
+    plain, wrapped = runs
+    assert wrapped.divergence_reason == plain.divergence_reason
+    assert plain.divergence_reason == "probe loss went non-finite at update 5"
+    assert wrapped.rows == plain.rows
+    assert wrapped.final_theta.tobytes() == plain.final_theta.tobytes()
+    assert wrapped.total_cost == plain.total_cost
+
+
 # ---------------------------------------------------------------------------
 # runs that share a dataset's cut
 
