@@ -1,8 +1,9 @@
 """Optimizers and gradient-stream analysis.
 
 Adam and plain SGD are implemented as pure functions over explicit state
-and an explicit learning rate: the engine (simulator._Run.update) owns the
-Adam state and passes the scheduled rate to every step, and
+and an explicit learning rate: the engine's push step (in
+simulator._Run.execute) owns the Adam state and passes the scheduled rate
+to every step, and
 simulator._Run.probe_queued checks the results for finiteness, so these
 functions leave values unchecked. The analysis half (`adam_direction`,
 `predicted_efficiency`) quantifies how gradient noise throttles Adam: in

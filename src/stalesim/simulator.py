@@ -16,14 +16,15 @@ worker's parameter pull and the push, so synchronous runs record 0, async
 with N equal-speed workers settles at N-1, and server-side accumulation
 divides staleness by sharing one update among G pulls.
 
-One object, _Run, holds a run's whole state, and only model state: the
-server's parameters, gradient sum, optimizer state, the versions waiting
-for their probe, each version's rate and loss and one record per push,
+One object, _Run, runs each run. It keeps what the probe and the trace read:
+the parameters, the versions waiting for their probe, each version's rate
+and loss and one record per push. The body of its event loop, execute, is
+the whole push step, from the worker's gradient to the push's record, on
+local state made per run: the server's gradient sum and optimizer state,
 and each worker's stream, pulled snapshot, gradient sum and batch in
-flight, in lists by worker id. Its push method is the whole push step,
-from the worker's gradient to the push's record; its update method alone
-changes the parameters, and queues each version for the one divergence
-check and its probe, which run in blocks (probe_queued).
+flight, in lists by worker id. The push step's update alone changes the
+parameters, and queues each version for the one divergence check and its
+probe, which run in blocks (probe_queued).
 
 run_simulation is the one entry point. It runs one event loop,
 _Run.execute, on the calling thread; the loop keeps the one event source, a
@@ -335,33 +336,21 @@ _PROBE_BLOCK = 64
 
 
 class _Run:
-    """One run's whole state, its push step and its event loop.
+    """One run: the state its probe and its trace read, and its event loop.
 
-    Server side: the parameters, their version (the count of optimizer
-    updates applied), the sum of the gradients pushed since the last
-    update, Adam's state (none for SGD), the versions waiting for their
-    probe, each version's rate and probe loss, and one record per push.
-    Worker side, in lists indexed by worker id: the RNG stream, the
-    (theta, version) pulled last, the sum of the gradients computed since
-    the last push with their count and cost, and the batch in flight.
+    _Run builds the pieces (build_experiment) and keeps the parameters and
+    total cost a rollback restores, the versions waiting for their probe,
+    each version's rate and probe loss, and one record per push. The state
+    that only the push step touches is made in execute, as its locals.
 
-    _Run builds the pieces (build_experiment), fixes the rate formula
-    (core.learning_rate) to the run's base rate and schedule once and
-    queues the initial parameters as version 0, which execute probes on
-    their own before any worker starts. It also binds once what a push
-    calls: the objective's grad, the optimizer step, sample_compute_time
-    with the compute model, and the strategy's barrier flag; and what a
-    probe calls, the objective's losses (for an object that is not an
-    Objective, such as a wrapper that times loss calls, Objective's
-    default losses: one loss call per read-only row of the block). The
-    step and sample_compute_time are read from this module's globals when
-    _Run is built, so a wrapper swapped into those globals before a run
-    (as perfbench/tracer.py does) sees every call. From then on only update
-    changes theta: it applies the optimizer step at the scheduled rate and
-    queues the new version with Adam's second moment v, unchecked. A
-    non-finite gradient makes the SGD parameters or Adam's v non-finite at
-    the update that applies it; so does a finite one above ~1e154, whose
-    g*g overflows v and would freeze its coordinate.
+    _Run also binds once what a push step calls: the objective's grad, the
+    optimizer step and sample_compute_time; and what a probe calls, the
+    objective's losses (for an object that is not an Objective, such as a
+    wrapper that times loss calls, Objective's default losses: one loss
+    call per read-only row of the block). The step and sample_compute_time
+    are read from this module's globals when _Run is built, so a wrapper
+    swapped into those globals before a run (as perfbench/tracer.py does)
+    sees every call.
 
     Queued versions are checked and probed in blocks (see probe_queued):
     every _PROBE_BLOCK versions, at the end of the run and before any
@@ -381,75 +370,40 @@ class _Run:
     the objective returned. A pulled theta is the server's array itself:
     each update binds theta to a new read-only array, so no snapshot
     changes and an objective that writes into one raises. Per compute
-    cycle a stream is consumed in a fixed order (duration draw in start,
-    then gradient noise in push), so serial and paced runs walk identical
-    sample sequences.
+    cycle a stream is consumed in a fixed order (the duration draw at the
+    worker's start, then gradient noise at its completion), so serial and
+    paced runs walk identical sample sequences.
     """
 
     def __init__(self, cfg: "ExperimentConfig", pieces: tuple):
-        self.objective, dataset, self.probe, theta0 = build_experiment(cfg, *pieces)
-        self.local, self.global_count, self.pull_every = cfg.strategy.effective(
-            cfg.workers
-        )
+        objective, dataset, self.probe, theta0 = build_experiment(cfg, *pieces)
         self.cfg = cfg
         self.label = cfg.strategy.label  # written into every row
-        # the mean combine divides by each count but 1: x/1 == x bit for bit
-        mean = cfg.combine == "mean"
-        self.mean_local = mean and self.local > 1
-        self.mean_global = mean and self.global_count > 1
-        # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
-        lg, scale = self.local * self.global_count, cfg.schedule_batch_scale
-        base_lr = cfg.adam.alpha * scale * lg if scale > 0 else cfg.adam.alpha
-        self.rate = functools.partial(
-            learning_rate, base_lr, cfg.schedule_warmup, cfg.schedule_decay
-        )
         self.theta = theta0.copy()
         self.theta.setflags(write=False)
-        self.version = 0
-        self.accum, self.accum_count = None, 0
-        # None runs plain SGD, which keeps no state
-        self.adam = cfg.adam if cfg.optimizer_kind == "adam" else None
-        self.adam_state = None if self.adam is None else AdamState.zeros(len(theta0))
-        # what a push and a probe call, bound once (see the class docstring)
-        self.grad = self.objective.grad
-        self.losses = (self.objective.losses if isinstance(self.objective, Objective)
-                       else functools.partial(Objective.losses, self.objective))
-        self.step = sgd_step if self.adam is None else adam_step
-        self.sample, self.compute = sample_compute_time, cfg.compute
-        self.barrier, self.latency = cfg.strategy.is_barrier, cfg.comm_latency
+        # what a push step and a probe call, bound once (see the class docstring)
+        self.grad = objective.grad
+        self.losses = (objective.losses if isinstance(objective, Objective)
+                       else functools.partial(Objective.losses, objective))
+        self.step = adam_step if cfg.optimizer_kind == "adam" else sgd_step
+        self.sample = sample_compute_time
         self.total_cost = 0
         # by version: the rate its update applied (0.0 for the initial
         # version) and the probe loss of each version probed so far
         self.version_lr = [0.0]
         self.version_loss: list[float] = []
         # per version waiting for its check and probe: (theta, Adam's v or
-        # None, pushes recorded before it, total_cost at it); version 0 is
-        # the initial theta
-        v0 = None if self.adam is None else self.adam_state.v
-        self.queued: list[tuple[Vec, Vec | None, int, int]] = [(self.theta, v0, 0, 0)]
+        # None, pushes recorded before it, total_cost at it); execute
+        # queues the initial theta as version 0
+        self.queued: list[tuple[Vec, Vec | None, int, int]] = []
         # one record per push, in push order:
         # (version it left, sim time, staleness, worker id)
         self.pushed: list[tuple[int, float, int, int]] = []
-        n = cfg.workers
-        self.ids = range(n)
-        self.rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in self.ids]
-        self.pulled_theta = [self.theta] * n
-        self.pulled_version = [0] * n
-        self.sums: list[Vec | None] = [None] * n
-        self.sum_count = [0] * n
-        self.sum_cost = [0] * n
-        self.in_flight: list[Batch | None] = [None] * n
         # round-robin over the batches in dataset order; cycle keeps each
         # batch as the dataset's cut hands it over (every run on this
         # dataset and budget gets the same views) and replays them once
         # the dataset is used up
         self.batches = itertools.cycle(dynamic_batcher(dataset, cfg.batch_budget))
-
-    def start(self, w: int) -> float:
-        """Hand worker w the next batch; returns its compute duration in
-        simulated seconds (per-cost-unit sample times the batch's cost)."""
-        batch = self.in_flight[w] = next(self.batches)
-        return self.sample(self.rngs[w], self.compute) * batch.total_cost
 
     def probe_queued(self) -> None:
         """Check and probe every queued version, then empty the queue: the
@@ -486,101 +440,82 @@ class _Run:
         del self.pushed[pushes:]
         raise DivergenceError(f"{what} went non-finite at update {first + j}")
 
-    def update(self, g: Vec) -> None:
-        """Apply one optimizer step with the combined gradient g, making the
-        next version, and queue it with Adam's v for its check and probe,
-        which run once the queue holds _PROBE_BLOCK versions."""
-        version = self.version + 1
-        lr = self.rate(version)
-        self.version_lr.append(lr)
-        if self.adam is None:
-            theta, v = self.step(self.theta, g, lr), None
-        else:
-            self.adam_state, theta = self.step(self.adam_state, self.adam, self.theta, g, lr)
-            v = self.adam_state.v
-        theta.setflags(write=False)
-        self.theta, self.version = theta, version
-        self.queued.append((theta, v, len(self.pushed), self.total_cost))
-        if len(self.queued) == _PROBE_BLOCK:
-            self.probe_queued()
-
-    def push(self, w: int, t: float) -> tuple[float, tuple[int, ...] | range]:
-        """Finish worker w's batch at time t, push once its sum holds L
-        gradients and update once the server's sum holds G pushes. Returns
-        (start, workers): the workers that start their next batch, at
-        simulated time `start`. Raises DivergenceError when it completes a
-        block of versions and one of them diverged (see probe_queued).
-
-        The whole local sum was computed against one pulled snapshot, since
-        re-pulls only happen at push time, so the push's staleness is the
-        number of updates since that pull. In the async family the pusher
-        re-pulls and goes on. A barrier strategy holds finished workers
-        until the round's update lands, then restarts all N together,
-        re-pulling only when the update count is a multiple of the pull
-        period.
-        """
-        batch = self.in_flight[w]
-        g = self.grad(self.pulled_theta[w], batch, self.rngs[w])
-        # Starting a sum at its first term, not at +0.0, changes only the
-        # sign of exact-zero entries (-0.0 + -0.0 is -0.0, +0.0 + -0.0 is
-        # +0.0). Such an entry reaches theta only as theta - (+-0) (Adam's v
-        # squares it, and m divides it by a positive number), which equals
-        # theta unless theta is -0.0. theta starts as zeros or normal draws,
-        # and theta - x is -0.0 only when theta already is: no bit changes.
-        n = self.sum_count[w]
-        s = self.sums[w] = g if n == 0 else self.sums[w] + g
-        self.sum_count[w] = n + 1
-        self.sum_cost[w] += batch.total_cost
-        if n + 1 < self.local:
-            return t, (w,)
-        self.total_cost += self.sum_cost[w]
-        self.sum_count[w] = self.sum_cost[w] = 0
-        x = s / self.local if self.mean_local else s
-        self.accum = x if self.accum_count == 0 else self.accum + x
-        self.accum_count = (self.accum_count + 1) % self.global_count
-        staleness = self.version - self.pulled_version[w]
-        updated = self.accum_count == 0
-        if updated:
-            self.update(self.accum / self.global_count if self.mean_global else self.accum)
-        arrived = t + self.latency
-        self.pushed.append((self.version, arrived, staleness, w))
-        if not self.barrier:
-            self.pulled_theta[w], self.pulled_version[w] = self.theta, self.version
-            return arrived, (w,)
-        if not updated:
-            return t, ()  # wait at the barrier for the round to finish
-        if self.version % self.pull_every == 0:
-            self.pulled_theta = [self.theta] * self.cfg.workers
-            self.pulled_version = [self.version] * self.cfg.workers
-        return arrived, self.ids  # next round, batch grab in id order
-
     def execute(self) -> RunTrace:
-        """The one event loop; run_simulation says how a paced run differs.
+        """The one event loop, whose body is the whole push step;
+        run_simulation says how a paced run differs.
 
         The initial parameters are probed first, as version 0. Then every
-        worker starts in id order, staggered at i/N seconds, and its
-        completion deadline (start plus its sampled duration) goes on a
-        heap of (deadline, worker id). The loop pops the earliest
-        completion, ties to the lower id, and observes it at time t: the
-        deadline, or with cfg.parallel the paced clock's reading after a
-        sleep until it. It takes the push step (see push) on that worker at
-        t and puts the completions of the workers it names on the heap. It
-        stops once the update budget is met; at the first completion past
-        cfg.budget_sim_time when that is set, tested on the deadline before
-        any sleep and on t after it; or on divergence: a DivergenceError
-        ends the run with a diverged trace that keeps every row recorded
-        before it. However the loop ends, the versions still queued are
-        checked and probed first, so a diverged version among them ends the
-        run at that version, even when a later exception was leaving the
-        loop. Any other exception, a sleep too long for the clock's range
-        included, then propagates. initial_loss is nan when version 0 was
-        never probed, as its parameters were not finite.
+        worker starts in id order, staggered at i/N seconds. A start hands
+        the worker the next batch and draws its duration from the worker's
+        stream (per-cost-unit sample times the batch's cost); its
+        completion deadline goes on a heap of (deadline, worker id). The
+        loop pops the earliest completion, ties to the lower id, and
+        observes it at time t: the deadline, or with cfg.parallel the paced
+        clock's reading after a sleep until it. It stops once the update
+        budget is met; at the first completion past cfg.budget_sim_time
+        when that is set, tested on the deadline before any sleep and on t
+        after it; or on divergence.
+
+        The push step on a completion at t works on execute's locals: the
+        server's gradient sum and Adam's state (none for SGD), and, in lists
+        by worker id, each worker's RNG stream, the (theta, version) it pulled
+        last, the sum of the gradients it computed since its last push with
+        their count and cost, and its batch in flight. The worker's gradient
+        at its pulled theta joins its sum, and below L gradients the worker
+        starts again at t. At L it pushes the sum (over L under mean) to the
+        server. The whole sum was computed against one pulled snapshot, since
+        re-pulls only happen at push time, so the push's staleness is the
+        number of updates since that pull. Once the server's sum holds G
+        pushes, one update applies the optimizer step to it (over G under
+        mean) at the scheduled rate and queues the new version with Adam's
+        second moment v, unchecked, for its check and probe; a full block is
+        probed at once. A non-finite gradient makes the SGD parameters or
+        Adam's v non-finite at the update that applies it; so does a finite
+        one above ~1e154, whose g*g overflows v and would freeze its
+        coordinate. The push arrives comm_latency later and is recorded at the
+        version after any update it made. In the async family the pusher
+        re-pulls and starts again on arrival. A barrier strategy holds
+        finished workers until the round's update lands, then starts all N on
+        arrival in id order, re-pulled only when the update count is a
+        multiple of the pull period U.
+
+        A DivergenceError ends the run with a diverged trace that keeps
+        every row recorded before it. However the loop ends, its theta and
+        total cost go back to the run (after a rollback, the rolled-back
+        ones) and the versions still queued are checked and probed, so a
+        diverged version among them ends the run at that version, even
+        when a later exception was leaving the loop. Any other exception, a
+        sleep too long for the clock's range included, then propagates.
+        initial_loss is nan when version 0 was never probed, as its
+        parameters were not finite.
         """
         cfg = self.cfg
+        n, theta, total_cost, version = cfg.workers, self.theta, 0, 0
+        local, global_count, pull_every = cfg.strategy.effective(n)
+        # the mean combine divides by each count but 1: x/1 == x bit for bit
+        mean_local = cfg.combine == "mean" and local > 1
+        mean_global = cfg.combine == "mean" and global_count > 1
+        # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
+        alpha, lr_scale = cfg.adam.alpha, cfg.schedule_batch_scale
+        base_lr = alpha * lr_scale * (local * global_count) if lr_scale > 0 else alpha
+        rate = functools.partial(learning_rate, base_lr, cfg.schedule_warmup, cfg.schedule_decay)
+        adam = cfg.adam
+        state = AdamState.zeros(len(theta)) if cfg.optimizer_kind == "adam" else None
+        self.queued.append((theta, None if state is None else state.v, 0, 0))  # version 0
+        server, server_count = None, 0  # the pushes' sum since the last update
+        ids = range(n)
+        rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in ids]
+        pulled_theta, pulled_version = [theta] * n, [0] * n
+        sums: list[Vec | None] = [None] * n
+        counts, costs = [0] * n, [0] * n
+        in_flight: list[Batch | None] = [None] * n
+        grad, step, sample, compute = self.grad, self.step, self.sample, cfg.compute
+        batches, pushed, version_lr = self.batches, self.pushed, self.version_lr
+        record, latency, barrier = pushed.append, cfg.comm_latency, cfg.strategy.is_barrier
         limit = cfg.budget_sim_time if cfg.budget_sim_time > 0 else math.inf
         budget, paced = cfg.budget_updates, cfg.parallel
         scale, t0 = cfg.parallel_time_scale, time.monotonic()
-        heappop, heappush, push, start = heapq.heappop, heapq.heappush, self.push, self.start
+        heappop, heappush = heapq.heappop, heapq.heappush
         reason = None
         try:
             # divergence detection rides on IEEE inf/nan propagation; the
@@ -588,9 +523,11 @@ class _Run:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.probe_queued()  # version 0, before any worker starts
                 try:
-                    heap = [(w / cfg.workers + start(w), w) for w in self.ids]
-                    heapq.heapify(heap)
-                    while self.version < budget:
+                    heap = []
+                    for w in ids:
+                        batch = in_flight[w] = next(batches)
+                        heappush(heap, (w / n + sample(rngs[w], compute) * batch.total_cost, w))
+                    while version < budget:
                         t, w = heappop(heap)
                         if t > limit:
                             break
@@ -599,10 +536,66 @@ class _Run:
                             t = (time.monotonic() - t0) / scale
                             if t > limit:
                                 break
-                        at, nxt = push(w, t)
-                        for w in nxt:
-                            heappush(heap, (at + start(w), w))
+                        batch, rng = in_flight[w], rngs[w]
+                        g = grad(pulled_theta[w], batch, rng)
+                        # Starting a sum at its first term, not at +0.0,
+                        # changes only the sign of exact-zero entries
+                        # (-0.0 + -0.0 is -0.0, +0.0 + -0.0 is +0.0). Such
+                        # an entry reaches theta only as theta - (+-0)
+                        # (Adam's v squares it, and m divides it by a
+                        # positive number), which equals theta unless theta
+                        # is -0.0. theta starts as zeros or normal draws,
+                        # and theta - x is -0.0 only when theta already is:
+                        # no bit changes.
+                        k = counts[w]
+                        s = g if k == 0 else sums[w] + g
+                        cost = costs[w] + batch.total_cost
+                        if k + 1 < local:  # not a push: start again at once
+                            sums[w], counts[w], costs[w], at = s, k + 1, cost, t
+                        else:
+                            counts[w] = costs[w] = 0
+                            total_cost += cost
+                            if mean_local:
+                                s = s / local
+                            server = s if server_count == 0 else server + s
+                            server_count += 1
+                            staleness = version - pulled_version[w]
+                            if server_count == global_count:
+                                server_count, version = 0, version + 1
+                                lr = rate(version)
+                                version_lr.append(lr)
+                                g = server / global_count if mean_global else server
+                                if state is None:
+                                    theta, v = step(theta, g, lr), None
+                                else:
+                                    state, theta = step(state, adam, theta, g, lr)
+                                    v = state.v
+                                theta.setflags(write=False)
+                                queued = self.queued  # probe_queued rebinds it
+                                queued.append((theta, v, len(pushed), total_cost))
+                                if len(queued) == _PROBE_BLOCK:
+                                    try:
+                                        self.probe_queued()
+                                    except DivergenceError:
+                                        # the finally below keeps the rollback's
+                                        theta, total_cost = self.theta, self.total_cost
+                                        raise
+                            at = t + latency
+                            record((version, at, staleness, w))
+                            if barrier:  # wait for the round's update, which starts all N
+                                if server_count == 0:
+                                    if version % pull_every == 0:
+                                        pulled_theta, pulled_version = [theta] * n, [version] * n
+                                    for i in ids:  # next round, batch grab in id order
+                                        batch = in_flight[i] = next(batches)
+                                        heappush(heap, (at + sample(rngs[i], compute)
+                                                        * batch.total_cost, i))
+                                continue
+                            pulled_theta[w], pulled_version[w] = theta, version
+                        batch = in_flight[w] = next(batches)
+                        heappush(heap, (at + sample(rng, compute) * batch.total_cost, w))
                 finally:
+                    self.theta, self.total_cost = theta, total_cost
                     self.probe_queued()
         except DivergenceError as e:
             reason = str(e)

@@ -7,13 +7,16 @@ moment its update makes it. It has no heap and no _Run code. It shares
 with the engine only the pieces and the formulas under the schedule:
 build_experiment, dynamic_batcher, sample_compute_time, learning_rate,
 the objective's grad and losses, and adam_step/sgd_step. The property
-test compares every trace cell, the final parameters' bits, the total
+tests compare every trace cell, the final parameters' bits, the total
 cost and the divergence reason with run_simulation over random serial
-configs, some of whose objectives diverge at a random update.
+configs, some of whose objectives diverge at a random update: short runs,
+and runs past the engine's first block of 64 probed versions, whose
+divergence is found in a later block.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -227,7 +230,32 @@ def _serial_runs(draw):
 @example((ExperimentConfig(workers=3, strategy=Strategy("sync"), batch_budget=1, budget_updates=4,
                            objective=_OBJECTIVES["linreg"], probe_samples=8), None, 1.0))
 def test_serial_runs_match_the_reference_schedule_row_for_row(run):
-    cfg, at, spike = run
+    _check_against_reference(*run)
+
+
+@st.composite
+def _runs_past_the_first_probe_block(draw):
+    """A _serial_runs draw that makes 65 to 160 versions, so the engine
+    probes a full block of 64 mid-run, with no sim-time budget to cut it
+    short; its spike, if any, lands on a gradient call past the first
+    64 updates' worth (L*G calls per update in the async family, N under
+    a barrier), so a divergence there is found in a later block."""
+    cfg, _, spike = draw(_serial_runs())
+    cfg = replace(cfg, budget_updates=draw(st.integers(65, 160)), budget_sim_time=0.0)
+    local, global_count, _ = cfg.strategy.effective(cfg.workers)
+    calls = cfg.workers if cfg.strategy.is_barrier else local * global_count
+    at = draw(st.one_of(st.none(), st.integers(64 * calls + 1, cfg.budget_updates * calls)))
+    return cfg, at, spike
+
+
+# ~1 s for the 40 examples on a 2-core x86-64 host
+@settings(max_examples=40, deadline=None)
+@given(_runs_past_the_first_probe_block())
+def test_runs_past_the_first_probe_block_match_the_reference(run):
+    _check_against_reference(*run)
+
+
+def _check_against_reference(cfg, at, spike):
     objective, dataset, probe, theta0 = build_experiment(cfg)
     if at == 0:
         with np.errstate(over="ignore", invalid="ignore"):

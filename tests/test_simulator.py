@@ -687,7 +687,16 @@ def test_probe_loss_runs_once_per_version(strategy):
     assert objective.loss_calls == trace.updates + 1  # versions 0..updates
 
 
-@pytest.mark.parametrize("strategy", [Strategy("global_accum", global_count=2), Strategy("sync")])
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        Strategy("global_accum", global_count=2),
+        Strategy("sync"),
+        # a completion below L restarts its worker without a push
+        Strategy("local_accum", local=3),
+        Strategy("combined", local=2, global_count=2),
+    ],
+)
 def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strategy):
     # an outside tracer (perfbench's) swaps a wrapper in for a function in
     # every stalesim module that holds it as a global, then runs; the run
@@ -704,11 +713,23 @@ def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strate
             if m.__dict__.get(fn.__name__) is fn:
                 monkeypatch.setattr(m, fn.__name__, counting)
     cfg = _cfg(strategy=strategy, workers=3, compute=ComputeTimeModel("normal", 1.0, 0.2))
-    trace = run_simulation(cfg)
+    objective = build_experiment(cfg)[0]
+    grad = objective.grad
+
+    def counting_grad(*args):
+        calls["grad"] += 1  # one gradient per completion
+        return grad(*args)
+
+    objective.grad = counting_grad
+    trace = run_simulation(cfg, objective=objective)
     assert trace.updates == cfg.budget_updates
     assert calls["adam_step"] == trace.updates
-    # each worker starts once, then once more after each of its pushes
-    assert calls["sample_compute_time"] == cfg.workers + trace.pushes
+    # each worker starts once, then once more after each of its completions
+    # (under a barrier, all N start again once the round's N have finished)
+    assert calls["sample_compute_time"] == cfg.workers + calls["grad"]
+    # each push sums L gradients; each worker may end with a partial sum
+    local = strategy.effective(cfg.workers)[0]
+    assert 0 <= calls["grad"] - trace.pushes * local < cfg.workers * local
 
 
 _FAMILIES = {
