@@ -480,12 +480,13 @@ class _Run:
         multiple of the pull period U.
 
         A DivergenceError ends the run with a diverged trace that keeps
-        every row recorded before it. However the loop ends, its theta and
-        total cost go back to the run (after a rollback, the rolled-back
-        ones) and the versions still queued are checked and probed, so a
-        diverged version among them ends the run at that version, even
-        when a later exception was leaving the loop. Any other exception, a
-        sleep too long for the clock's range included, then propagates.
+        every row recorded before it. The loop writes its theta and total
+        cost back to the run before each block probe and when it ends; a
+        rollback sets both itself. However the loop ends, the versions still
+        queued are checked and probed, so a diverged version among them ends
+        the run at that version, even when a later exception was leaving the
+        loop. Any other exception, a sleep too long for the clock's range
+        included, then propagates.
         initial_loss is nan when version 0 was never probed, as its
         parameters were not finite.
         """
@@ -574,12 +575,8 @@ class _Run:
                                 queued = self.queued  # probe_queued rebinds it
                                 queued.append((theta, v, len(pushed), total_cost))
                                 if len(queued) == _PROBE_BLOCK:
-                                    try:
-                                        self.probe_queued()
-                                    except DivergenceError:
-                                        # the finally below keeps the rollback's
-                                        theta, total_cost = self.theta, self.total_cost
-                                        raise
+                                    self.theta, self.total_cost = theta, total_cost
+                                    self.probe_queued()
                             at = t + latency
                             record((version, at, staleness, w))
                             if barrier:  # wait for the round's update, which starts all N
@@ -594,8 +591,8 @@ class _Run:
                             pulled_theta[w], pulled_version[w] = theta, version
                         batch = in_flight[w] = next(batches)
                         heappush(heap, (at + sample(rng, compute) * batch.total_cost, w))
-                finally:
                     self.theta, self.total_cost = theta, total_cost
+                finally:
                     self.probe_queued()
         except DivergenceError as e:
             reason = str(e)

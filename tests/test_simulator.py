@@ -727,9 +727,10 @@ def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strate
     # each worker starts once, then once more after each of its completions
     # (under a barrier, all N start again once the round's N have finished)
     assert calls["sample_compute_time"] == cfg.workers + calls["grad"]
-    # each push sums L gradients; each worker may end with a partial sum
+    # each push sums L gradients; each worker ends holding at most L-1
+    # unpushed ones (at L=1, one gradient per push)
     local = strategy.effective(cfg.workers)[0]
-    assert 0 <= calls["grad"] - trace.pushes * local < cfg.workers * local
+    assert 0 <= calls["grad"] - trace.pushes * local <= cfg.workers * (local - 1)
 
 
 _FAMILIES = {
