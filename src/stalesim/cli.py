@@ -59,10 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="values to sweep for one config key (repeatable; cartesian product)",
     )
     sweep_p.add_argument("--out-dir", help="parent directory for per-point outputs")
-    sweep_p.add_argument("--jobs", type=int, default=1, help=(
-        "paced points run on JOBS threads, each building its own pieces; unpaced points"
-        " share their group's build and run in turn on the calling thread (a"
-        " thresholds.target check builds each group once more)"))
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="threads that run the paced points (default 1)")
     sweep_p.add_argument("--seed", type=int, help="override the config's seed")
 
     self_p = sub.add_parser("selftest", help="reproduce built-in reference tables")

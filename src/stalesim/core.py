@@ -74,7 +74,7 @@ def learning_rate(base_lr: float, warmup: int, decay: str, t: int) -> float:
     and base_lr at every t when W = 0. This is the standard
     inverse-sqrt-with-warmup shape, a documented choice of this package.
     The config checks the schedule.* values this takes; base_lr is the
-    run's rate before the schedule (see simulator._Run.execute).
+    run's rate before the schedule (see simulator.run_simulation).
     """
     if warmup == 0:
         return base_lr

@@ -2,10 +2,9 @@
 
 Adam and plain SGD are implemented as pure functions over explicit state
 and an explicit learning rate: the engine's push step (in
-simulator._Run.execute) owns the Adam state and passes the scheduled rate
-to every step, and
-simulator._Run.probe_queued checks the results for finiteness, so these
-functions leave values unchecked. The analysis half (`adam_direction`,
+simulator.run_simulation) owns the Adam state and passes the scheduled
+rate to every step, and simulator._probe_block checks the results for
+finiteness, so these functions leave values unchecked. The analysis half (`adam_direction`,
 `predicted_efficiency`) quantifies how gradient noise throttles Adam: in
 the long run the mean update magnitude per coordinate approaches
 1/sqrt(CoV^2 + 1) where CoV is the coefficient of variation of the

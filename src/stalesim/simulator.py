@@ -16,22 +16,16 @@ worker's parameter pull and the push, so synchronous runs record 0, async
 with N equal-speed workers settles at N-1, and server-side accumulation
 divides staleness by sharing one update among G pulls.
 
-One object, _Run, runs each run. It keeps what the probe and the trace read:
-the parameters, the versions waiting for their probe, each version's rate
-and loss and one record per push. The body of its event loop, execute, is
-the whole push step, from the worker's gradient to the push's record, on
-local state made per run: the server's gradient sum and optimizer state,
-and each worker's stream, pulled snapshot, gradient sum and batch in
-flight, in lists by worker id. The push step's update alone changes the
-parameters, and queues each version for the one divergence check and its
-probe, which run in blocks (probe_queued).
-
-run_simulation is the one entry point. It runs one event loop,
-_Run.execute, on the calling thread; the loop keeps the one event source, a
-heap of simulated deadlines (ties to the lower worker id). A run observes
-each completion popped from it at its deadline, so it is deterministic,
-unless cfg.parallel is set: then it sleeps until the deadline on a real
-clock scaled by parallel.time_scale and observes the time it woke, so its
+run_simulation is the one entry point and the run itself: its locals are
+the run's only state, and its event loop, on the calling thread, has the
+whole push step, from the worker's gradient to the push's record, as its
+body. The push step's update alone changes the parameters, and queues each
+version for the one divergence check and its probe, which run in blocks
+(_probe_block). The loop keeps the one event source, a heap of simulated
+deadlines (ties to the lower worker id). A run observes each completion
+popped from it at its deadline, so it is deterministic, unless
+cfg.parallel is set: then it sleeps until the deadline on a real clock
+scaled by parallel.time_scale and observes the time it woke, so its
 timings are nondeterministic while every bookkeeping rule, and all of the
 numerics, stay the same.
 """
@@ -109,7 +103,7 @@ _CSV_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\n"
 # faster, but raised the peak RSS of a 2-thread sweep by ~1 MB
 _CSV_CHUNK = 256
 # the columns that hold a fact of the row's version, one object per version
-# (see _Run): to_csv formats each run of one object in them once
+# (see run_simulation): to_csv formats each run of one object in them once
 _VERSION_COLUMNS = ("update_idx", "lr", "loss_probe")
 _NOTHING = object()
 
@@ -127,10 +121,15 @@ def _str_runs(cells: list) -> list:
 
 
 class DivergenceError(RuntimeError):
-    """Raised by _Run.probe_queued alone, at the earliest version whose
+    """Raised by _probe_block alone, at the earliest version whose
     parameters, Adam's second moment or probe loss is not finite, the
-    initial version included. _Run.execute converts it into a diverged
-    trace that keeps the rows recorded before the version it names."""
+    initial version included. It carries that version's theta and
+    total_cost, which run_simulation puts in a diverged trace that keeps
+    the rows recorded before the version it names."""
+
+    def __init__(self, message: str, theta: Vec, total_cost: int):
+        super().__init__(message)
+        self.theta, self.total_cost = theta, total_cost
 
 
 @dataclass
@@ -335,35 +334,124 @@ def build_experiment(
 _PROBE_BLOCK = 64
 
 
-class _Run:
-    """One run: the state its probe and its trace read, and its event loop.
+def _probe_block(queued: list, version_loss: list, pushed: list, losses, probe: Batch) -> None:
+    """Check and probe every queued version, then empty the queue in place:
+    the one place a run is found to diverge. queued holds, per version
+    waiting for its check and probe, (theta, Adam's v or None, pushes
+    recorded before it, total cost at it). One np.isfinite pass over the
+    block's stacked parameters and Adam v's finds the earliest version
+    whose parameters or v are not finite, and one stacked losses call
+    probes only the versions before it, so no probe sees a non-finite
+    row. The earliest failure, a non-finite probe or else that version
+    (its parameters named before its v), rolls the run back to its
+    version: pushed keeps only the pushes recorded before it, and
+    version_loss ends with the probed losses up to it (no kept row reads
+    the failed version's, but the initial loss is version 0's); then it
+    raises DivergenceError with that version's theta and total cost, as a
+    check at each update would have."""
+    if not queued:
+        return
+    block = queued[:]
+    queued.clear()
+    first, n = len(version_loss), len(block)  # first: block[0]'s version
+    # the n parameter rows, then, under Adam, the n rows of v
+    stack = np.concatenate([q[0] for q in block] + [q[1] for q in block if q[1] is not None])
+    stack = stack.reshape(-1, len(block[0][0]))
+    stack.setflags(write=False)
+    row_ok = np.isfinite(stack).all(axis=1)
+    # the earliest version whose parameters or v failed, else n
+    k = n if row_ok.all() else int(row_ok.reshape(-1, n).all(axis=0).argmin())
+    probed = losses(stack[:k], probe).tolist() if k else []
+    # the earliest non-finite probe, else k
+    j = next((i for i, loss in enumerate(probed) if not math.isfinite(loss)), k)
+    version_loss.extend(probed[: j + 1])
+    if j == n:
+        return
+    what = "probe loss" if j < k else "Adam's second moment" if row_ok[j] else "parameters"
+    theta, _, pushes, total_cost = block[j]
+    del pushed[pushes:]
+    raise DivergenceError(f"{what} went non-finite at update {first + j}", theta, total_cost)
 
-    _Run builds the pieces (build_experiment) and keeps the parameters and
-    total cost a rollback restores, the versions waiting for their probe,
-    each version's rate and probe loss, and one record per push. The state
-    that only the push step touches is made in execute, as its locals.
 
-    _Run also binds once what a push step calls: the objective's grad, the
+def run_simulation(
+    cfg: "ExperimentConfig",
+    objective: Objective | None = None,
+    dataset: Batch | None = None,
+    probe: Batch | None = None,
+    theta0: Vec | None = None,
+) -> RunTrace:
+    """Run the configured experiment: one event loop, whose body is the
+    whole push step. objective, dataset, probe and theta0 go to
+    build_experiment.
+
+    The run binds once what a push step calls: the objective's grad, the
     optimizer step and sample_compute_time; and what a probe calls, the
     objective's losses (for an object that is not an Objective, such as a
     wrapper that times loss calls, Objective's default losses: one loss
     call per read-only row of the block). The step and sample_compute_time
-    are read from this module's globals when _Run is built, so a wrapper
+    are read from this module's globals when the run starts, so a wrapper
     swapped into those globals before a run (as perfbench/tracer.py does)
-    sees every call.
+    sees every call. The run's state is its locals alone: the parameters and
+    total cost; the versions waiting for their check and probe, each
+    version's rate and probe loss, and one record per push, (the version
+    it left, sim time, staleness, worker id); the server's gradient sum
+    and Adam's state (none for SGD); and, in lists by worker id, each
+    worker's RNG stream, the (theta, version) it pulled last, the sum of
+    the gradients it computed since its last push with their count and
+    cost, and its batch in flight.
 
-    Queued versions are checked and probed in blocks (see probe_queued):
-    every _PROBE_BLOCK versions, at the end of the run and before any
-    exception leaves execute. That is the one place a run is found to
-    diverge. A push appends one record, (the version it left, sim time,
-    staleness, worker id); execute transposes the records into the trace
-    columns once and fills each row's lr and loss_probe, facts of its
-    version, from version_lr and version_loss. There is one probe per
-    version, so with G > 1 (and for the barrier strategies) one per G
-    pushes. The earliest version v whose parameters, v or probe loss is
-    not finite rolls the run back to v, so the run ends as if each version
-    had been checked at its update: the earliest failure wins, and at one
-    version the parameters come before Adam's v and v before the probe.
+    The initial parameters are probed first, as version 0. Then every
+    worker starts in id order, staggered at i/N seconds. A start hands the
+    worker the next batch and draws its duration from the worker's stream
+    (per-cost-unit sample times the batch's cost); its completion deadline
+    goes on a heap of (deadline, worker id). The loop pops the earliest
+    completion, ties to the lower id, and observes it at time t. Serial by
+    default, t is the deadline, so the run is deterministic. With
+    cfg.parallel set, the same loop is paced by a real clock on the
+    calling thread, cfg.parallel_time_scale real seconds per simulated
+    second, and t is the clock's reading after a sleep until the deadline:
+    paced runs honour comm.latency and the i/N start stagger. A completion
+    that falls due while a push step runs is observed when that step ends,
+    and each wake time feeds the next deadline, so paced timings are
+    nondeterministic and only statistical assertions hold; with N=1 the
+    update trajectory matches the serial run exactly (timestamps aside).
+    No thread is started. The loop stops once the update budget is met;
+    at the first completion past cfg.budget_sim_time when that is set,
+    tested on the deadline before any sleep and on t after it; or on
+    divergence.
+
+    On a completion at t, the worker's gradient at its pulled theta joins
+    its sum, and below L gradients the worker starts again at t. At L it
+    pushes the sum (over L under mean) to the server. The whole sum was
+    computed against one pulled snapshot, since re-pulls only happen at
+    push time, so the push's staleness is the number of updates since that
+    pull. Once the server's sum holds G pushes, one update applies the
+    optimizer step to it (over G under mean) at the scheduled rate and
+    queues the new version with Adam's second moment v, unchecked. A
+    non-finite gradient makes the SGD parameters or Adam's v non-finite at
+    the update that applies it; so does a finite one above ~1e154, whose
+    g*g overflows v and would freeze its coordinate. The push arrives
+    comm_latency later and is recorded at the version after any update it
+    made. In the async family the pusher re-pulls and starts again on
+    arrival. A barrier strategy holds finished workers until the round's
+    update lands, then starts all N on arrival in id order, re-pulled only
+    when the update count is a multiple of the pull period U.
+
+    Queued versions are checked and probed in blocks (_probe_block): every
+    _PROBE_BLOCK versions, and however the loop ends, so a diverged
+    version among them ends the run at that version, even when a later
+    exception was leaving the loop. There is one probe per version, so
+    with G > 1 (and for the barrier strategies) one per G pushes. The
+    earliest version whose parameters, v or probe loss is not finite rolls
+    the run back to it, so the run ends as if each version had been
+    checked at its update: a diverged trace keeps every row recorded
+    before that version, and its final_theta and total_cost are that
+    version's, which its DivergenceError alone carries. Any other
+    exception, a sleep too long for the clock's range included, then
+    propagates. The push records are transposed into the trace columns
+    once, and each row's lr and loss_probe, facts of its version, are read
+    from the version's rate and loss. initial_loss is nan when version 0
+    was never probed, as its parameters were not finite.
 
     No array is written after it is made. A sum is rebound, not added into
     a zeroed buffer, so with L = G = 1 the optimizer steps with the array
@@ -374,275 +462,147 @@ class _Run:
     worker's start, then gradient noise at its completion), so serial and
     paced runs walk identical sample sequences.
     """
-
-    def __init__(self, cfg: "ExperimentConfig", pieces: tuple):
-        objective, dataset, self.probe, theta0 = build_experiment(cfg, *pieces)
-        self.cfg = cfg
-        self.label = cfg.strategy.label  # written into every row
-        self.theta = theta0.copy()
-        self.theta.setflags(write=False)
-        # what a push step and a probe call, bound once (see the class docstring)
-        self.grad = objective.grad
-        self.losses = (objective.losses if isinstance(objective, Objective)
-                       else functools.partial(Objective.losses, objective))
-        self.step = adam_step if cfg.optimizer_kind == "adam" else sgd_step
-        self.sample = sample_compute_time
-        self.total_cost = 0
-        # by version: the rate its update applied (0.0 for the initial
-        # version) and the probe loss of each version probed so far
-        self.version_lr = [0.0]
-        self.version_loss: list[float] = []
-        # per version waiting for its check and probe: (theta, Adam's v or
-        # None, pushes recorded before it, total_cost at it); execute
-        # queues the initial theta as version 0
-        self.queued: list[tuple[Vec, Vec | None, int, int]] = []
-        # one record per push, in push order:
-        # (version it left, sim time, staleness, worker id)
-        self.pushed: list[tuple[int, float, int, int]] = []
-        # round-robin over the batches in dataset order; cycle keeps each
-        # batch as the dataset's cut hands it over (every run on this
-        # dataset and budget gets the same views) and replays them once
-        # the dataset is used up
-        self.batches = itertools.cycle(dynamic_batcher(dataset, cfg.batch_budget))
-
-    def probe_queued(self) -> None:
-        """Check and probe every queued version, then empty the queue: the
-        one place a run is found to diverge. One np.isfinite pass over the
-        block's stacked parameters and Adam v's finds the earliest version
-        whose parameters or v are not finite, and one stacked losses call
-        probes only the versions before it, so no probe sees a non-finite
-        row. The earliest failure, a non-finite probe or else that version
-        (its parameters named before its v), rolls the run back to its
-        version: the push records keep only the pushes recorded before it,
-        theta becomes its theta and total_cost its value there, and the
-        losses kept end with the probed ones up to it (no kept row reads
-        the failed version's, but the initial loss is version 0's); then it
-        raises DivergenceError, as a check at each update would have."""
-        if not self.queued:
-            return
-        queued, self.queued = self.queued, []
-        first, n = len(self.version_loss), len(queued)  # first: queued[0]'s version
-        # the n parameter rows, then, under Adam, the n rows of v
-        stack = np.concatenate([q[0] for q in queued] + [q[1] for q in queued if q[1] is not None])
-        stack = stack.reshape(-1, len(self.theta))
-        stack.setflags(write=False)
-        row_ok = np.isfinite(stack).all(axis=1)
-        # the earliest version whose parameters or v failed, else n
-        k = n if row_ok.all() else int(row_ok.reshape(-1, n).all(axis=0).argmin())
-        losses = self.losses(stack[:k], self.probe).tolist() if k else []
-        # the earliest non-finite probe, else k
-        j = next((i for i, loss in enumerate(losses) if not math.isfinite(loss)), k)
-        self.version_loss += losses[: j + 1]
-        if j == n:
-            return
-        what = "probe loss" if j < k else "Adam's second moment" if row_ok[j] else "parameters"
-        self.theta, _, pushes, self.total_cost = queued[j]
-        del self.pushed[pushes:]
-        raise DivergenceError(f"{what} went non-finite at update {first + j}")
-
-    def execute(self) -> RunTrace:
-        """The one event loop, whose body is the whole push step;
-        run_simulation says how a paced run differs.
-
-        The initial parameters are probed first, as version 0. Then every
-        worker starts in id order, staggered at i/N seconds. A start hands
-        the worker the next batch and draws its duration from the worker's
-        stream (per-cost-unit sample times the batch's cost); its
-        completion deadline goes on a heap of (deadline, worker id). The
-        loop pops the earliest completion, ties to the lower id, and
-        observes it at time t: the deadline, or with cfg.parallel the paced
-        clock's reading after a sleep until it. It stops once the update
-        budget is met; at the first completion past cfg.budget_sim_time
-        when that is set, tested on the deadline before any sleep and on t
-        after it; or on divergence.
-
-        The push step on a completion at t works on execute's locals: the
-        server's gradient sum and Adam's state (none for SGD), and, in lists
-        by worker id, each worker's RNG stream, the (theta, version) it pulled
-        last, the sum of the gradients it computed since its last push with
-        their count and cost, and its batch in flight. The worker's gradient
-        at its pulled theta joins its sum, and below L gradients the worker
-        starts again at t. At L it pushes the sum (over L under mean) to the
-        server. The whole sum was computed against one pulled snapshot, since
-        re-pulls only happen at push time, so the push's staleness is the
-        number of updates since that pull. Once the server's sum holds G
-        pushes, one update applies the optimizer step to it (over G under
-        mean) at the scheduled rate and queues the new version with Adam's
-        second moment v, unchecked, for its check and probe; a full block is
-        probed at once. A non-finite gradient makes the SGD parameters or
-        Adam's v non-finite at the update that applies it; so does a finite
-        one above ~1e154, whose g*g overflows v and would freeze its
-        coordinate. The push arrives comm_latency later and is recorded at the
-        version after any update it made. In the async family the pusher
-        re-pulls and starts again on arrival. A barrier strategy holds
-        finished workers until the round's update lands, then starts all N on
-        arrival in id order, re-pulled only when the update count is a
-        multiple of the pull period U.
-
-        A DivergenceError ends the run with a diverged trace that keeps
-        every row recorded before it. The loop writes its theta and total
-        cost back to the run before each block probe and when it ends; a
-        rollback sets both itself. However the loop ends, the versions still
-        queued are checked and probed, so a diverged version among them ends
-        the run at that version, even when a later exception was leaving the
-        loop. Any other exception, a sleep too long for the clock's range
-        included, then propagates.
-        initial_loss is nan when version 0 was never probed, as its
-        parameters were not finite.
-        """
-        cfg = self.cfg
-        n, theta, total_cost, version = cfg.workers, self.theta, 0, 0
-        local, global_count, pull_every = cfg.strategy.effective(n)
-        # the mean combine divides by each count but 1: x/1 == x bit for bit
-        mean_local = cfg.combine == "mean" and local > 1
-        mean_global = cfg.combine == "mean" and global_count > 1
-        # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
-        alpha, lr_scale = cfg.adam.alpha, cfg.schedule_batch_scale
-        base_lr = alpha * lr_scale * (local * global_count) if lr_scale > 0 else alpha
-        rate = functools.partial(learning_rate, base_lr, cfg.schedule_warmup, cfg.schedule_decay)
-        adam = cfg.adam
-        state = AdamState.zeros(len(theta)) if cfg.optimizer_kind == "adam" else None
-        self.queued.append((theta, None if state is None else state.v, 0, 0))  # version 0
-        server, server_count = None, 0  # the pushes' sum since the last update
-        ids = range(n)
-        rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in ids]
-        pulled_theta, pulled_version = [theta] * n, [0] * n
-        sums: list[Vec | None] = [None] * n
-        counts, costs = [0] * n, [0] * n
-        in_flight: list[Batch | None] = [None] * n
-        grad, step, sample, compute = self.grad, self.step, self.sample, cfg.compute
-        batches, pushed, version_lr = self.batches, self.pushed, self.version_lr
-        record, latency, barrier = pushed.append, cfg.comm_latency, cfg.strategy.is_barrier
-        limit = cfg.budget_sim_time if cfg.budget_sim_time > 0 else math.inf
-        budget, paced = cfg.budget_updates, cfg.parallel
-        scale, t0 = cfg.parallel_time_scale, time.monotonic()
-        heappop, heappush = heapq.heappop, heapq.heappush
-        reason = None
-        try:
-            # divergence detection rides on IEEE inf/nan propagation; the
-            # overflow on the way down is expected, not worth a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.probe_queued()  # version 0, before any worker starts
-                try:
-                    heap = []
-                    for w in ids:
-                        batch = in_flight[w] = next(batches)
-                        heappush(heap, (w / n + sample(rngs[w], compute) * batch.total_cost, w))
-                    while version < budget:
-                        t, w = heappop(heap)
+    objective, dataset, probe, theta = build_experiment(cfg, objective, dataset, probe, theta0)
+    theta = theta.copy()
+    theta.setflags(write=False)
+    # round-robin over the batches in dataset order; cycle keeps each batch
+    # as the dataset's cut hands it over (every run on this dataset and
+    # budget gets the same views) and replays them once the dataset is
+    # used up
+    batches = itertools.cycle(dynamic_batcher(dataset, cfg.batch_budget))
+    # what a push step and a probe call, bound once (see the docstring)
+    grad = objective.grad
+    losses = (objective.losses if isinstance(objective, Objective)
+              else functools.partial(Objective.losses, objective))
+    step = adam_step if cfg.optimizer_kind == "adam" else sgd_step
+    sample, compute = sample_compute_time, cfg.compute
+    n, label, total_cost, version = cfg.workers, cfg.strategy.label, 0, 0
+    local, global_count, pull_every = cfg.strategy.effective(n)
+    # the mean combine divides by each count but 1: x/1 == x bit for bit
+    mean_local = cfg.combine == "mean" and local > 1
+    mean_global = cfg.combine == "mean" and global_count > 1
+    # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
+    alpha, lr_scale = cfg.adam.alpha, cfg.schedule_batch_scale
+    base_lr = alpha * lr_scale * (local * global_count) if lr_scale > 0 else alpha
+    rate = functools.partial(learning_rate, base_lr, cfg.schedule_warmup, cfg.schedule_decay)
+    adam = cfg.adam
+    state = AdamState.zeros(len(theta)) if cfg.optimizer_kind == "adam" else None
+    # by version: the rate its update applied (0.0 for the initial
+    # version) and the probe loss of each version probed so far
+    version_lr, version_loss = [0.0], []
+    # the versions waiting for their check and probe, version 0 first (see
+    # _probe_block), and one record per push, in push order
+    queued = [(theta, None if state is None else state.v, 0, 0)]
+    pushed: list[tuple[int, float, int, int]] = []
+    probe_block = functools.partial(_probe_block, queued, version_loss, pushed, losses, probe)
+    server, server_count = None, 0  # the pushes' sum since the last update
+    ids = range(n)
+    rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in ids]
+    pulled_theta, pulled_version = [theta] * n, [0] * n
+    sums: list[Vec | None] = [None] * n
+    counts, costs = [0] * n, [0] * n
+    in_flight: list[Batch | None] = [None] * n
+    record, latency, barrier = pushed.append, cfg.comm_latency, cfg.strategy.is_barrier
+    limit = cfg.budget_sim_time if cfg.budget_sim_time > 0 else math.inf
+    budget, paced = cfg.budget_updates, cfg.parallel
+    scale, t0 = cfg.parallel_time_scale, time.monotonic()
+    heappop, heappush = heapq.heappop, heapq.heappush
+    reason = None
+    try:
+        # divergence detection rides on IEEE inf/nan propagation; the
+        # overflow on the way down is expected, not worth a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            probe_block()  # version 0, before any worker starts
+            try:
+                heap = []
+                for w in ids:
+                    batch = in_flight[w] = next(batches)
+                    heappush(heap, (w / n + sample(rngs[w], compute) * batch.total_cost, w))
+                while version < budget:
+                    t, w = heappop(heap)
+                    if t > limit:
+                        break
+                    if paced:
+                        time.sleep(max(0.0, t * scale - (time.monotonic() - t0)))
+                        t = (time.monotonic() - t0) / scale
                         if t > limit:
                             break
-                        if paced:
-                            time.sleep(max(0.0, t * scale - (time.monotonic() - t0)))
-                            t = (time.monotonic() - t0) / scale
-                            if t > limit:
-                                break
-                        batch, rng = in_flight[w], rngs[w]
-                        g = grad(pulled_theta[w], batch, rng)
-                        # Starting a sum at its first term, not at +0.0,
-                        # changes only the sign of exact-zero entries
-                        # (-0.0 + -0.0 is -0.0, +0.0 + -0.0 is +0.0). Such
-                        # an entry reaches theta only as theta - (+-0)
-                        # (Adam's v squares it, and m divides it by a
-                        # positive number), which equals theta unless theta
-                        # is -0.0. theta starts as zeros or normal draws,
-                        # and theta - x is -0.0 only when theta already is:
-                        # no bit changes.
-                        k = counts[w]
-                        s = g if k == 0 else sums[w] + g
-                        cost = costs[w] + batch.total_cost
-                        if k + 1 < local:  # not a push: start again at once
-                            sums[w], counts[w], costs[w], at = s, k + 1, cost, t
-                        else:
-                            counts[w] = costs[w] = 0
-                            total_cost += cost
-                            if mean_local:
-                                s = s / local
-                            server = s if server_count == 0 else server + s
-                            server_count += 1
-                            staleness = version - pulled_version[w]
-                            if server_count == global_count:
-                                server_count, version = 0, version + 1
-                                lr = rate(version)
-                                version_lr.append(lr)
-                                g = server / global_count if mean_global else server
-                                if state is None:
-                                    theta, v = step(theta, g, lr), None
-                                else:
-                                    state, theta = step(state, adam, theta, g, lr)
-                                    v = state.v
-                                theta.setflags(write=False)
-                                queued = self.queued  # probe_queued rebinds it
-                                queued.append((theta, v, len(pushed), total_cost))
-                                if len(queued) == _PROBE_BLOCK:
-                                    self.theta, self.total_cost = theta, total_cost
-                                    self.probe_queued()
-                            at = t + latency
-                            record((version, at, staleness, w))
-                            if barrier:  # wait for the round's update, which starts all N
-                                if server_count == 0:
-                                    if version % pull_every == 0:
-                                        pulled_theta, pulled_version = [theta] * n, [version] * n
-                                    for i in ids:  # next round, batch grab in id order
-                                        batch = in_flight[i] = next(batches)
-                                        heappush(heap, (at + sample(rngs[i], compute)
-                                                        * batch.total_cost, i))
-                                continue
-                            pulled_theta[w], pulled_version[w] = theta, version
-                        batch = in_flight[w] = next(batches)
-                        heappush(heap, (at + sample(rng, compute) * batch.total_cost, w))
-                    self.theta, self.total_cost = theta, total_cost
-                finally:
-                    self.probe_queued()
-        except DivergenceError as e:
-            reason = str(e)
-        pushes = len(self.pushed)
-        update_idx, sim_time_s, staleness, worker_id = (
-            map(list, zip(*self.pushed)) if pushes else ([] for _ in range(4))
-        )
-        columns = {
-            "update_idx": update_idx,
-            "sim_time_s": sim_time_s,
-            "pushes": list(range(1, pushes + 1)),
-            "staleness": staleness,
-            "loss_probe": list(map(self.version_loss.__getitem__, update_idx)),
-            "lr": list(map(self.version_lr.__getitem__, update_idx)),
-            "strategy": [self.label] * pushes,
-            "worker_id": worker_id,
-        }
-        return RunTrace(
-            columns=columns,
-            n_workers=cfg.workers,
-            strategy_label=self.label,
-            diverged=reason is not None,
-            divergence_reason=reason,
-            final_theta=self.theta.copy(),
-            total_cost=self.total_cost,
-            initial_loss=self.version_loss[0] if self.version_loss else math.nan,
-        )
-
-
-def run_simulation(
-    cfg: "ExperimentConfig",
-    objective: Objective | None = None,
-    dataset: Batch | None = None,
-    probe: Batch | None = None,
-    theta0: Vec | None = None,
-) -> RunTrace:
-    """Run the configured experiment (see _Run.execute for the loop).
-
-    Serial by default: every completion is observed at its deadline, so the
-    loop takes them in simulated-time order, ties to the lower worker id,
-    and the run is deterministic. With cfg.parallel set, the same loop is
-    paced by a real clock on the calling thread, cfg.parallel_time_scale
-    real seconds per simulated second: each completion is observed when a
-    sleep until its deadline ends, so paced runs honour comm.latency and
-    the i/N start stagger and take completions in deadline order. A
-    completion that falls due while a push step runs is observed when that
-    step ends, and each wake time feeds the next deadline, so paced timings
-    are nondeterministic and only statistical assertions hold; with N=1
-    the update trajectory matches the serial run exactly (timestamps
-    aside). No thread is started. objective, dataset, probe and theta0 go
-    to build_experiment.
-    """
-    return _Run(cfg, (objective, dataset, probe, theta0)).execute()
+                    batch, rng = in_flight[w], rngs[w]
+                    g = grad(pulled_theta[w], batch, rng)
+                    # Starting a sum at its first term, not at +0.0, changes
+                    # only the sign of exact-zero entries (-0.0 + -0.0 is
+                    # -0.0, +0.0 + -0.0 is +0.0). Such an entry reaches theta
+                    # only as theta - (+-0) (Adam's v squares it, and m
+                    # divides it by a positive number), which equals theta
+                    # unless theta is -0.0. theta starts as zeros or normal
+                    # draws, and theta - x is -0.0 only when theta already
+                    # is: no bit changes.
+                    k = counts[w]
+                    s = g if k == 0 else sums[w] + g
+                    cost = costs[w] + batch.total_cost
+                    if k + 1 < local:  # not a push: start again at once
+                        sums[w], counts[w], costs[w], at = s, k + 1, cost, t
+                    else:
+                        counts[w] = costs[w] = 0
+                        total_cost += cost
+                        if mean_local:
+                            s = s / local
+                        server = s if server_count == 0 else server + s
+                        server_count += 1
+                        staleness = version - pulled_version[w]
+                        if server_count == global_count:
+                            server_count, version = 0, version + 1
+                            lr = rate(version)
+                            version_lr.append(lr)
+                            g = server / global_count if mean_global else server
+                            if state is None:
+                                theta, v = step(theta, g, lr), None
+                            else:
+                                state, theta = step(state, adam, theta, g, lr)
+                                v = state.v
+                            theta.setflags(write=False)
+                            queued.append((theta, v, len(pushed), total_cost))
+                            if len(queued) == _PROBE_BLOCK:
+                                probe_block()
+                        at = t + latency
+                        record((version, at, staleness, w))
+                        if barrier:  # wait for the round's update, which starts all N
+                            if server_count == 0:
+                                if version % pull_every == 0:
+                                    pulled_theta, pulled_version = [theta] * n, [version] * n
+                                for i in ids:  # next round, batch grab in id order
+                                    batch = in_flight[i] = next(batches)
+                                    heappush(heap, (at + sample(rngs[i], compute)
+                                                    * batch.total_cost, i))
+                            continue
+                        pulled_theta[w], pulled_version[w] = theta, version
+                    batch = in_flight[w] = next(batches)
+                    heappush(heap, (at + sample(rng, compute) * batch.total_cost, w))
+            finally:
+                probe_block()
+    except DivergenceError as e:
+        reason, theta, total_cost = str(e), e.theta, e.total_cost
+    pushes = len(pushed)
+    update_idx, sim_time_s, staleness, worker_id = (
+        map(list, zip(*pushed)) if pushes else ([] for _ in range(4))
+    )
+    columns = {
+        "update_idx": update_idx,
+        "sim_time_s": sim_time_s,
+        "pushes": list(range(1, pushes + 1)),
+        "staleness": staleness,
+        "loss_probe": list(map(version_loss.__getitem__, update_idx)),
+        "lr": list(map(version_lr.__getitem__, update_idx)),
+        "strategy": [label] * pushes,
+        "worker_id": worker_id,
+    }
+    return RunTrace(
+        columns=columns,
+        n_workers=cfg.workers,
+        strategy_label=label,
+        diverged=reason is not None,
+        divergence_reason=reason,
+        final_theta=theta.copy(),
+        total_cost=total_cost,
+        initial_loss=version_loss[0] if version_loss else math.nan,
+    )

@@ -1,4 +1,5 @@
-"""Core plumbing: vectors, named RNG streams, the LR formula, compute times."""
+"""Core plumbing: vectors, named RNG streams, the LR formula, compute times;
+and the library input checks no run reaches."""
 
 import importlib
 import math
@@ -24,8 +25,16 @@ from stalesim.core import (
     learning_rate,
     sample_compute_time,
 )
-from stalesim.models import Objective
-from stalesim.simulator import run_simulation
+from stalesim.models import (
+    Batch,
+    LinearRegression,
+    Mlp,
+    Objective,
+    Quadratic,
+    make_cost_stream,
+)
+from stalesim.optim import sgd_step
+from stalesim.simulator import TRACE_COLUMNS, RunTrace, run_simulation, staleness_summary
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +129,57 @@ def test_every_exported_name_resolves():
     for mod in modules:
         missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert not missing, f"{mod.__name__}.__all__ names missing: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# library input checks that no run reaches
+
+
+def _trace(*rows) -> RunTrace:
+    columns = {c: [row[i] for row in rows] for i, c in enumerate(TRACE_COLUMNS)}
+    return RunTrace(columns=columns, n_workers=1, strategy_label="async")
+
+
+def _no_schema(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("# workers=1\n" + ",".join(TRACE_COLUMNS) + "\n", encoding="utf-8")
+    return RunTrace.from_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda _: as_vec([[1.0]]), ValueError, "parameter vector must be 1-D, got shape (1, 1)"),
+        (lambda _: Objective().grad(np.zeros(1), Batch.cost_only([1])), NotImplementedError, ""),
+        (lambda _: Quadratic(np.ones((2, 3)), [0.0, 0.0]), ValueError,
+         "A must be a square matrix"),
+        (lambda _: Quadratic(np.eye(2), [0.0, 0.0], noise_sigma=-1.0), ValueError,
+         "noise_sigma must be >= 0"),
+        (lambda _: Quadratic(np.eye(2), [0.0, 0.0, 0.0]), ValueError,
+         "theta_star dimension must match A"),
+        (lambda _: LinearRegression(0), ValueError, "dim must be >= 1"),
+        (lambda _: Mlp(2, 0, 3), ValueError, "need in_dim, hidden >= 1 and classes >= 2"),
+        (lambda _: Mlp(2, 4, 1), ValueError, "need in_dim, hidden >= 1 and classes >= 2"),
+        (lambda _: make_cost_stream(RngStream(0, 0), 4, cost_max=0), ValueError,
+         "cost_max must be >= 1"),
+        (lambda _: sgd_step(np.zeros(2), np.zeros(3), 0.1), ValueError,
+         "dimension mismatch: (2,) vs (3,)"),
+        (lambda _: _trace().final_loss, ValueError, "empty trace has no final loss"),
+        (lambda _: _trace().best_loss, ValueError, "empty trace has no best loss"),
+        (_no_schema, ValueError, "unsupported trace schema None"),
+        (lambda _: staleness_summary(_trace((1, 1.0, 1, 0, 1.0, 0.1, "async", 0)), -1),
+         ValueError, "warmup_pushes must be >= 0"),
+    ],
+    ids=[
+        "as_vec-2d", "objective-grad", "quadratic-not-square", "quadratic-noise",
+        "quadratic-theta-star", "linreg-dim", "mlp-hidden", "mlp-classes", "cost-max",
+        "sgd-shapes", "final-loss-empty", "best-loss-empty", "csv-no-schema", "warmup",
+    ],
+)
+def test_library_input_checks_raise_their_message(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"

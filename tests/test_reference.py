@@ -3,7 +3,8 @@
 reference_run restates the schedule of a serial run from its rules alone:
 one state per worker, the next completion found by a linear scan for the
 earliest deadline (ties to the lower id), and each version checked the
-moment its update makes it. It has no heap and no _Run code. It shares
+moment its update makes it. It has no heap and no code of
+run_simulation's event loop. It shares
 with the engine only the pieces and the formulas under the schedule:
 build_experiment, dynamic_batcher, sample_compute_time, learning_rate,
 the objective's grad and losses, and adam_step/sgd_step. The property

@@ -1,10 +1,12 @@
-"""The suite's own pytest settings."""
+"""The suite's own pytest settings, and the source-size tool CI runs."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-_PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+_ROOT = Path(__file__).resolve().parents[1]
+_PYPROJECT = _ROOT / "pyproject.toml"
 
 
 def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):
@@ -27,3 +29,28 @@ def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example" in out and "1 failed" in out
     assert proc.returncode == 1
+
+
+def test_source_size_counts_each_line_once_by_kind(capsys):
+    spec = importlib.util.spec_from_file_location("source_size", _ROOT / "tools" / "source_size.py")
+    source_size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(source_size)
+    module = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "def f(x):  # a trailing comment is on a statement line\n"
+        '    """One line."""\n'
+        "    return (x +\n"
+        "            1)\n"
+    )
+    assert source_size.count(module) == {"statement": 3, "docstring": 3, "comment": 1, "blank": 1}
+    src = _ROOT / "src" / "stalesim"
+    assert source_size.main([str(src)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[-1][0] == "total"
+    for row in rows:
+        assert int(row[1]) == sum(map(int, row[2:]))
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py"))
+    assert sum(int(row[1]) for row in rows[:-1]) == int(rows[-1][1]) == lines
