@@ -133,8 +133,10 @@ def _cmd_sweep(args) -> int:
     text = _read(args.config)
     grid = _parse_grid(args.grid)
     overrides = {} if args.seed is None else {"seed": str(args.seed)}
-    base_cfg = parse_config(text, overrides)  # validate the base before fanning out
-    out = resolve_out_dir(args.out_dir, base_cfg)
+    # every point writes under the same out_dir (sweep rejects a grid over
+    # it), so the first point, which sweep parses first too, names it
+    first = parse_config(text, {**overrides, **{k: v[0] for k, v in grid.items()}})
+    out = resolve_out_dir(args.out_dir, first)
     results = sweep(text, grid, out, jobs=args.jobs, overrides=overrides)
     for label, report in results:
         status = "diverged" if report.diverged else "ok"

@@ -44,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import learning_rate
+
 __all__ = [
     "ObjectiveSpec",
     "Strategy",
@@ -125,7 +127,9 @@ _KEYS = (
     _Key("compute.std", "compute.std", "float", "schedule", ">= 0"),
     _Key("comm.latency", "comm_latency", "float", "schedule", ">= 0"),
     _Key("combine", "combine", "str", "step", ("mean", "sum")),
-    _Key("batch.budget", "batch_budget", "int", "schedule", ">= 1"),
+    # an int64, as every cost is: batch.cost_max <= batch.budget keeps the
+    # costs' draw (Generator.integers) in range
+    _Key("batch.budget", "batch_budget", "int", "schedule", ">= 1 and < 9223372036854775808"),
     _Key("batch.cost_max", "batch_cost_max", "int", "build", ">= 1"),
     _Key("budget.updates", "budget_updates", "int", "schedule", ">= 1"),
     _Key("budget.sim_time", "budget_sim_time", "float", "schedule", ">= 0"),
@@ -359,10 +363,25 @@ class ExperimentConfig:
                 f"batch.cost_max ({self.batch_cost_max}) must not exceed "
                 f"batch.budget ({self.batch_budget})"
             )
+        # plain SGD refuses a rate of 0, which a tiny alpha or batch scale
+        # can round to; the schedule is lowest at the first or last update
+        if self.optimizer_kind == "sgd" and not min(map(self.lr, (1, self.budget_updates))):
+            raise ValueError("the SGD learning rate rounds to 0 at the first or the last update")
         if not all(0 < f <= 1 for f in self.thresholds):
             raise ValueError("thresholds fractions must be in (0, 1]")
         if not all(map(math.isfinite, self.thresholds_absolute)):
             raise ValueError("thresholds.absolute values must be finite")
+
+    @property
+    def lr(self) -> partial:
+        """The learning rate of update t >= 1 as lr(t), trace.csv's lr:
+        the schedule (core.learning_rate) on the base rate, alpha, or with
+        schedule.batch_scale > 0, alpha * scale * L * G, as one update
+        aggregates L*G pushes' worth of samples."""
+        local, global_count, _ = self.strategy.effective(self.workers)
+        alpha, scale = self.adam.alpha, self.schedule_batch_scale
+        base = alpha * scale * (local * global_count) if scale > 0 else alpha
+        return partial(learning_rate, base, self.schedule_warmup, self.schedule_decay)
 
 
 _TAGS = {k.key: k.tag for k in _KEYS}

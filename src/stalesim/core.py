@@ -3,9 +3,9 @@ stream ids a run draws from, the learning-rate formula, and the sampler of
 compute times.
 
 Parameter vectors are plain 1-D float64 numpy arrays, not wrapped in a class:
-as_vec makes one. An RngStream is likewise a plain numpy Generator; only
-its constructor, which keys it on (seed, stream id), is ours, so callers
-draw with the Generator methods themselves.
+as_vec makes one. A random stream is likewise a plain numpy Generator:
+RngStream keys one on (seed, stream id), and callers draw with the
+Generator methods themselves.
 """
 
 from __future__ import annotations
@@ -38,21 +38,20 @@ def as_vec(values) -> Vec:
     return v
 
 
-class RngStream(np.random.Generator):
+def RngStream(seed: int, stream: int = 0) -> np.random.Generator:
     """A named, reproducible random stream: a numpy Generator on the Philox
     counter-based bit generator keyed on (seed, stream id), so the same
     pair yields a bit-identical sample sequence on every run and platform.
     Each stream must be consumed by a single worker at a time; distinct
     stream ids never overlap. The seed and the stream id are each one
-    64-bit key word, so each must lie in [0, 2**64).
+    64-bit key word, so each must lie in [0, 2**64). A function, not a
+    type: what it returns is a plain Generator.
     """
-
-    def __init__(self, seed: int, stream: int = 0):
-        words = [int(seed), int(stream)]
-        for name, word in zip(("seed", "stream id"), words):
-            if not 0 <= word < 2**64:
-                raise ValueError(f"RngStream {name} must be in [0, 2**64), got {word}")
-        super().__init__(np.random.Philox(key=np.array(words, dtype=np.uint64)))
+    words = [int(seed), int(stream)]
+    for name, word in zip(("seed", "stream id"), words):
+        if not 0 <= word < 2**64:
+            raise ValueError(f"RngStream {name} must be in [0, 2**64), got {word}")
+    return np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64)))
 
 
 # Fixed stream ids so every consumer of randomness is independent: training
@@ -74,18 +73,16 @@ def learning_rate(base_lr: float, warmup: int, decay: str, t: int) -> float:
     and base_lr at every t when W = 0. This is the standard
     inverse-sqrt-with-warmup shape, a documented choice of this package.
     The config checks the schedule.* values this takes; base_lr is the
-    run's rate before the schedule (see simulator.run_simulation).
+    run's rate before the schedule (see config.ExperimentConfig.lr).
     """
-    if warmup == 0:
-        return base_lr
-    if decay == "inverse-sqrt":
-        factor = min(t / warmup, math.sqrt(warmup / t))
-    else:
-        factor = min(t / warmup, 1.0)
-    return base_lr * factor
+    # each branch takes the smaller of the two factors, so t/W is computed
+    # only below 1, and a t far past the float range does not overflow it
+    if t < warmup:
+        return base_lr * (t / warmup)
+    return base_lr * math.sqrt(warmup / t) if warmup and decay == "inverse-sqrt" else base_lr
 
 
-def sample_compute_time(rng: RngStream, model: ComputeTimeModel) -> float:
+def sample_compute_time(rng: np.random.Generator, model: ComputeTimeModel) -> float:
     """Draw one positive compute duration from `model` using `rng`: see
     config.ComputeTimeModel for the two kinds.
 

@@ -11,18 +11,13 @@ finite-difference oracle verifies every analytic gradient in milliseconds:
   under a few hundred so finite differences stay cheap.
 
 A dataset is one array-backed Batch: a feature matrix, a target vector and
-integer costs (a token-count analog), one row per sample, all read-only.
-The dynamic batcher fills batches greedily up to a cost budget in dataset
-order, as read-only row views of the dataset, so the data stays in the
-arrays it was drawn into, from the draw to the gradient. It keeps its cut
-on the dataset, one per budget, as the list of views cut so far and the
-scan that finds the next, and cuts on demand: each batch is found and its
-view made the first time any run reaches it, under the one lock that
-guards every cut, and every later run on the same dataset and budget (a
-sweep group's points, a benchmark's run loop) replays the same views.
-Each view also keeps the one-hot rows of its targets that the MLP
-gradient subtracts, made by the first gradient on it, so the runs that
-replay a cut make them once per view.
+integer costs (a token-count analog), one row per sample. dynamic_batcher
+fills batches greedily up to a cost budget in dataset order, as row views
+of the dataset. Every piece here is read-only and safe to share across
+runs and threads. What runs that share a piece make only once is
+described in one place each: the cut in dynamic_batcher, the two slots
+that keep it on a batch in Batch, and the label rows and weight views in
+Mlp.
 
 The gradients run at d <= ~80, where a kernel's time is mostly numpy's
 per-call overhead, not arithmetic. So each 2-D product in a gradient goes
@@ -76,21 +71,18 @@ class Batch:
     Holds three read-only arrays with one row per sample: features (n, d)
     float64, targets (n,) float64 (a real value or a class id) and costs
     (n,) int64, each cost >= 1 and standing in for the sample's memory
-    footprint. total_cost is their sum as a Python int. Nothing is copied:
-    the batches dynamic_batcher yields are row views of the dataset, made
-    once per dataset and budget and kept in the dataset's _cuts (budget ->
-    (views, scan): the views cut so far and the scan of the costs that
-    finds the next; None until the first call, and on every view). The
-    pair holds the costs array, not the dataset, so a dataset is freed as
-    soon as its last run ends. Like total_cost, a cut is taken from the
-    arrays as they are then, and never recomputed.
-    _labels is None until the first Mlp.grad on the batch stores the
-    one-hot rows of its targets there, read-only, (n, classes) float64:
-    n * classes * 8 bytes per batch, so a cut's views hold dataset rows *
-    classes * 8 bytes once each has been graded. Their width is the class
-    count they were made for, and an Mlp with another count makes and
-    stores its own. They too are taken from the targets as they are then.
-    Objectives that see only the cost (the quadratic) use d = 0.
+    footprint. total_cost is their sum as a Python int. Objectives that
+    see only the cost (the quadratic) use d = 0.
+
+    Two slots keep what is made once for a batch, None at construction
+    and on every row view. _cuts, on a dataset, maps each budget to
+    (views, scan): the views dynamic_batcher has cut so far and the scan
+    of the costs that finds the next. The pair holds the costs array, not
+    the dataset, so a dataset is freed as soon as its last run ends.
+    _labels holds the label rows Mlp.grad made for the batch, (n, classes)
+    float64: n * classes * 8 bytes, so a cut's views hold dataset rows *
+    classes * 8 bytes once each has been graded. Like total_cost, both
+    are taken from the arrays as they are then, and never recomputed.
     """
 
     __slots__ = ("features", "targets", "costs", "total_cost", "_cuts", "_labels")
@@ -109,7 +101,7 @@ class Batch:
         if c.min() < 1:
             raise ValueError("sample cost must be >= 1")
         self.features, self.targets, self.costs = x, y, c
-        self.total_cost = int(c.sum())
+        self.total_cost = sum(c.tolist())  # exact, where an int64 sum would wrap
         self._cuts = self._labels = None
 
     @classmethod
@@ -136,12 +128,9 @@ class Objective:
     """Interface shared by all toy objectives.
 
     loss/losses/grad take a Batch; grad additionally takes the caller's
-    RngStream so concurrent workers never share sampler state. Objectives
-    themselves are immutable and safe to share across runs and threads.
-    Mlp keeps two memos, both filled by grad and both only ever replaced
-    whole, so a thread race at worst makes one twice: the weight views of
-    the last theta it was given, and each batch's one-hot label rows (see
-    Batch).
+    random stream (a Generator, as RngStream makes one) so concurrent
+    workers never share sampler state. Objectives are read-only and safe
+    to share across runs and threads (see Mlp for what its grad keeps).
 
     losses is the probe: the engine evaluates the probe loss of up to 64
     parameter versions in one call to it, and loss is its one-row case. A
@@ -165,7 +154,7 @@ class Objective:
             raise NotImplementedError(f"{type(self).__name__} overrides neither loss nor losses")
         return np.array([float(self.loss(t, batch)) for t in thetas])
 
-    def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
+    def grad(self, theta: Vec, batch: Batch, rng: np.random.Generator | None = None) -> Vec:
         """The gradient at theta on batch, as a fresh (dim,) array that
         shares no memory with theta, batch or an earlier return. The
         engine keeps the returned array and may step with it as is, so
@@ -217,7 +206,7 @@ class Quadratic(Objective):
         d = thetas - self.theta_star
         return (((0.5 * d)[:, None] @ self.a_matrix) @ d[..., None])[:, 0, 0]
 
-    def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
+    def grad(self, theta: Vec, batch: Batch, rng: np.random.Generator | None = None) -> Vec:
         self._check_dim(theta)
         d = theta - self.theta_star
         # at dim 1 A is one element (see the module docstring)
@@ -246,8 +235,10 @@ class Quadratic(Objective):
         eigs = np.logspace(0.0, np.log10(cond), dim)
         a = q @ np.diag(eigs) @ q.T
         a = 0.5 * (a + a.T)  # kill asymmetry from rounding
-        # as normal(0.0, scale) draws it, but taking a scale of -0.0 too
-        theta_star = theta_star_scale * rng.standard_normal(dim)
+        # as normal(0.0, scale) draws it, but taking a scale of -0.0 too; a
+        # huge scale overflows, which the run's first probe reports
+        with np.errstate(over="ignore"):
+            theta_star = theta_star_scale * rng.standard_normal(dim)
         return cls(a, theta_star, noise_sigma)
 
 
@@ -266,7 +257,7 @@ class LinearRegression(Objective):
         r = (batch.features[None] @ thetas[..., None])[..., 0] - batch.targets
         return 0.5 * (np.add.reduce(r * r, axis=1) / len(batch))
 
-    def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
+    def grad(self, theta: Vec, batch: Batch, rng: np.random.Generator | None = None) -> Vec:
         self._check_dim(theta)
         x = batch.features
         # one row or one feature makes a one-element operand (see the
@@ -280,7 +271,7 @@ class LinearRegression(Objective):
 
 
 def make_linreg_samples(
-    rng: RngStream,
+    rng: np.random.Generator,
     n: int,
     theta_true,
     target_noise: float = 0.0,
@@ -310,13 +301,17 @@ class Mlp(Objective):
     operand), a stack through matmul. grad writes each block of the
     gradient into its slice of one fresh vector.
 
-    grad takes what a push's batch or pulled version already fixed once:
-    it stores each batch's one-hot label rows on the batch (Batch._labels),
-    and keeps the weight views of the last theta it was given, matched by
-    identity. Under global accumulation several pushes pull one version,
-    and a run replays its batches. The memo holds views, never copies, so
-    a caller that writes into its theta in place still gets its current
-    values; it keeps that one theta alive until another replaces it.
+    grad takes what a push's batch or pulled version already fixed once.
+    The first grad on a batch makes the one-hot rows of its targets
+    (zeros, then 1.0 at each row's class) and stores them, read-only, on
+    the batch (Batch._labels); an Mlp with another class count makes and
+    stores its own, as the rows' width tells. grad also keeps the weight
+    views of the last theta it was given, matched by identity: under
+    global accumulation several pushes pull one version, and a run
+    replays its batches. That memo holds views, never copies, so a caller
+    that writes into its theta in place still gets its current values; it
+    keeps that one theta alive until another replaces it. Both memos are
+    only ever replaced whole, so a thread race at worst makes one twice.
     Kept small so the finite-difference oracle can sweep every coordinate
     quickly.
     """
@@ -328,14 +323,6 @@ class Mlp(Objective):
         self.hidden = hidden
         self.classes = classes
         self.dim = hidden * in_dim + hidden + classes * hidden + classes
-        # the one-hot rows of the targets: p - 1.0 at the target's class
-        # and p - 0.0, which is p, elsewhere
-        self._one_hot = _read_only(np.eye(classes), np.float64)
-        # grad's operands x (n, in_dim), W1 (hidden, in_dim) and the
-        # activations (n, hidden) can have one element only when in_dim or
-        # hidden is 1 (see the module docstring); dz2 and W2 never can, as
-        # classes >= 2
-        self._thin = 1 in (in_dim, hidden)
         # (theta, _weights(theta)) for the last theta grad was given
         self._last = None
 
@@ -377,12 +364,15 @@ class Mlp(Objective):
         picked = np.ascontiguousarray(log_p[:, np.arange(n), batch.targets.astype(np.int64)])
         return -(np.add.reduce(picked, axis=1) / n)
 
-    def grad(self, theta: Vec, batch: Batch, rng: RngStream | None = None) -> Vec:
+    def grad(self, theta: Vec, batch: Batch, rng: np.random.Generator | None = None) -> Vec:
         self._check_dim(theta)
         h, d, c = self.hidden, self.in_dim, self.classes
         i = h * d + h
         x, n = batch.features, len(batch)
-        product = np.matmul if self._thin and 1 in (n, d * h) else np.ndarray.dot
+        # the operands x (n, d), W1 (h, d) and the activations (n, h) can
+        # have one element (see the module docstring); dz2 and W2 never
+        # can, as classes >= 2
+        product = np.matmul if 1 in (d, h) and 1 in (n, d * h) else np.ndarray.dot
         last = self._last
         if last is None or last[0] is not theta:
             last = self._last = (theta, self._weights(theta))
@@ -390,9 +380,11 @@ class Mlp(Objective):
         a, log_p = self._forward(weights, x, product)
         labels = batch._labels
         if labels is None or labels.shape[1] != c:
-            labels = batch._labels = _read_only(
-                self._one_hot.take(batch.targets.astype(np.int64), axis=0), np.float64
-            )
+            # the one-hot rows of the targets: p - 1.0 at the target's
+            # class and p - 0.0, which is p, elsewhere
+            labels = np.zeros((n, c))
+            labels[np.arange(n), batch.targets.astype(np.int64)] = 1.0
+            labels = batch._labels = _read_only(labels, np.float64)
         dz2 = np.exp(log_p)
         dz2 -= labels
         dz2 /= n
@@ -405,12 +397,12 @@ class Mlp(Objective):
         np.add.reduce(dz1, axis=0, out=g[h * d : i])
         return g
 
-    def init_theta(self, rng: RngStream, scale: float = 0.5) -> Vec:
+    def init_theta(self, rng: np.random.Generator, scale: float = 0.5) -> Vec:
         return rng.normal(0.0, scale, size=self.dim)
 
 
 def make_blob_samples(
-    rng: RngStream,
+    rng: np.random.Generator,
     n_per_class: int,
     centers,
     spread: float = 0.5,
@@ -510,7 +502,7 @@ def _greedy_bounds(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int, i
     yield start, len(costs), current_cost
 
 
-def make_cost_stream(rng: RngStream, n: int, cost_max: int = 50) -> np.ndarray:
+def make_cost_stream(rng: np.random.Generator, n: int, cost_max: int = 50) -> np.ndarray:
     """n int64 costs uniform on [1, cost_max]; cost_max=1 means all ones
     (and draws nothing, keeping cost-free datasets deterministic across
     cost settings)."""

@@ -51,7 +51,6 @@ from .core import (
     STREAM_WORKER_BASE,
     RngStream,
     Vec,
-    learning_rate,
     sample_compute_time,
 )
 from .models import (
@@ -481,10 +480,7 @@ def run_simulation(
     # the mean combine divides by each count but 1: x/1 == x bit for bit
     mean_local = cfg.combine == "mean" and local > 1
     mean_global = cfg.combine == "mean" and global_count > 1
-    # one update aggregates L*G pushes' worth of samples; scale 0 keeps alpha
-    alpha, lr_scale = cfg.adam.alpha, cfg.schedule_batch_scale
-    base_lr = alpha * lr_scale * (local * global_count) if lr_scale > 0 else alpha
-    rate = functools.partial(learning_rate, base_lr, cfg.schedule_warmup, cfg.schedule_decay)
+    rate = cfg.lr
     adam = cfg.adam
     state = AdamState.zeros(len(theta)) if cfg.optimizer_kind == "adam" else None
     # by version: the rate its update applied (0.0 for the initial
@@ -510,8 +506,9 @@ def run_simulation(
     reason = None
     try:
         # divergence detection rides on IEEE inf/nan propagation; the
-        # overflow on the way down is expected, not worth a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # overflow or division by zero on the way down (Adam with epsilon 0
+        # and a v that underflowed to 0) is expected, not worth a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             probe_block()  # version 0, before any worker starts
             try:
                 heap = []

@@ -337,6 +337,22 @@ def test_experiment_config_rejects_a_non_finite_absolute_threshold():
             ExperimentConfig(thresholds_absolute=(1.0, bad))
 
 
+def test_sgd_rejects_a_learning_rate_that_rounds_to_0():
+    # sgd_step refuses a rate of 0, so the run would end in an error
+    for lines in (
+        "optimizer.alpha = 5e-324\nschedule.warmup = 4\n",  # warmup's first rate
+        "optimizer.alpha = 5e-324\nschedule.warmup = 1\nbudget.updates = 9\n",  # decayed last
+        "schedule.batch_scale = 5e-324\n",  # alpha * scale * L * G
+    ):
+        with pytest.raises(ConfigError, match="^the SGD learning rate rounds to 0 at the first"):
+            parse_config("optimizer.kind = sgd\n" + lines)
+        parse_config(lines)  # Adam steps at any rate
+    parse_config("optimizer.kind = sgd\noptimizer.alpha = 5e-324\n")  # unscheduled, > 0
+    # t/W would overflow at this last update, but the schedule takes it only
+    # below W, and sqrt(W/t) is still above 0
+    parse_config(f"optimizer.kind = sgd\nschedule.warmup = 4\nbudget.updates = {10**310}\n")
+
+
 # the text each rule is stated by, in messages and in the README key table
 _RULE_TEXT = {key: text for rules in config._RULES.values() for _, _, key, text in rules}
 

@@ -198,14 +198,15 @@ def test_readme_library_example_runs(capsys):
 def test_importing_the_package_root_loads_only_the_run_layer():
     # a cold `import stalesim`, and the README library example's import,
     # load config, core, models, optim and simulator; the harness, the CLI
-    # and the modules only they use stay unloaded
+    # and the modules only they use stay unloaded, and so does numpy.random
+    # until the first stream is made
     library = _README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     (imports,) = re.findall(r"^from stalesim import \(.*?\)$", library, re.S | re.M)
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\nimport stalesim\n" + imports + "\n"
         "print(*sorted(m for m in sys.modules if m.startswith('stalesim')"
-        " or m in ('json', 'concurrent.futures')))\n"
+        " or m in ('json', 'concurrent.futures', 'numpy.random')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
@@ -303,6 +304,13 @@ def test_lr_decay_none_holds_base_after_warmup():
 @given(t=st.integers(1, 10**7))
 def test_lr_always_positive(t):
     assert learning_rate(0.0003, 16000, "inverse-sqrt", t) > 0
+
+
+@given(base=st.floats(0.0, 1e308), warmup=st.integers(1, 10**6), t=st.integers(1, 10**7),
+       decay=st.sampled_from(["inverse-sqrt", "none"]))
+def test_lr_is_the_docstring_formula_bit_for_bit(base, warmup, t, decay):
+    other = math.sqrt(warmup / t) if decay == "inverse-sqrt" else 1.0
+    assert learning_rate(base, warmup, decay, t) == base * min(t / warmup, other)
 
 
 def test_lr_monotone_up_then_down():

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stalesim import config, harness, simulator
 from stalesim.cli import main
@@ -335,6 +337,18 @@ def test_cli_sweep_echoes_each_points_directory(tmp_path, capsys):
         again.write_text(echo)
         assert main(["run", str(again)]) == EXIT_OK
         assert [(point / name).read_bytes() for name in ("trace.csv", "summary.json")] == written
+
+
+def test_cli_sweep_takes_a_base_that_its_grid_makes_valid(tmp_path, capsys):
+    # the base alone breaks cost_max <= budget, and every grid point mends
+    # it: harness.sweep's per-point checks judge the input, not the bare base
+    cfg_path = tmp_path / "base.cfg"
+    cfg_path.write_text("budget.updates = 5\nthresholds =\nbatch.cost_max = 8\nbatch.budget = 4\n")
+    out = tmp_path / "out"
+    grid = ["--grid", "batch.budget=8,16"]
+    assert main(["sweep", str(cfg_path), *grid, "--out-dir", str(out)]) == EXIT_OK
+    for budget in (8, 16):
+        assert (out / f"batch.budget={budget}" / "trace.csv").exists()
 
 
 def test_cli_run_decayed_lr_column_reads_back(tmp_path, capsys):
@@ -706,6 +720,18 @@ def test_cli_run_diverged_before_first_row_exits_3(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_cli_run_adam_without_epsilon_diverges_on_a_zero_v_without_a_warning(tmp_path, capsys):
+    # a gradient near 1e-308 squares to 0, and with epsilon 0 the first
+    # step divides by the zero v: the parameters go non-finite at update 1
+    spec = ObjectiveSpec(kind="quadratic", dim=6, cond=5.0, samples=32, theta_star_scale=1e-308)
+    cfg_path = _write_cfg(tmp_path, objective=spec, adam=AdamConfig(epsilon=0.0))
+    code = main(["run", cfg_path, "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_DIVERGED
+    assert "DIVERGED: parameters went non-finite at update 1" in captured.out
+    assert captured.err == ""
+
+
 def test_cli_run_non_finite_initial_loss_writes_strict_json(tmp_path, capsys):
     # 0.5*d'Ad overflows at theta0 = 0 when theta* ~ 1e200: the probe of
     # version 0 ends the run, and summary.json writes its inf values as null
@@ -1005,3 +1031,119 @@ def test_cli_sweep_and_selftest(tmp_path, capsys):
     assert main(["selftest", "adam"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+
+# ---------------------------------------------------------------------------
+# cli fuzz: documents drawn from config._KEYS, at sizes that cannot load
+# the machine, since no key has a ceiling yet
+
+# each size key's largest value here; the two whose default is above it
+# are always set
+_CAPS = {
+    "objective.dim": 20, "objective.samples": 64, "objective.in_dim": 8,
+    "objective.hidden": 8, "objective.classes": 5, "workers": 8,
+    "strategy.local": 8, "strategy.global": 8, "strategy.pull_every": 8,
+    "budget.updates": 20, "probe.samples": 64,
+}
+_ALWAYS = ("objective.samples", "budget.updates")
+# values that no number or word rule reads as valid; a fixed list, as int()
+# reads "1_000" and non-ASCII digits as numbers
+_JUNK = ("", "abc", "nan", "inf", "-inf", "1e309", "0x10", "1,5", "1.5.2", "true?", "= 1", "#")
+_HUGE = (str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64), "1" + "0" * 30)
+_BIG_FLOATS = ("5e-324", "1e-300", "1e308", "-1e308", "1.7976931348623157e308")
+
+
+def _bounds(k: config._Key) -> dict:
+    # the key's rule as keyword arguments of st.integers or st.floats
+    kw = {}
+    clauses = k.rule.split(" and ") if isinstance(k.rule, str) and k.rule else ()
+    for op, n in map(str.split, clauses):
+        x = int(n) if k.tag == "int" else float(n)
+        side = "min" if op[0] == ">" else "max"
+        if k.tag == "int":
+            kw[f"{side}_value"] = x + (op in (">", "<")) * (1 if side == "min" else -1)
+        else:
+            kw.update({f"{side}_value": x, f"exclude_{side}": "=" not in op})
+    return kw
+
+
+def _raw(k: config._Key, out_dir: str, wild: bool):
+    """Raw values for one key: in its rule, or when wild also its rule's
+    edges, -0, huge values and junk. Never above the key's cap, and never
+    a word that paces the run."""
+    kw = _bounds(k)
+    if k.key == "out_dir":
+        return st.sampled_from(["", out_dir])
+    if k.tag == "bool":
+        valid = st.sampled_from(["false", "no", "0", "FALSE"])
+    elif isinstance(k.rule, tuple):
+        valid = st.sampled_from(k.rule)
+    elif k.key in _CAPS:
+        valid = st.integers(kw["min_value"], _CAPS[k.key]).map(str)
+    elif k.tag == "int":
+        huge = [v for v in _HUGE if int(v) <= kw.get("max_value", math.inf)]
+        valid = (st.integers(**kw) | st.sampled_from(huge)).map(str)
+    else:
+        if k.key == "thresholds":
+            kw = dict(min_value=0.0, max_value=1.0, exclude_min=True)
+        valid = st.floats(allow_nan=False, allow_infinity=False, **kw).map(repr)
+        if k.tag == "float_list":
+            valid = st.lists(valid, max_size=3).map(",".join)
+    if not wild:
+        return valid
+    edges = ["-0"] + [str(kw.get(f"{side}_value", 0)) for side in ("min", "max")]
+    if k.key not in _CAPS:
+        edges += _HUGE + _BIG_FLOATS
+    if isinstance(k.rule, tuple):
+        edges += [w.upper() for w in k.rule]
+    return valid | st.sampled_from(edges + list(_JUNK))
+
+
+_LABELS = st.builds(
+    "-".join, st.tuples(st.sampled_from(list(config._PARAMS) + ["junk"]))
+    | st.tuples(st.sampled_from(list(config._PARAMS)), st.integers(0, 8).map(str))
+    | st.tuples(st.sampled_from(["combined", "sync"]), *[st.integers(0, 8).map(str)] * 2)
+)
+
+
+@st.composite
+def _cli_case(draw, out_dir):
+    keys = {k.key: k for k in config._KEYS}
+    wild = draw(st.booleans())
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=8))
+    chosen = draw(st.permutations(list(_ALWAYS) + [k for k in chosen if k not in _ALWAYS]))
+    lines = [f"{key} = {draw(_raw(keys[key], out_dir, wild))}" for key in chosen]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), f"strategy = {draw(_LABELS)}")
+    command = draw(st.sampled_from(["run", "sweep"]))
+    flags = []
+    if command == "sweep":
+        # one key with up to 4 values, or two with up to 2: at most 4 points
+        sizes = draw(st.sampled_from([(4,), (2, 2)]))
+        for key, size in zip(draw(st.permutations(sorted(keys))), sizes):
+            values = draw(st.lists(_raw(keys[key], out_dir, wild), min_size=1, max_size=size,
+                                   unique=True))
+            flags += ["--grid", f"{key}={','.join(values)}"]
+        flags += ["--jobs", draw(st.sampled_from(["1", "2", "0"] if wild else ["1", "2"]))]
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.integers(-1 if wild else 0, 2**64)))]
+    return command, "\n".join(lines) + "\n", flags
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_documented_code_and_one_stderr_line(tmp_path, capsys, data):
+    # exit 0, 2, 3 or 4 (a sweep does not exit 4), with at most one stderr
+    # line and no traceback: exit 5 would be a fault the input found
+    where = tmp_path / str(len(list(tmp_path.iterdir())))
+    command, text, flags = data.draw(_cli_case(str(where / "cfg-out")))
+    where.mkdir()
+    (where / "exp.cfg").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main([command, str(where / "exp.cfg"), *flags, "--out-dir", str(where / "out")])
+    out, err = capsys.readouterr()
+    assert code in ((0, 2, 3, 4) if command == "run" else (0, 2, 3)), err
+    assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in out + err

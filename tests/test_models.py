@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ def test_quadratic_random_geometry():
     q2 = Quadratic.random(dim=8, seed=4, cond=25.0)
     np.testing.assert_array_equal(q.a_matrix, q2.a_matrix)
     np.testing.assert_array_equal(q.theta_star, q2.theta_star)
+
+
+def test_batch_total_cost_is_the_exact_sum_past_int64():
+    assert Batch.cost_only([2**62, 2**62, 1]).total_cost == 2**63 + 1
+
+
+def test_quadratic_random_overflows_a_huge_theta_star_scale_without_a_warning():
+    # the largest float times a draw above 1 is inf, which the run's first
+    # probe reports as divergence; a warning would be a stderr line more
+    q = Quadratic.random(dim=8, seed=0, theta_star_scale=1.7976931348623157e308)
+    assert np.isinf(q.theta_star).any()
 
 
 def test_quadratic_noise_scales_with_batch_cost():
@@ -397,6 +409,17 @@ def test_mlp_grad_caches_keep_every_bit_cold_warm_and_after_another_theta():
     _assert_reference_grad(mlp, thetas[1], view)  # another theta, warm rows
     _assert_reference_grad(mlp, thetas[0], view)
     assert view._labels is rows  # made once
+
+
+def test_mlp_construction_makes_nothing_the_size_of_classes_squared():
+    # the label rows are made per batch view, from its targets alone
+    tracemalloc.start()
+    try:
+        Mlp(4, 8, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_mlp_grad_label_rows_follow_the_class_count():
