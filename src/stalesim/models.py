@@ -132,8 +132,9 @@ class Objective:
     workers never share sampler state. Objectives are read-only and safe
     to share across runs and threads (see Mlp for what its grad keeps).
 
-    losses is the probe: the engine evaluates the probe loss of up to 64
-    parameter versions in one call to it, and loss is its one-row case. A
+    losses is the probe: the engine evaluates the probe loss of a block of
+    parameter versions, 64 or the few more that the wave filling the
+    block made, in one call to it, and loss is its one-row case. A
     subclass overrides one of the two. The objectives here override losses
     with one stacked computation whose row k never depends on how many
     rows are stacked; an objective that overrides only loss is probed one

@@ -19,15 +19,20 @@ divides staleness by sharing one update among G pulls.
 run_simulation is the one entry point and the run itself: its locals are
 the run's only state, and its event loop, on the calling thread, has the
 whole push step, from the worker's gradient to the push's record, as its
-body. The push step's update alone changes the parameters, and queues each
-version for the one divergence check and its probe, which run in blocks
-(_probe_block). The loop keeps the one event source, a heap of simulated
-deadlines (ties to the lower worker id). A run observes each completion
-popped from it at its deadline, so it is deterministic, unless
-cfg.parallel is set: then it sleeps until the deadline on a real clock
-scaled by parallel.time_scale and observes the time it woke, so its
-timings are nondeterministic while every bookkeeping rule, and all of the
-numerics, stay the same.
+body. With N async workers a version is first read about N - 1 updates
+after it is made, so a wide run leaves each push step's update pending:
+the first completion that reads a pending version makes every pending
+version in one wave (_wave), and a long wave's Adam updates run as one
+stacked step (optim.adam_steps). A run whose waves would be short steps
+each update at its push. Either way the steps alone change the
+parameters and queue each version for the one divergence check and its
+probe, which run in blocks (_probe_block). The loop keeps the one event
+source, a heap of simulated deadlines (ties to the lower worker id). A
+run observes each completion popped from it at its deadline, so it is
+deterministic, unless cfg.parallel is set: then it sleeps until the
+deadline on a real clock scaled by parallel.time_scale and observes the
+time it woke, so its timings are nondeterministic while every
+bookkeeping rule, and all of the numerics, stay the same.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from .models import (
     make_cost_stream,
     make_linreg_samples,
 )
-from .optim import AdamState, adam_step, sgd_step
+from .optim import AdamState, adam_step, adam_steps, sgd_step
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -329,25 +334,69 @@ def build_experiment(
 # MLP on 126 probe samples, 37, 16 and 22 us. Objective.loss is the K=1
 # call without the stacking.
 # A larger block saves little more, and a run computes up to K - 1 more
-# versions before it sees non-finite parameters, Adam's v or probe loss.
+# versions, plus the rest of the wave that fills the block (see _wave),
+# before it sees non-finite parameters, Adam's v or probe loss.
 _PROBE_BLOCK = 64
+
+# Waves of at least this many Adam updates run as one optim.adam_steps
+# call, shorter ones as chained adam_step calls, and a run whose waves
+# would be shorter steps each update at its push. Per row, timed around
+# each call inside 4- to 16-worker async runs at d=20 on a 2-core Xeon
+# (Python 3.11, NumPy 2.4): adam_step 6.9-7.5 us; adam_steps 8.5-9.2 us
+# at 3 rows, 6.7-7.2 at 4, 5.8-6.1 at 5, 4.6-5.3 at 8 and 3.0 at 16.
+_WAVE_STACK = 5
+
+
+def _wave(pending: list, queued: list, step, steps, adam, state, theta: Vec):
+    """Make every pending version in order and queue its record for
+    _probe_block, then empty pending in place; returns (Adam state or
+    None, the last version's parameters). A version's record is the list
+    [theta, Adam's v, pushes recorded before it, total cost at it, the
+    gradient and the rate of the update that makes it]: theta and v are
+    None while the update is pending, and a wave fills them in. A wave of
+    _WAVE_STACK or more Adam updates, all of theta's shape, is one steps
+    call; any other is one step call per update, so a wrong-shape
+    gradient raises step's error after the versions before it are queued.
+    pending is emptied first, so a failing wave leaves none."""
+    wave = pending[:]
+    pending.clear()
+    if state is not None and len(wave) >= _WAVE_STACK and all(
+        r[4].shape == theta.shape for r in wave
+    ):
+        grads, lrs = np.array([r[4] for r in wave]), [r[5] for r in wave]
+        state, thetas, vs = steps(state, adam, theta, grads, lrs)
+        thetas.setflags(write=False)
+        for r, theta, v in zip(wave, thetas, vs):
+            r[0], r[1] = theta, v
+        queued.extend(wave)
+        return state, theta
+    for r in wave:
+        if state is None:
+            theta, v = step(theta, r[4], r[5]), None
+        else:
+            state, theta = step(state, adam, theta, r[4], r[5])
+            v = state.v
+        theta.setflags(write=False)
+        r[0], r[1] = theta, v
+        queued.append(r)
+    return state, theta
 
 
 def _probe_block(queued: list, version_loss: list, pushed: list, losses, probe: Batch) -> None:
     """Check and probe every queued version, then empty the queue in place:
-    the one place a run is found to diverge. queued holds, per version
-    waiting for its check and probe, (theta, Adam's v or None, pushes
-    recorded before it, total cost at it). One np.isfinite pass over the
-    block's stacked parameters and Adam v's finds the earliest version
-    whose parameters or v are not finite, and one stacked losses call
-    probes only the versions before it, so no probe sees a non-finite
-    row. The earliest failure, a non-finite probe or else that version
-    (its parameters named before its v), rolls the run back to its
-    version: pushed keeps only the pushes recorded before it, and
-    version_loss ends with the probed losses up to it (no kept row reads
-    the failed version's, but the initial loss is version 0's); then it
-    raises DivergenceError with that version's theta and total cost, as a
-    check at each update would have."""
+    the one place a run is found to diverge. queued holds the record of
+    each version waiting for its check and probe: (theta, Adam's v or
+    None, pushes recorded before it, total cost at it) first (see _wave).
+    One np.isfinite pass over the block's stacked parameters and Adam v's
+    finds the earliest version whose parameters or v are not finite, and
+    one stacked losses call probes only the versions before it, so no
+    probe sees a non-finite row. The earliest failure, a non-finite probe
+    or else that version (its parameters named before its v), rolls the
+    run back to its version: pushed keeps only the pushes recorded before
+    it, and version_loss ends with the probed losses up to it (no kept row
+    reads the failed version's, but the initial loss is version 0's); then
+    it raises DivergenceError with that version's theta and total cost, as
+    a check at each update would have."""
     if not queued:
         return
     block = queued[:]
@@ -367,7 +416,7 @@ def _probe_block(queued: list, version_loss: list, pushed: list, losses, probe: 
     if j == n:
         return
     what = "probe loss" if j < k else "Adam's second moment" if row_ok[j] else "parameters"
-    theta, _, pushes, total_cost = block[j]
+    theta, _, pushes, total_cost = block[j][:4]
     del pushed[pushes:]
     raise DivergenceError(f"{what} went non-finite at update {first + j}", theta, total_cost)
 
@@ -384,20 +433,22 @@ def run_simulation(
     build_experiment.
 
     The run binds once what a push step calls: the objective's grad, the
-    optimizer step and sample_compute_time; and what a probe calls, the
-    objective's losses (for an object that is not an Objective, such as a
-    wrapper that times loss calls, Objective's default losses: one loss
-    call per read-only row of the block). The step and sample_compute_time
-    are read from this module's globals when the run starts, so a wrapper
-    swapped into those globals before a run (as perfbench/tracer.py does)
-    sees every call. The run's state is its locals alone: the parameters and
-    total cost; the versions waiting for their check and probe, each
-    version's rate and probe loss, and one record per push, (the version
-    it left, sim time, staleness, worker id); the server's gradient sum
-    and Adam's state (none for SGD); and, in lists by worker id, each
-    worker's RNG stream, the (theta, version) it pulled last, the sum of
-    the gradients it computed since its last push with their count and
-    cost, and its batch in flight.
+    optimizer step, the stacked Adam step (adam_steps) and
+    sample_compute_time; and what a probe calls, the objective's losses
+    (for an object that is not an Objective, such as a wrapper that times
+    loss calls, Objective's default losses: one loss call per read-only
+    row of the block). The steps and sample_compute_time are read from
+    this module's globals when the run starts, so a wrapper swapped into
+    those globals before a run (as perfbench/tracer.py does) sees every
+    call. The run's state is its locals alone: the last made parameters
+    and the total cost; the latest version's record (see _wave), the
+    records of the versions pending and of those waiting for their check
+    and probe, each version's rate and probe loss, and one record per
+    push, (the version it left, sim time, staleness, worker id); the
+    server's gradient sum and Adam's state (none for SGD); and, in lists
+    by worker id, each worker's RNG stream, the (version record, version)
+    it pulled last, the sum of the gradients it computed since its last
+    push with their count and cost, and its batch in flight.
 
     The initial parameters are probed first, as version 0. Then every
     worker starts in id order, staggered at i/N seconds. A start hands the
@@ -424,20 +475,31 @@ def run_simulation(
     pushes the sum (over L under mean) to the server. The whole sum was
     computed against one pulled snapshot, since re-pulls only happen at
     push time, so the push's staleness is the number of updates since that
-    pull. Once the server's sum holds G pushes, one update applies the
-    optimizer step to it (over G under mean) at the scheduled rate and
-    queues the new version with Adam's second moment v, unchecked. A
-    non-finite gradient makes the SGD parameters or Adam's v non-finite at
-    the update that applies it; so does a finite one above ~1e154, whose
-    g*g overflows v and would freeze its coordinate. The push arrives
+    pull. Once the server's sum holds G pushes, one update takes it (over
+    G under mean) at the scheduled rate. Where the run's waves can reach
+    _WAVE_STACK updates (U under a barrier, (N - 1)/(L*G) in the async
+    family, at least _WAVE_STACK), the update waits, pending, for the
+    first completion of a worker that pulled a version not made yet;
+    elsewhere it is applied at once, a wave of one. That completion, or
+    the loop's end, makes every pending version in one wave (_wave): it
+    applies the optimizer steps in update order, fills in each new
+    version's parameters and Adam's second moment v in its record, where
+    every worker that pulled it reads them, and queues the record,
+    unchecked. A wave of _WAVE_STACK or more Adam updates is one
+    adam_steps call, equal to chained adam_step calls bit for bit, so no
+    output depends on how the updates fall into waves. A non-finite
+    gradient makes the SGD parameters or Adam's v non-finite at the update
+    that applies it; so does a finite one above ~1e154, whose g*g
+    overflows v and would freeze its coordinate. The push arrives
     comm_latency later and is recorded at the version after any update it
     made. In the async family the pusher re-pulls and starts again on
     arrival. A barrier strategy holds finished workers until the round's
     update lands, then starts all N on arrival in id order, re-pulled only
     when the update count is a multiple of the pull period U.
 
-    Queued versions are checked and probed in blocks (_probe_block): every
-    _PROBE_BLOCK versions, and however the loop ends, so a diverged
+    Queued versions are checked and probed in blocks (_probe_block): once
+    a wave leaves _PROBE_BLOCK or more queued, and however the loop ends,
+    after a last wave of the versions still pending, so a diverged
     version among them ends the run at that version, even when a later
     exception was leaving the loop. There is one probe per version, so
     with G > 1 (and for the barrier strategies) one per G pushes. The
@@ -453,13 +515,13 @@ def run_simulation(
     was never probed, as its parameters were not finite.
 
     No array is written after it is made. A sum is rebound, not added into
-    a zeroed buffer, so with L = G = 1 the optimizer steps with the array
-    the objective returned. A pulled theta is the server's array itself:
-    each update binds theta to a new read-only array, so no snapshot
-    changes and an objective that writes into one raises. Per compute
-    cycle a stream is consumed in a fixed order (the duration draw at the
-    worker's start, then gradient noise at its completion), so serial and
-    paced runs walk identical sample sequences.
+    a zeroed buffer, so with L = G = 1 a chained step takes the array the
+    objective returned. A pulled theta is the server's array itself: each
+    version is a new read-only array (a row of a stacked step's output),
+    so no snapshot changes and an objective that writes into one raises.
+    Per compute cycle a stream is consumed in a fixed order (the duration
+    draw at the worker's start, then gradient noise at its completion), so
+    serial and paced runs walk identical sample sequences.
     """
     objective, dataset, probe, theta = build_experiment(cfg, objective, dataset, probe, theta0)
     theta = theta.copy()
@@ -488,13 +550,29 @@ def run_simulation(
     version_lr, version_loss = [0.0], []
     # the versions waiting for their check and probe, version 0 first (see
     # _probe_block), and one record per push, in push order
-    queued = [(theta, None if state is None else state.v, 0, 0)]
+    queued = [[theta, None if state is None else state.v, 0, 0, None, 0.0]]
     pushed: list[tuple[int, float, int, int]] = []
     probe_block = functools.partial(_probe_block, queued, version_loss, pushed, losses, probe)
     server, server_count = None, 0  # the pushes' sum since the last update
     ids = range(n)
     rngs = [RngStream(cfg.seed, STREAM_WORKER_BASE + i) for i in ids]
-    pulled_theta, pulled_version = [theta] * n, [0] * n
+    # a worker pulls a version's record (see _wave), whose theta is None
+    # while the update that makes it is pending
+    latest = queued[0]
+    pulled_record, pulled_version = [latest] * n, [0] * n
+    pending = []
+    wave = functools.partial(_wave, pending, queued, step, adam_steps, adam)
+    pend = pending.append
+    # An update waits for its first reader only where a wave can reach
+    # _WAVE_STACK updates. Under a barrier the workers pull every U-th
+    # version, so a wave holds U updates. In the async family a version is
+    # read one completion after its pull; the other N - 1 workers complete
+    # about once each meanwhile, and L*G completions make an update.
+    # Elsewhere an update steps at its push: waiting costs ~0.6-0.9 us an
+    # update (CPU time of sync runs on 4 workers), which chained steps do
+    # not win back.
+    expected = pull_every if cfg.strategy.is_barrier else (n - 1) / (local * global_count)
+    lazy = expected >= _WAVE_STACK
     sums: list[Vec | None] = [None] * n
     counts, costs = [0] * n, [0] * n
     in_flight: list[Batch | None] = [None] * n
@@ -525,7 +603,13 @@ def run_simulation(
                         if t > limit:
                             break
                     batch, rng = in_flight[w], rngs[w]
-                    g = grad(pulled_theta[w], batch, rng)
+                    at_theta = pulled_record[w][0]
+                    if at_theta is None:  # a version no worker has read yet: make them all
+                        state, theta = wave(state, theta)
+                        at_theta = pulled_record[w][0]
+                        if len(queued) >= _PROBE_BLOCK:
+                            probe_block()
+                    g = grad(at_theta, batch, rng)
                     # Starting a sum at its first term, not at +0.0, changes
                     # only the sign of exact-zero entries (-0.0 + -0.0 is
                     # -0.0, +0.0 + -0.0 is +0.0). Such an entry reaches theta
@@ -552,31 +636,40 @@ def run_simulation(
                             lr = rate(version)
                             version_lr.append(lr)
                             g = server / global_count if mean_global else server
-                            if state is None:
-                                theta, v = step(theta, g, lr), None
-                            else:
-                                state, theta = step(state, adam, theta, g, lr)
-                                v = state.v
-                            theta.setflags(write=False)
-                            queued.append((theta, v, len(pushed), total_cost))
-                            if len(queued) == _PROBE_BLOCK:
-                                probe_block()
+                            latest = [None, None, len(pushed), total_cost, g, lr]
+                            if lazy:
+                                pend(latest)
+                            else:  # _wave's one-update case, at the push
+                                if state is None:
+                                    theta, v = step(theta, g, lr), None
+                                else:
+                                    state, theta = step(state, adam, theta, g, lr)
+                                    v = state.v
+                                theta.setflags(write=False)
+                                latest[0], latest[1] = theta, v
+                                queued.append(latest)
+                                if len(queued) >= _PROBE_BLOCK:
+                                    probe_block()
                         at = t + latency
                         record((version, at, staleness, w))
                         if barrier:  # wait for the round's update, which starts all N
                             if server_count == 0:
                                 if version % pull_every == 0:
-                                    pulled_theta, pulled_version = [theta] * n, [version] * n
+                                    pulled_record, pulled_version = [latest] * n, [version] * n
                                 for i in ids:  # next round, batch grab in id order
                                     batch = in_flight[i] = next(batches)
                                     heappush(heap, (at + sample(rngs[i], compute)
                                                     * batch.total_cost, i))
                             continue
-                        pulled_theta[w], pulled_version[w] = theta, version
+                        pulled_record[w], pulled_version[w] = latest, version
                     batch = in_flight[w] = next(batches)
                     heappush(heap, (at + sample(rng, compute) * batch.total_cost, w))
             finally:
-                probe_block()
+                try:  # the versions still pending, then their check and probe
+                    if pending:
+                        state, theta = wave(state, theta)
+                finally:
+                    probe_block()
     except DivergenceError as e:
         reason, theta, total_cost = str(e), e.theta, e.total_cost
     pushes = len(pushed)

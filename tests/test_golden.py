@@ -24,6 +24,11 @@ correction: its run passes t = 54 and t = 356, where 1 - beta2**t and
 The ten-class sync MLP case was taken from the gradient that still built
 each push's one-hot label rows and unpacked each pulled version's weights
 at every push.
+The two 16-worker async Adam cases (WIDE) were taken from the engine
+that still stepped the optimizer at each update: there a version is made
+~15 updates before a worker first reads it, so the versions an engine
+makes together run to ~16. One runs past t = 356, the other diverges
+through Adam's v at update 159, inside a block of queued versions.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 
@@ -186,6 +191,40 @@ DIVERGED = {
 }
 
 
+# the benchmark's quad-async shape: 16 async workers on Adam, so each
+# version is first read ~15 updates after it is made
+_WIDE = """\
+objective.kind = quadratic
+objective.dim = 20
+workers = 16
+strategy = async
+compute.kind = normal
+compute.mean = 1.0
+compute.std = 0.2
+batch.cost_max = 4
+batch.budget = 8
+optimizer.alpha = 0.01
+seed = 3
+"""
+
+# name: (config, digest, divergence reason or None)
+WIDE = {
+    # 480 updates run past t = 356, where 1 - beta1**t first rounds to 1.0
+    "quadratic-async-16-workers": (
+        _WIDE + "objective.noise_sigma = 2.0\nbudget.updates = 480\n",
+        "fc37c598b21bcc8890de825ab50751b0e321137d587b44ef5afea75f0f66430b",
+        None,
+    ),
+    # a gradient above ~9.5e154 overflows Adam's v at update 159: past the
+    # first two blocks of 64 versions, and off their boundaries
+    "quadratic-async-16-workers-diverges": (
+        _WIDE + "objective.noise_sigma = 3e154\nbudget.updates = 400\n",
+        "0e12804eb544d8e21a291d82335979f596ef5ffd9f4b348bc195cc1331086289",
+        "Adam's second moment went non-finite at update 159",
+    ),
+}
+
+
 def output_digest(text: str, out_dir, reason: str | None = None) -> str:
     """sha256 of the run's trace.csv and summary.json; the run must end
     with the divergence reason given, or undiverged for None."""
@@ -209,9 +248,16 @@ def test_diverged_outputs_match_golden_digest(name, tmp_path):
     assert output_digest(text, tmp_path, reason) == digest
 
 
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_async_outputs_match_golden_digest(name, tmp_path):
+    text, digest, reason = WIDE[name]
+    assert output_digest(text, tmp_path, reason) == digest
+
+
 if __name__ == "__main__":
     cases = {name: (text + _NOISY, None) for name, (text, _) in GOLDEN.items()}
-    cases.update({name: (text, reason) for name, (text, _, reason) in DIVERGED.items()})
+    for full in (DIVERGED, WIDE):
+        cases.update({name: (text, reason) for name, (text, _, reason) in full.items()})
     for name in sorted(cases):
         text, reason = cases[name]
         with tempfile.TemporaryDirectory() as d:

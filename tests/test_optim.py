@@ -13,6 +13,7 @@ from stalesim.optim import (
     AdamState,
     adam_direction,
     adam_step,
+    adam_steps,
     predicted_efficiency,
     sgd_step,
 )
@@ -218,6 +219,63 @@ def test_steps_match_a_python_float_reference_bit_for_bit(case):
         assert adam_direction(state, cfg).tobytes() == direction.tobytes()
         assert sgd_step(theta, g, lr).tobytes() == (theta - lr * g).tobytes()
         theta = theta_new
+
+
+# 1 - beta**t first rounds to 1.0 at t = 54 for beta = 0.5, t = 356 for
+# 0.9 and t = 1853 for 0.98: the stacked step divides those rows by 1.0
+_ROUNDING_T = {0.5: 54, 0.9: 356, 0.98: 1853}
+
+
+@st.composite
+def _adam_waves(draw):
+    """(config, state, theta, (k, d) gradients, k rates): a wave that
+    starts before or after a t where a bias correction rounds to 1.0, its
+    gradients planted with +-0.0, huge (~1e154, whose square overflows
+    v) and non-finite entries."""
+    beta = st.one_of(st.sampled_from(sorted(_ROUNDING_T)), st.floats(0.0, 0.999))
+    cfg = AdamConfig(
+        alpha=1.0,
+        beta1=draw(st.one_of(st.just(0.0), beta)),
+        beta2=draw(beta),
+        epsilon=draw(st.sampled_from([0.0, 1e-8, 0.5])),
+    )
+    k, d = draw(st.integers(1, 64)), draw(st.integers(1, 80))
+    t = max(0, draw(st.sampled_from([0, *_ROUNDING_T.values()])) + draw(st.integers(-70, 8)))
+    rng = RngStream(draw(st.integers(0, 2**16)), stream=0)
+    scale = draw(st.floats(1e-3, 1e3))
+    state = AdamState(rng.normal(0.0, scale, d), rng.normal(0.0, scale, d) ** 2, t)
+    grads = rng.normal(0.0, scale, (k, d))
+    planted = [0.0, -0.0, 1e154, -1.3e154, math.inf, -math.inf, math.nan]
+    for value in draw(st.lists(st.sampled_from(planted), max_size=6)):
+        grads[draw(st.integers(0, k - 1)), draw(st.integers(0, d - 1))] = value
+    lrs = draw(st.lists(st.floats(1e-6, 10.0), min_size=k, max_size=k))
+    return cfg, state, rng.normal(size=d), grads, lrs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_adam_waves())
+def test_stacked_steps_equal_chained_adam_steps_bit_for_bit(case):
+    cfg, state, theta, grads, lrs = case
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stacked, thetas, vs = adam_steps(state, cfg, theta, grads, lrs)
+        for i, (g, lr) in enumerate(zip(grads, lrs)):
+            state, theta = adam_step(state, cfg, theta, g, lr)
+            assert thetas[i].tobytes() == theta.tobytes()
+            assert vs[i].tobytes() == state.v.tobytes()
+    assert stacked.m.tobytes() == state.m.tobytes()
+    assert stacked.v.tobytes() == state.v.tobytes()
+    assert stacked.t == state.t
+
+
+def test_stacked_steps_check_dimensions_and_leave_their_inputs():
+    cfg = _paper_cfg()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        adam_steps(AdamState.zeros(2), cfg, np.zeros(2), np.zeros((4, 3)), [0.1] * 4)
+    state, theta = AdamState.zeros(3), np.ones(3)
+    grads = RngStream(4, stream=0).normal(size=(5, 3))
+    before = [a.tobytes() for a in (state.m, state.v, theta, grads)]
+    adam_steps(state, cfg, theta, grads, [0.1] * 5)
+    assert [a.tobytes() for a in (state.m, state.v, theta, grads)] == before
 
 
 def test_adam_operands_are_not_config_fields():

@@ -10,9 +10,11 @@ build_experiment, dynamic_batcher, sample_compute_time, learning_rate,
 the objective's grad and losses, and adam_step/sgd_step. The property
 tests compare every trace cell, the final parameters' bits, the total
 cost and the divergence reason with run_simulation over random serial
-configs, some of whose objectives diverge at a random update: short runs,
-and runs past the engine's first block of 64 probed versions, whose
-divergence is found in a later block.
+configs, some of whose objectives diverge at a random update: short runs;
+runs past the engine's first block of 64 probed versions, whose
+divergence is found in a later block; and runs of 8 to 16 async-family
+workers, where the engine makes versions in waves of up to ~N updates
+and a rollback can name a version in the middle of a wave.
 """
 
 import itertools
@@ -253,6 +255,31 @@ def _runs_past_the_first_probe_block(draw):
 @settings(max_examples=40, deadline=None)
 @given(_runs_past_the_first_probe_block())
 def test_runs_past_the_first_probe_block_match_the_reference(run):
+    _check_against_reference(*run)
+
+
+@st.composite
+def _wide_async_runs(draw):
+    """A _serial_runs draw moved to 8-16 workers in the async family, with
+    65 to 160 versions and no sim-time budget: each version is first read
+    about N - 1 updates after it is made, so the engine makes versions in
+    waves of up to ~N rows and probes a full block of 64 mid-run. Its
+    spike, if any, lands on any gradient call of the run, so a rollback
+    can name a version in the middle of a wave."""
+    cfg, _, spike = draw(_serial_runs())
+    kind = draw(st.sampled_from(["async", "async", "local_accum", "global_accum", "combined"]))
+    strategy = Strategy(kind, **{p: draw(st.integers(1, 3)) for p in config._PARAMS[kind]})
+    cfg = replace(cfg, workers=draw(st.integers(8, 16)), strategy=strategy,
+                  budget_updates=draw(st.integers(65, 160)), budget_sim_time=0.0)
+    local, global_count, _ = strategy.effective(cfg.workers)
+    calls = cfg.budget_updates * local * global_count
+    return cfg, draw(st.one_of(st.none(), st.integers(1, calls))), spike
+
+
+# ~2 s for the 30 examples on a 2-core x86-64 host
+@settings(max_examples=30, deadline=None)
+@given(_wide_async_runs())
+def test_wide_async_runs_match_the_reference(run):
     _check_against_reference(*run)
 
 

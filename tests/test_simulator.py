@@ -32,8 +32,9 @@ from stalesim.config import (
 from stalesim.core import RngStream, learning_rate, sample_compute_time
 from stalesim.harness import EXIT_DIVERGED, run_experiment, summarize
 from stalesim.models import Objective, Quadratic, dynamic_batcher
-from stalesim.optim import AdamState, adam_step, sgd_step
+from stalesim.optim import AdamState, adam_step, adam_steps, sgd_step
 from stalesim.simulator import (
+    DivergenceError,
     TRACE_COLUMNS,
     RunTrace,
     TraceRow,
@@ -614,6 +615,98 @@ def test_versions_past_a_parameter_overflow_are_never_probed():
     assert trace.updates == 17
 
 
+# ---------------------------------------------------------------------------
+# versions made in waves: an update is applied when a worker first reads
+# its version, or when the loop ends
+
+
+def _wave_cfg(updates):
+    # 16 equal-speed workers: a version is first read ~15 updates after it
+    # is made, so the run makes versions ~16 at a time
+    return replace(_adam_climb_cfg(updates), workers=16)
+
+
+class _AdamClimbThen(_AdamClimb):
+    """_AdamClimb whose gradient call `fail_at` raises `bad` if it is an
+    exception, and else returns it as the gradient."""
+
+    def __init__(self, fail_at, bad, **kw):
+        super().__init__(**kw)
+        self.fail_at, self.bad = fail_at, bad
+
+    def grad(self, theta, batch, rng=None):
+        g = super().grad(theta, batch, rng)
+        if self.calls != self.fail_at:
+            return g
+        if isinstance(self.bad, Exception):
+            raise self.bad
+        return self.bad
+
+
+def test_an_error_loses_to_an_earlier_version_still_pending():
+    # v overflows at version 40; gradient call 42 raises while version 40
+    # is still pending (its first reader completes ~15 calls later), so the
+    # loop's finally makes it and probes it, and the run ends there as it
+    # does when nothing raises
+    crash = RuntimeError("worker crashed")
+    crashed = run_simulation(_wave_cfg(100), objective=_AdamClimbThen(42, crash, at=40, spike=1e200))
+    plain = run_simulation(_wave_cfg(100), objective=_AdamClimb(at=40, spike=1e200))
+    assert crashed.divergence_reason == "Adam's second moment went non-finite at update 40"
+    assert crashed.divergence_reason == plain.divergence_reason
+    assert crashed.rows == plain.rows
+    assert crashed.final_theta.tobytes() == plain.final_theta.tobytes()
+    assert crashed.total_cost == plain.total_cost
+    with pytest.raises(RuntimeError, match="worker crashed"):
+        run_simulation(_wave_cfg(100), objective=_AdamClimbThen(42, crash))
+
+
+@pytest.mark.parametrize("spike_at, updates", [(None, 100), (25, 100), (25, 30)])
+def test_a_wrong_shape_gradient_raises_the_step_error_after_the_versions_before_it(
+    spike_at, updates
+):
+    # update 30's gradient has 3 entries; its wave also holds versions 17-29,
+    # which are made and probed first, so an overflow at 25 ends the run.
+    # At 30 updates that wave is the one the loop's finally makes
+    objective = _AdamClimbThen(30, np.zeros(3), at=spike_at, spike=1e200)
+    if spike_at is None:
+        with pytest.raises(ValueError) as raised:
+            run_simulation(_wave_cfg(updates), objective=objective)
+        assert str(raised.value) == "dimension mismatch: theta (2,), g (3,), m (2,)"
+    else:
+        trace = run_simulation(_wave_cfg(updates), objective=objective)
+        assert trace.divergence_reason == "Adam's second moment went non-finite at update 25"
+
+
+def test_a_block_probe_that_diverges_after_a_wave_leaves_no_version_to_make(monkeypatch):
+    # v overflows at version 100: a block probe after a wave finds it, and
+    # the run makes no version after that probe raised
+    made, at_raise = [0], []
+    step, steps, probe_block = simulator.adam_step, simulator.adam_steps, simulator._probe_block
+
+    def counting_step(*args):
+        made[0] += 1
+        return step(*args)
+
+    def counting_steps(*args):
+        out = steps(*args)
+        made[0] += len(out[1])
+        return out
+
+    def probing(*args):
+        try:
+            probe_block(*args)
+        except DivergenceError:
+            at_raise.append(made[0])
+            raise
+
+    monkeypatch.setattr(simulator, "adam_step", counting_step)
+    monkeypatch.setattr(simulator, "adam_steps", counting_steps)
+    monkeypatch.setattr(simulator, "_probe_block", probing)
+    trace = run_simulation(_wave_cfg(400), objective=_AdamClimb(at=100, spike=1e200))
+    assert trace.divergence_reason == "Adam's second moment went non-finite at update 100"
+    assert at_raise == [made[0]] and 100 < made[0] < 400
+
+
 def test_non_finite_initial_parameters_diverge_at_update_0():
     cfg = _cfg()
     objective, dataset, probe, theta0 = build_experiment(cfg)
@@ -700,19 +793,25 @@ def test_probe_loss_runs_once_per_version(strategy):
 def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strategy):
     # an outside tracer (perfbench's) swaps a wrapper in for a function in
     # every stalesim module that holds it as a global, then runs; the run
-    # must call the wrapper for each optimizer step and each duration draw
-    calls = Counter()
+    # must call the wrappers for every optimizer update, one adam_step
+    # call per update stepped alone and one adam_steps call per long wave,
+    # and for each duration draw. At 16 workers global_accum-2 and
+    # local_accum-3 make waves of 5 or more updates; sync and combined-2-2
+    # (~15/4 updates a wave) step each update at its push
+    calls, rows = Counter(), Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "stalesim"]
-    for fn in (adam_step, sample_compute_time):
+    for fn in (adam_step, adam_steps, sample_compute_time):
 
         def counting(*args, fn=fn):
             calls[fn.__name__] += 1
-            return fn(*args)
+            out = fn(*args)
+            rows[fn.__name__] += len(out[1]) if fn is adam_steps else 1
+            return out
 
         for m in modules:
             if m.__dict__.get(fn.__name__) is fn:
                 monkeypatch.setattr(m, fn.__name__, counting)
-    cfg = _cfg(strategy=strategy, workers=3, compute=ComputeTimeModel("normal", 1.0, 0.2))
+    cfg = _cfg(strategy=strategy, workers=16, compute=ComputeTimeModel("normal", 1.0, 0.2))
     objective = build_experiment(cfg)[0]
     grad = objective.grad
 
@@ -723,7 +822,8 @@ def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strate
     objective.grad = counting_grad
     trace = run_simulation(cfg, objective=objective)
     assert trace.updates == cfg.budget_updates
-    assert calls["adam_step"] == trace.updates
+    assert rows["adam_step"] + rows["adam_steps"] == trace.updates
+    assert (calls["adam_steps"] > 0) == (strategy.kind in ("global_accum", "local_accum"))
     # each worker starts once, then once more after each of its completions
     # (under a barrier, all N start again once the round's N have finished)
     assert calls["sample_compute_time"] == cfg.workers + calls["grad"]
@@ -912,21 +1012,32 @@ class _ProbeRecorder:
 def test_a_wrapper_that_is_not_an_objective_is_probed_once_per_version_on_its_rows(
     tmp_path, monkeypatch, kind
 ):
-    # 150 updates: version 0 alone, then blocks of 64, 64 and 22 versions
-    cfg = _cfg(objective=ObjectiveSpec(kind=kind, samples=32), budget_updates=150)
+    # 150 updates at 12 workers: version 0 alone, then blocks of at least
+    # 64 versions each; with compute times this noisy the waves run from
+    # 1 to ~16 versions, so both adam_step and adam_steps make some
+    cfg = _cfg(objective=ObjectiveSpec(kind=kind, samples=32), workers=12,
+               compute=ComputeTimeModel("normal", 1.0, 0.5), budget_updates=150)
     objective, *rest = build_experiment(cfg)
     versions = [rest[-1]]  # theta0, then each update's parameters
-    step = simulator.adam_step
+    step, steps = simulator.adam_step, simulator.adam_steps
 
     def recording(*args):
         state, theta = step(*args)
         versions.append(theta)
         return state, theta
 
+    def recording_rows(*args):
+        state, thetas, vs = steps(*args)
+        versions.extend(thetas)
+        return state, thetas, vs
+
     monkeypatch.setattr(simulator, "adam_step", recording)
+    monkeypatch.setattr(simulator, "adam_steps", recording_rows)
     wrapper = _ProbeRecorder(objective)
     run_simulation(cfg, wrapper, *rest).to_csv(str(tmp_path / "wrapped.csv"))
     assert len(wrapper.probed) == len(versions) == 151
+    assert any(v.base is not None for v in versions[1:])  # adam_steps' rows
+    assert any(v.base is None for v in versions[1:])  # adam_step's own arrays
     for probed, theta in zip(wrapper.probed, versions):
         assert not probed.flags.writeable
         assert probed.tobytes() == theta.tobytes()
