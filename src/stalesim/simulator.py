@@ -19,20 +19,20 @@ divides staleness by sharing one update among G pulls.
 run_simulation is the one entry point and the run itself: its locals are
 the run's only state, and its event loop, on the calling thread, has the
 whole push step, from the worker's gradient to the push's record, as its
-body. With N async workers a version is first read about N - 1 updates
-after it is made, so a wide run leaves each push step's update pending:
-the first completion that reads a pending version makes every pending
-version in one wave (_wave), and a long wave's Adam updates run as one
-stacked step (optim.adam_steps). A run whose waves would be short steps
-each update at its push. Either way the steps alone change the
-parameters and queue each version for the one divergence check and its
-probe, which run in blocks (_probe_block). The loop keeps the one event
-source, a heap of simulated deadlines (ties to the lower worker id). A
-run observes each completion popped from it at its deadline, so it is
-deterministic, unless cfg.parallel is set: then it sleeps until the
-deadline on a real clock scaled by parallel.time_scale and observes the
-time it woke, so its timings are nondeterministic while every
-bookkeeping rule, and all of the numerics, stay the same.
+body. Each push step's update waits, pending, until a worker first reads
+its version: the first completion that reads a pending version makes
+every pending version in one wave (_wave), and a long wave's Adam
+updates run as one stacked step (optim.adam_steps). With N async workers
+a version is first read about N - 1 updates after it is made, so a wide
+run's waves are long. The steps alone change the parameters and queue
+each version for the one divergence check and its probe, which run in
+blocks (_probe_block). The loop keeps the one event source, a heap of
+simulated deadlines (ties to the lower worker id). A run observes each
+completion popped from it at its deadline, so it is deterministic,
+unless cfg.parallel is set: then it sleeps until the deadline on a real
+clock scaled by parallel.time_scale and observes the time it woke, so
+its timings are nondeterministic while every bookkeeping rule, and all
+of the numerics, stay the same.
 """
 
 from __future__ import annotations
@@ -339,8 +339,7 @@ def build_experiment(
 _PROBE_BLOCK = 64
 
 # Waves of at least this many Adam updates run as one optim.adam_steps
-# call, shorter ones as chained adam_step calls, and a run whose waves
-# would be shorter steps each update at its push. Per row, timed around
+# call, shorter ones as chained adam_step calls. Per row, timed around
 # each call inside 4- to 16-worker async runs at d=20 on a 2-core Xeon
 # (Python 3.11, NumPy 2.4): adam_step 6.9-7.5 us; adam_steps 8.5-9.2 us
 # at 3 rows, 6.7-7.2 at 4, 5.8-6.1 at 5, 4.6-5.3 at 8 and 3.0 at 16.
@@ -476,16 +475,13 @@ def run_simulation(
     computed against one pulled snapshot, since re-pulls only happen at
     push time, so the push's staleness is the number of updates since that
     pull. Once the server's sum holds G pushes, one update takes it (over
-    G under mean) at the scheduled rate. Where the run's waves can reach
-    _WAVE_STACK updates (U under a barrier, (N - 1)/(L*G) in the async
-    family, at least _WAVE_STACK), the update waits, pending, for the
-    first completion of a worker that pulled a version not made yet;
-    elsewhere it is applied at once, a wave of one. That completion, or
-    the loop's end, makes every pending version in one wave (_wave): it
-    applies the optimizer steps in update order, fills in each new
-    version's parameters and Adam's second moment v in its record, where
-    every worker that pulled it reads them, and queues the record,
-    unchecked. A wave of _WAVE_STACK or more Adam updates is one
+    G under mean) at the scheduled rate. The update waits, pending, for
+    the first completion of a worker that pulled a version not made yet.
+    That completion, or the loop's end, makes every pending version in one
+    wave (_wave): it applies the optimizer steps in update order, fills in
+    each new version's parameters and Adam's second moment v in its
+    record, where every worker that pulled it reads them, and queues the
+    record, unchecked. A wave of _WAVE_STACK or more Adam updates is one
     adam_steps call, equal to chained adam_step calls bit for bit, so no
     output depends on how the updates fall into waves. A non-finite
     gradient makes the SGD parameters or Adam's v non-finite at the update
@@ -562,17 +558,6 @@ def run_simulation(
     pulled_record, pulled_version = [latest] * n, [0] * n
     pending = []
     wave = functools.partial(_wave, pending, queued, step, adam_steps, adam)
-    pend = pending.append
-    # An update waits for its first reader only where a wave can reach
-    # _WAVE_STACK updates. Under a barrier the workers pull every U-th
-    # version, so a wave holds U updates. In the async family a version is
-    # read one completion after its pull; the other N - 1 workers complete
-    # about once each meanwhile, and L*G completions make an update.
-    # Elsewhere an update steps at its push: waiting costs ~0.6-0.9 us an
-    # update (CPU time of sync runs on 4 workers), which chained steps do
-    # not win back.
-    expected = pull_every if cfg.strategy.is_barrier else (n - 1) / (local * global_count)
-    lazy = expected >= _WAVE_STACK
     sums: list[Vec | None] = [None] * n
     counts, costs = [0] * n, [0] * n
     in_flight: list[Batch | None] = [None] * n
@@ -637,19 +622,7 @@ def run_simulation(
                             version_lr.append(lr)
                             g = server / global_count if mean_global else server
                             latest = [None, None, len(pushed), total_cost, g, lr]
-                            if lazy:
-                                pend(latest)
-                            else:  # _wave's one-update case, at the push
-                                if state is None:
-                                    theta, v = step(theta, g, lr), None
-                                else:
-                                    state, theta = step(state, adam, theta, g, lr)
-                                    v = state.v
-                                theta.setflags(write=False)
-                                latest[0], latest[1] = theta, v
-                                queued.append(latest)
-                                if len(queued) >= _PROBE_BLOCK:
-                                    probe_block()
+                            pending.append(latest)
                         at = t + latency
                         record((version, at, staleness, w))
                         if barrier:  # wait for the round's update, which starts all N

@@ -29,6 +29,10 @@ that still stepped the optimizer at each update: there a version is made
 ~15 updates before a worker first reads it, so the versions an engine
 makes together run to ~16. One runs past t = 356, the other diverges
 through Adam's v at update 159, inside a block of queued versions.
+The two WIDE cases for local accumulation, local_accum-3 at 12 workers
+and combined-2-2 at 16, were taken from the engine that still guessed
+each run's wave length as (N - 1)/(L*G) and stepped every update at its
+push where the guess was below 5, as it was for both.
 A change that alters outputs on purpose updates the digests and says why
 in CHANGES.md.
 
@@ -221,6 +225,22 @@ WIDE = {
         _WIDE + "objective.noise_sigma = 3e154\nbudget.updates = 400\n",
         "0e12804eb544d8e21a291d82335979f596ef5ffd9f4b348bc195cc1331086289",
         "Adam's second moment went non-finite at update 159",
+    ),
+    # local accumulation: waves of 1-10 updates (mean ~4.7), so stacked
+    # and chained steps both make its versions
+    "quadratic-local_accum-3-12-workers": (
+        _WIDE.replace("workers = 16", "workers = 12")
+        .replace("strategy = async", "strategy = local_accum-3")
+        + "objective.noise_sigma = 2.0\nbudget.updates = 400\n",
+        "694e0f3d62e76758d27b96011e645798fe4ce572451eb5ffa5bf6b9288cc52c9",
+        None,
+    ),
+    # waves of 1-7 updates (mean ~4.3): from local and server sums
+    "quadratic-combined-2-2-16-workers": (
+        _WIDE.replace("strategy = async", "strategy = combined-2-2")
+        + "objective.noise_sigma = 2.0\nbudget.updates = 400\n",
+        "5d9d11a89ab82ed1ce5efd6be5fcc5af351327529bfdd337f22db45beda79805",
+        None,
     ),
 }
 

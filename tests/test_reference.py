@@ -14,18 +14,23 @@ configs, some of whose objectives diverge at a random update: short runs;
 runs past the engine's first block of 64 probed versions, whose
 divergence is found in a later block; and runs of 8 to 16 async-family
 workers, where the engine makes versions in waves of up to ~N updates
-and a rollback can name a version in the middle of a wave.
+and a rollback can name a version in the middle of a wave. Each example
+also draws the engine's stacking threshold (simulator._WAVE_STACK): 1,
+so every Adam wave is one stacked step; the default; or one above the
+run's update budget, so every wave chains one step per update. No row
+or bit may depend on it.
 """
 
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stalesim import config
+from stalesim import config, simulator
 from stalesim.config import (
     AdamConfig,
     ComputeTimeModel,
@@ -220,20 +225,29 @@ def _serial_runs(draw):
     return cfg, at, draw(st.sampled_from([math.nan, math.inf, -1e200, 1e300]))
 
 
+# simulator._WAVE_STACK values: every Adam wave stacked, the default, and
+# (None) one above the run's update budget, so above any wave: every wave
+# chains
+_STACKS = st.sampled_from([1, simulator._WAVE_STACK, None])
+
+
 @settings(max_examples=120, deadline=None)
-@given(_serial_runs())
+@given(_serial_runs(), _STACKS)
 # worker 1 completes at 1.5, 2.5, ... and its push at exactly the
 # sim-time budget still runs: the run stops at the first completion past it
 @example((ExperimentConfig(workers=2, batch_budget=1, budget_updates=24, budget_sim_time=7.5,
-                           objective=_OBJECTIVES["quadratic"], probe_samples=8), None, 1.0))
+                           objective=_OBJECTIVES["quadratic"], probe_samples=8), None, 1.0),
+         simulator._WAVE_STACK)
 # the first gradient overflows Adam's v alone; theta stays finite
 @example((ExperimentConfig(workers=1, batch_budget=1, budget_updates=4,
-                           objective=_OBJECTIVES["quadratic"], probe_samples=8), 1, -1e200))
+                           objective=_OBJECTIVES["quadratic"], probe_samples=8), 1, -1e200),
+         1)
 # every sync round's three completions tie, and run in id order
 @example((ExperimentConfig(workers=3, strategy=Strategy("sync"), batch_budget=1, budget_updates=4,
-                           objective=_OBJECTIVES["linreg"], probe_samples=8), None, 1.0))
-def test_serial_runs_match_the_reference_schedule_row_for_row(run):
-    _check_against_reference(*run)
+                           objective=_OBJECTIVES["linreg"], probe_samples=8), None, 1.0),
+         None)
+def test_serial_runs_match_the_reference_schedule_row_for_row(run, stack):
+    _check_against_reference(*run, stack)
 
 
 @st.composite
@@ -253,9 +267,9 @@ def _runs_past_the_first_probe_block(draw):
 
 # ~1 s for the 40 examples on a 2-core x86-64 host
 @settings(max_examples=40, deadline=None)
-@given(_runs_past_the_first_probe_block())
-def test_runs_past_the_first_probe_block_match_the_reference(run):
-    _check_against_reference(*run)
+@given(_runs_past_the_first_probe_block(), _STACKS)
+def test_runs_past_the_first_probe_block_match_the_reference(run, stack):
+    _check_against_reference(*run, stack)
 
 
 @st.composite
@@ -278,12 +292,12 @@ def _wide_async_runs(draw):
 
 # ~2 s for the 30 examples on a 2-core x86-64 host
 @settings(max_examples=30, deadline=None)
-@given(_wide_async_runs())
-def test_wide_async_runs_match_the_reference(run):
-    _check_against_reference(*run)
+@given(_wide_async_runs(), _STACKS)
+def test_wide_async_runs_match_the_reference(run, stack):
+    _check_against_reference(*run, stack)
 
 
-def _check_against_reference(cfg, at, spike):
+def _check_against_reference(cfg, at, spike, stack):
     objective, dataset, probe, theta0 = build_experiment(cfg)
     if at == 0:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -292,7 +306,9 @@ def _check_against_reference(cfg, at, spike):
         (objective if at is None else _Spiked(objective, at, spike), dataset, probe, theta0)
         for _ in range(2)
     ]
-    trace = run_simulation(cfg, *pieces[0])
+    stack = cfg.budget_updates + 1 if stack is None else stack
+    with mock.patch.object(simulator, "_WAVE_STACK", stack):
+        trace = run_simulation(cfg, *pieces[0])
     # divergence rides on inf and nan, as in the engine
     with np.errstate(over="ignore", invalid="ignore"):
         rows, theta, total_cost, initial_loss, reason = reference_run(cfg, pieces[1])

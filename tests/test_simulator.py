@@ -794,10 +794,10 @@ def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strate
     # an outside tracer (perfbench's) swaps a wrapper in for a function in
     # every stalesim module that holds it as a global, then runs; the run
     # must call the wrappers for every optimizer update, one adam_step
-    # call per update stepped alone and one adam_steps call per long wave,
-    # and for each duration draw. At 16 workers global_accum-2 and
-    # local_accum-3 make waves of 5 or more updates; sync and combined-2-2
-    # (~15/4 updates a wave) step each update at its push
+    # call per update of a short wave and one adam_steps call per long
+    # wave, and for each duration draw. At 16 workers every async-family
+    # case here makes waves of 5 or more updates; sync's workers pull
+    # every version, so each of its waves is one update
     calls, rows = Counter(), Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "stalesim"]
     for fn in (adam_step, adam_steps, sample_compute_time):
@@ -823,7 +823,7 @@ def test_wrappers_patched_into_module_globals_see_every_call(monkeypatch, strate
     trace = run_simulation(cfg, objective=objective)
     assert trace.updates == cfg.budget_updates
     assert rows["adam_step"] + rows["adam_steps"] == trace.updates
-    assert (calls["adam_steps"] > 0) == (strategy.kind in ("global_accum", "local_accum"))
+    assert (calls["adam_steps"] > 0) == (strategy.kind != "sync")
     # each worker starts once, then once more after each of its completions
     # (under a barrier, all N start again once the round's N have finished)
     assert calls["sample_compute_time"] == cfg.workers + calls["grad"]
