@@ -5,7 +5,7 @@ import math
 import os
 import sys
 import threading
-import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,9 +34,6 @@ from stalesim.harness import (
     SUMMARY_SCHEMA,
     resolve_out_dir,
     run_experiment,
-    selftest_adam_table,
-    selftest_gradients,
-    selftest_staleness_table,
     summarize,
     sweep,
 )
@@ -242,32 +239,14 @@ def test_sweep_runs_points_on_threads_only_when_one_is_paced(tmp_path, monkeypat
     sweep(base, grid, out_dir=str(tmp_path / "unpaced"), jobs=2)
     assert threads == [threading.current_thread()] * 3
     threads.clear()
-    paced = _fast_cfg(budget_updates=10, parallel=True, parallel_time_scale=1e-4)
-    sweep(serialize_config(paced), grid, out_dir=str(tmp_path / "paced"), jobs=2)
+    # the paced points through the CLI, whose --jobs reaches sweep
+    cfg_path = _write_cfg(tmp_path, budget_updates=10, thresholds=(),
+                          parallel=True, parallel_time_scale=1e-4)
+    out = tmp_path / "paced"
+    args = ["sweep", cfg_path, "--grid", "seed=0,1,2", "--jobs", "2", "--out-dir", str(out)]
+    assert main(args) == EXIT_OK
     assert len(threads) == 3 and threading.current_thread() not in threads
-
-
-# ---------------------------------------------------------------------------
-# selftests
-
-
-def test_selftest_adam_table_passes_quickly():
-    t0 = time.perf_counter()
-    ok, lines = selftest_adam_table()
-    assert ok, "\n".join(lines)
-    assert time.perf_counter() - t0 < 1.0
-    # 3 streams x 6 steps x 5 quantities
-    assert sum("ok" in ln for ln in lines) == 90
-
-
-def test_selftest_staleness_table_passes():
-    ok, lines = selftest_staleness_table()
-    assert ok, "\n".join(lines)
-
-
-def test_selftest_gradients_passes():
-    ok, lines = selftest_gradients()
-    assert ok, "\n".join(lines)
+    assert all((out / f"seed={seed}" / "trace.csv").exists() for seed in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +266,40 @@ def test_cli_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert code == EXIT_OK
     assert (tmp_path / "out" / "trace.csv").exists()
     assert "updates" in out
+
+
+@pytest.mark.parametrize("strategy, chains", [
+    ("", False),
+    ("strategy = combined-2-2\ncompute.kind = normal\ncompute.std = 0.2\n", True),
+], ids=["async", "combined-2-2"])
+def test_cli_paced_16_worker_run_reaches_its_budget_in_stacked_waves(
+    tmp_path, capsys, monkeypatch, strategy, chains
+):
+    # the paper's wide regime on a real clock: each version is first read
+    # ~15 updates after it is made, so the engine applies the updates in
+    # long waves, each one adam_steps call; combined-2-2 on normal compute
+    # times makes waves of 1-8 updates, so it chains adam_step calls too
+    calls, rows = Counter(), Counter()
+    for name in ("adam_step", "adam_steps"):
+
+        def counting(*args, fn=getattr(simulator, name), name=name):
+            out = fn(*args)
+            calls[name] += 1
+            rows[name] += len(out[1]) if name == "adam_steps" else 1
+            return out
+
+        monkeypatch.setattr(simulator, name, counting)
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(
+        "workers = 16\nbudget.updates = 200\nthresholds =\n"
+        "parallel = true\nparallel.time_scale = 0.0005\n" + strategy
+    )
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["updates"], summary["diverged"]) == (200, False)
+    assert rows["adam_step"] + rows["adam_steps"] == 200
+    assert calls["adam_steps"] > 0
+    assert calls["adam_step"] > 0 or not chains
 
 
 def _echo(out_dir) -> str:
@@ -332,6 +345,7 @@ def test_cli_sweep_echoes_each_points_directory(tmp_path, capsys):
         assert parse_config(echo) == _fast_cfg(
             budget_updates=5, thresholds=(), seed=seed, out_dir=str(point)
         )
+        assert f"out_dir = {point}" in echo.splitlines()
         written = [(point / name).read_bytes() for name in ("trace.csv", "summary.json")]
         again = tmp_path / f"again-{seed}.cfg"
         again.write_text(echo)
@@ -496,6 +510,16 @@ def test_cli_rejects_an_out_of_range_key_in_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_prints_a_rules_message_whole(tmp_path, capsys):
+    # the key, its rule's text and the parsed value, after one prefix
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("optimizer.beta1 = 1\n")
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err == "config error: optimizer.beta1 must be >= 0 and < 1, got 1.0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -711,13 +735,17 @@ def test_cli_run_adam_second_moment_overflow_exits_3(tmp_path, capsys, monkeypat
 
 def test_cli_run_diverged_before_first_row_exits_3(tmp_path, capsys):
     # a finite but huge step makes theta non-finite at the first update, so
-    # the trace has no rows and the report no final loss
-    cfg_path = _write_cfg(tmp_path, adam=AdamConfig(alpha=1e308))
-    code = main(["run", cfg_path, "--out-dir", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    assert code == EXIT_DIVERGED
-    assert "final_loss=n/a" in captured.out
-    assert captured.err == ""
+    # the trace has no rows and the report no final loss, serial and paced
+    for clock, kw in (("serial", {}), ("paced", dict(parallel=True, parallel_time_scale=1e-4))):
+        cfg_path = _write_cfg(tmp_path, adam=AdamConfig(alpha=1e308), **kw)
+        out = tmp_path / clock
+        code = main(["run", cfg_path, "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DIVERGED, clock
+        assert "final_loss=n/a" in captured.out
+        assert captured.err == ""
+        last = (out / "trace.csv").read_text().splitlines()[-1]
+        assert last == "# reason=parameters went non-finite at update 1"
 
 
 def test_cli_run_adam_without_epsilon_diverges_on_a_zero_v_without_a_warning(tmp_path, capsys):
@@ -788,7 +816,11 @@ _PACED = dict(parallel=True, parallel_time_scale=1e-4, workers=1)
     ({"thresholds_target": 1e-9}, 4),
     # a paced point builds its own pieces: one build per point
     (_PACED, 4),
-], ids=["unpaced", "target", "paced"])
+    # a group's MLP points share each batch's one-hot label rows, so the
+    # second grades on rows the first made; alone, each point makes its
+    # own, and its own weight memo
+    ({"objective": ObjectiveSpec(kind="mlp")}, 2),
+], ids=["unpaced", "target", "paced", "mlp"])
 def test_sweep_builds_each_group_once_and_writes_what_run_experiment_writes(
     tmp_path, monkeypatch, kw, builds
 ):
@@ -801,6 +833,7 @@ def test_sweep_builds_each_group_once_and_writes_what_run_experiment_writes(
     assert [label for label, _ in results] == [
         f"strategy={s}__seed={n}" for s in grid["strategy"] for n in grid["seed"]
     ]
+    assert not any(report.diverged for _, report in results)
     _assert_each_point_runs_alone_the_same(base, results, tmp_path)
 
 
