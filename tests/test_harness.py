@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from stalesim.harness import (
     SUMMARY_SCHEMA,
     resolve_out_dir,
     run_experiment,
+    selftest_adam_table,
     summarize,
     sweep,
 )
@@ -247,6 +249,19 @@ def test_sweep_runs_points_on_threads_only_when_one_is_paced(tmp_path, monkeypat
     assert main(args) == EXIT_OK
     assert len(threads) == 3 and threading.current_thread() not in threads
     assert all((out / f"seed={seed}" / "trace.csv").exists() for seed in range(3))
+
+
+# ---------------------------------------------------------------------------
+# selftests
+
+
+def test_selftest_adam_table_passes_quickly():
+    t0 = time.perf_counter()
+    ok, lines = selftest_adam_table()
+    assert ok, "\n".join(lines)
+    assert time.perf_counter() - t0 < 1.0
+    # 3 streams x 6 steps x 5 quantities
+    assert sum("ok" in ln for ln in lines) == 90
 
 
 # ---------------------------------------------------------------------------
